@@ -1,56 +1,31 @@
-"""Hot numeric kernels with an optional JIT path.
+"""numpy kernels: pair-orbit labels, mod-p elimination.
 
-Two loops dominate runtime at the largest supported degrees: the union-find
-that partitions the n*n pair set into orbitals, and mod-p row reduction of
-the dense systems built by the brute-force centralizer oracle.  Each kernel
-exists twice: a scalar-loop variant compiled with numba's @njit, and a
-vectorized pure-numpy fallback.  The fallback is selected by setting the
-environment variable PERMSYM_PURE=1 (or when numba is not importable).
-Both paths produce bit-identical output; benchmarks/bench_kernels.py
-compares their speed.
+Two loops dominate runtime at the largest supported degrees: partitioning the
+n*n pair set into orbitals, and mod-p row reduction of the dense systems
+built by the cross-checks.  Both are vectorized over whole rows or the whole
+pair set.  The elimination works in int64: every intermediate is below p^2,
+which fits for every characteristic that exactlin.PrimeField accepts.
 """
-
-import os
 
 import numpy as np
 
-ENV_FLAG = "PERMSYM_PURE"
 
-
-def _pure_requested() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-JIT_ENABLED = False
-if not _pure_requested():
-    try:
-        from numba import njit
-
-        JIT_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-
-
-# ---------------------------------------------------------------------------
-# pair-orbit labels
-# ---------------------------------------------------------------------------
-
-def pair_orbit_labels_numpy(gen_images: np.ndarray) -> np.ndarray:
+def pair_orbit_labels(gen_images: np.ndarray) -> np.ndarray:
     """Minimum pair index per orbit of the diagonal action on ordered pairs.
 
-    Pure-numpy path: iterate min-label propagation along each generator's
-    pair permutation (both directions) until a fixpoint.  Stability under the
-    generator maps alone makes the labels constant on orbits (and equal to
-    the orbit minimum); squared copies of the maps are propagated as well so
-    that long single-generator cycles converge in logarithmic rounds rather
-    than linear ones.
+    Iterate min-label propagation along each generator's pair permutation
+    (both directions) until a fixpoint.  Stability under the generator maps
+    alone makes the labels constant on orbits (and equal to the orbit
+    minimum); squared copies of the maps are propagated as well so that long
+    single-generator cycles converge in logarithmic rounds rather than linear
+    ones.
     """
+    gen_images = np.asarray(gen_images, dtype=np.int64)
     k, n = gen_images.shape
     size = n * n
     labels = np.arange(size, dtype=np.int64)
     maps = []
-    for t in range(k):
-        g = gen_images[t].astype(np.int64)
+    for g in gen_images:
         maps.append((g[:, None] * n + g[None, :]).reshape(size))
         inv = np.empty(n, dtype=np.int64)
         inv[g] = np.arange(n, dtype=np.int64)
@@ -73,44 +48,11 @@ def pair_orbit_labels_numpy(gen_images: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _pair_orbit_labels_scalar(gen_images, n):
-    size = n * n
-    parent = np.arange(size, dtype=np.int64)
-    k = gen_images.shape[0]
-    for i in range(n):
-        for j in range(n):
-            e = i * n + j
-            for t in range(k):
-                e2 = gen_images[t, i] * n + gen_images[t, j]
-                a = e
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                b = e2
-                while parent[b] != b:
-                    parent[b] = parent[parent[b]]
-                    b = parent[b]
-                # union by smaller root; the component minimum stays a root
-                if a < b:
-                    parent[b] = a
-                elif b < a:
-                    parent[a] = b
-    labels = np.empty(size, dtype=np.int64)
-    for e in range(size):
-        a = e
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        labels[e] = a
-    return labels
-
-
-# ---------------------------------------------------------------------------
-# mod-p row reduction
-# ---------------------------------------------------------------------------
-
-def rank_mod_p_numpy(a: np.ndarray, p: int) -> int:
-    """Rank of a matrix over F_p; forward elimination only, first-nonzero pivots."""
+def _eliminate(a: np.ndarray, p: int, reduced: bool):
+    """Gauss-Jordan elimination over F_p with first-nonzero pivots on a copy
+    of `a`; returns (matrix, rank).  Each pivot row is scaled to a leading 1
+    and its column is cleared below the pivot, or in every other row when
+    `reduced` (giving the reduced row-echelon form)."""
     a = np.ascontiguousarray(a, dtype=np.int64) % p
     rows, cols = a.shape
     r = 0
@@ -126,171 +68,20 @@ def rank_mod_p_numpy(a: np.ndarray, p: int) -> int:
         inv = pow(int(a[r, c]), -1, p)
         if inv != 1:
             a[r, c:] = a[r, c:] * inv % p
-        col = a[r + 1 :, c]
-        mask = col != 0
-        if mask.any():
-            a[r + 1 :, c:][mask] = (a[r + 1 :, c:][mask] - np.outer(col[mask], a[r, c:])) % p
-        r += 1
-    return r
-
-
-def rref_mod_p_numpy(a: np.ndarray, p: int):
-    """Reduced row-echelon form over F_p; returns (rref, rank)."""
-    a = np.ascontiguousarray(a, dtype=np.int64) % p
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        if inv != 1:
-            a[r, c:] = a[r, c:] * inv % p
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            a[mask, c:] = (a[mask, c:] - np.outer(col[mask], a[r, c:])) % p
+        start = 0 if reduced else r + 1
+        targets = start + np.nonzero(a[start:, c])[0]
+        targets = targets[targets != r]
+        if targets.size:
+            a[targets, c:] = (a[targets, c:] - np.outer(a[targets, c], a[r, c:])) % p
         r += 1
     return a, r
 
 
-def _rank_mod_p_scalar(a, p):
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = -1
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            for j in range(c, cols):
-                tmp = a[r, j]
-                a[r, j] = a[piv, j]
-                a[piv, j] = tmp
-        inv = _inv_mod_scalar(a[r, c], p)
-        if inv != 1:
-            for j in range(c, cols):
-                a[r, j] = a[r, j] * inv % p
-        for i in range(r + 1, rows):
-            f = a[i, c]
-            if f != 0:
-                for j in range(c, cols):
-                    a[i, j] = (a[i, j] - f * a[r, j]) % p
-        r += 1
-    return r
-
-
-def _rref_mod_p_scalar(a, p):
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = -1
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            for j in range(c, cols):
-                tmp = a[r, j]
-                a[r, j] = a[piv, j]
-                a[piv, j] = tmp
-        inv = _inv_mod_scalar(a[r, c], p)
-        if inv != 1:
-            for j in range(c, cols):
-                a[r, j] = a[r, j] * inv % p
-        for i in range(rows):
-            if i == r:
-                continue
-            f = a[i, c]
-            if f != 0:
-                for j in range(c, cols):
-                    a[i, j] = (a[i, j] - f * a[r, j]) % p
-        r += 1
-    return r
-
-
-def _inv_mod_scalar_py(a, p):
-    # Fermat inverse; p prime, a nonzero mod p
-    r = 1
-    b = a % p
-    e = p - 2
-    while e:
-        if e & 1:
-            r = r * b % p
-        b = b * b % p
-        e >>= 1
-    return r
-
-
-if JIT_ENABLED:
-    _inv_mod_scalar = njit(cache=True)(_inv_mod_scalar_py)
-    pair_orbit_labels_jit = njit(cache=True)(_pair_orbit_labels_scalar)
-    _rank_jit = njit(cache=True)(_rank_mod_p_scalar)
-    _rref_jit = njit(cache=True)(_rref_mod_p_scalar)
-else:
-    _inv_mod_scalar = _inv_mod_scalar_py
-    pair_orbit_labels_jit = None
-    _rank_jit = None
-    _rref_jit = None
-
-
-def pair_orbit_labels(gen_images: np.ndarray) -> np.ndarray:
-    gen_images = np.ascontiguousarray(gen_images, dtype=np.int64)
-    n = gen_images.shape[1]
-    if gen_images.shape[0] == 0:
-        return np.arange(n * n, dtype=np.int64)
-    if JIT_ENABLED:
-        return pair_orbit_labels_jit(gen_images, n)
-    return pair_orbit_labels_numpy(gen_images)
-
-
 def rank_mod_p(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
-    if JIT_ENABLED:
-        buf = np.ascontiguousarray(a, dtype=np.int64) % p
-        return int(_rank_jit(buf, p))
-    return rank_mod_p_numpy(a, p)
-
-
-def rank_mod_p_jit_path(a: np.ndarray, p: int) -> int:
-    """JIT rank for benchmarks; raises if the JIT path is disabled."""
-    if not JIT_ENABLED:
-        raise RuntimeError("JIT path disabled")
-    buf = np.ascontiguousarray(a, dtype=np.int64) % p
-    return int(_rank_jit(buf, p))
+    """Rank of a matrix over F_p."""
+    return _eliminate(a, p, reduced=False)[1]
 
 
 def rref_mod_p(a: np.ndarray, p: int):
     """Reduced row-echelon form over F_p; returns (rref, rank)."""
-    if a.size == 0:
-        return np.ascontiguousarray(a, dtype=np.int64), 0
-    if JIT_ENABLED:
-        buf = np.ascontiguousarray(a, dtype=np.int64) % p
-        r = int(_rref_jit(buf, p))
-        return buf, r
-    return rref_mod_p_numpy(a, p)
-
-
-def warmup() -> None:
-    """Trigger JIT compilation on tiny inputs so timed runs measure algorithms."""
-    gens = np.array([[1, 0, 2]], dtype=np.int64)
-    pair_orbit_labels(gens)
-    m = np.array([[1, 2], [2, 4]], dtype=np.int64)
-    rank_mod_p(m, 5)
-    rref_mod_p(m, 5)
+    return _eliminate(a, p, reduced=True)

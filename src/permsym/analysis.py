@@ -30,7 +30,7 @@ from .endo import (
     ORACLE_DEGREE_CAP,
 )
 from .errors import InputError, VerificationError
-from .exactlin import is_prime, prime_field
+from .exactlin import prime_field
 from .perm import ActionClassification, classify_action
 
 
@@ -144,10 +144,10 @@ class AnalysisReport:
 def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
                  instance: CatalogInstance | None = None) -> AnalysisReport:
     """Run the whole pipeline on a group spec and characteristic.  Raises
-    InputError on bad input (intransitive action, composite characteristic)
-    and VerificationError when an internal consistency check fails."""
-    if not is_prime(p):
-        raise InputError(f"characteristic {p} is not prime")
+    InputError on bad input (intransitive action, composite or too large
+    characteristic) and VerificationError when an internal consistency check
+    fails."""
+    fieldp = prime_field(p)
     timings = {}
 
     def clock(name, fn):
@@ -186,7 +186,6 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
     if adj_checked and not adj_passed:
         raise VerificationError(f"adjacency product identity failed: {adj_detail}")
 
-    fieldp = prime_field(p)
     alg = clock("algebra", lambda: centralizer_algebra(cc, tensor, fieldp))
     form = clock("natural_form", lambda: natural_form(alg, cc))
     series = clock("radical", lambda: radical_chain(alg))

@@ -6,7 +6,7 @@
     permsym catalog
 
 Exit codes: 0 success, 2 user error (bad spec, intransitive action, composite
-characteristic), 3 internal verification failure.
+characteristic or one not below 2^28), 3 internal verification failure.
 """
 
 import argparse

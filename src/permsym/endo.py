@@ -12,7 +12,7 @@ import numpy as np
 from . import _kernels
 from .coherent import CoherentConfiguration, two_orbits, intersection_tensor
 from .errors import InputError, VerificationError
-from .exactlin import PrimeField
+from .exactlin import PrimeField, nullspace_mod_p
 from .perm import Permutation, PermutationGroup
 
 ALGEBRA_DIM_CAP = 60
@@ -38,7 +38,11 @@ class SCAlgebra:
     unit: np.ndarray    # (dim,) int64
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijt->t", x, y, self.sc) % self.field.p
+        # contract one operand at a time and reduce in between, so that every
+        # int64 product-sum stays below dim * p^2
+        p, m = self.field.p, self.dim
+        xs = (x @ self.sc.reshape(m, m * m)) % p
+        return y @ xs.reshape(m, m) % p
 
     def left_regular(self, x: np.ndarray) -> np.ndarray:
         """Matrix of left multiplication by x on coordinate column vectors."""
@@ -227,7 +231,7 @@ def radical_chain(alg: SCAlgebra) -> RadicalSeries:
             for a in range(k):
                 z = alg.multiply(cur[a], cur[j])
                 T[j, a] = _divided_trace(alg, z, i)
-        kern = _nullspace(T, p)
+        kern = nullspace_mod_p(T, p)
         cur = _rowspace(kern @ cur % p, p)
     radical = cur
 
@@ -247,18 +251,8 @@ def radical_chain(alg: SCAlgebra) -> RadicalSeries:
         _verify_radical(alg, radical)
     if alg.is_commutative():
         # independent route: over F_p the nilradical of a commutative algebra
-        # is the kernel of the iterated Frobenius map x -> x^(p^e), p^e >= dim
-        e = 0
-        while p ** e < m:
-            e += 1
-        frob = np.zeros((m, m), dtype=np.int64)
-        eye = np.eye(m, dtype=np.int64)
-        for j in range(m):
-            frob[:, j] = alg.power(eye[j], p)
-        total = np.eye(m, dtype=np.int64)
-        for _ in range(e):
-            total = frob @ total % p
-        frob_nullity = m - _kernels.rank_mod_p(total, p)
+        # is the kernel of the iterated Frobenius map
+        frob_nullity = m - _kernels.rank_mod_p(_iterated_frobenius(alg), p)
         if frob_nullity != radical.shape[0]:
             raise VerificationError(
                 f"divided-trace radical dimension {radical.shape[0]} disagrees with "
@@ -266,12 +260,6 @@ def radical_chain(alg: SCAlgebra) -> RadicalSeries:
             )
     series = RadicalSeries(dims=tuple(dims), power_bases=tuple(powers[:-1]))
     return series
-
-
-def _nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    from .exactlin import nullspace_mod_p
-
-    return nullspace_mod_p(mat, p)
 
 
 def _verify_radical(alg: SCAlgebra, radical: np.ndarray):
@@ -383,7 +371,7 @@ def _witness_space(alg: SCAlgebra) -> np.ndarray:
     p = alg.field.p
     diff = (alg.sc - alg.sc.transpose(1, 0, 2)) % p
     constraints = diff.reshape(alg.dim * alg.dim, alg.dim)
-    return _nullspace(constraints, p)
+    return nullspace_mod_p(constraints, p)
 
 
 def _socle_obstruction(structure: StructureReport) -> dict | None:
@@ -681,6 +669,31 @@ def schur_vs_centralizer(G: PermutationGroup, T: PermutationGroup,
 # nilpotent elements in commutative algebras
 # ---------------------------------------------------------------------------
 
+def _frobenius_exponent(p: int, m: int) -> int:
+    """Least e with p^e >= m: x^(p^e) = 0 for every nilpotent x of a
+    dimension-m algebra."""
+    e = 0
+    while p ** e < m:
+        e += 1
+    return e
+
+
+def _iterated_frobenius(alg: SCAlgebra) -> np.ndarray:
+    """Matrix of x -> x^(p^e), p^e >= dim, on coordinate column vectors.  The
+    Frobenius map is F_p-linear on a commutative algebra, so its e-th power is
+    a matrix power; the kernel is the nilradical."""
+    p = alg.field.p
+    m = alg.dim
+    frob = np.zeros((m, m), dtype=np.int64)
+    eye = np.eye(m, dtype=np.int64)
+    for j in range(m):
+        frob[:, j] = alg.power(eye[j], p)
+    total = np.eye(m, dtype=np.int64)
+    for _ in range(_frobenius_exponent(p, m)):
+        total = frob @ total % p
+    return total
+
+
 def nilpotent_free_check(alg: SCAlgebra) -> bool:
     """True iff a commutative algebra has no nonzero nilpotent element.
     Exhaustive elementwise search when |F|^dim fits the enumeration budget,
@@ -689,26 +702,16 @@ def nilpotent_free_check(alg: SCAlgebra) -> bool:
         raise InputError("nilpotent-free check requires a commutative algebra")
     p = alg.field.p
     m = alg.dim
-    e = 0
-    while p ** e < m:
-        e += 1
     if p ** m <= WITNESS_ENUM_CAP:
+        q = p ** _frobenius_exponent(p, m)
         for coeffs in itertools.product(range(p), repeat=m):
             if not any(coeffs):
                 continue
             x = np.array(coeffs, dtype=np.int64)
-            if not alg.power(x, p ** e).any():
+            if not alg.power(x, q).any():
                 return False
         return True
-    # Frobenius is F_p-linear on a commutative algebra; iterate it e times
-    frob = np.zeros((m, m), dtype=np.int64)
-    eye = np.eye(m, dtype=np.int64)
-    for j in range(m):
-        frob[:, j] = alg.power(eye[j], p)
-    total = np.eye(m, dtype=np.int64)
-    for _ in range(e):
-        total = frob @ total % p
-    return _kernels.rank_mod_p(total, p) == m
+    return _kernels.rank_mod_p(_iterated_frobenius(alg), p) == m
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,10 @@ from .errors import InputError
 #: bit-vectors of the lexicographically least irreducible polynomial per degree
 BUILTIN_BINARY_MODULUS = {1: 0b11, 2: 0b111, 3: 0b1011, 5: 0b100101}
 
+#: exclusive bound on a prime characteristic: every product-sum of at most 60
+#: terms below p^2 (the algebra dimension cap is 60) then fits in int64
+CHARACTERISTIC_BOUND = 1 << 28
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -95,8 +99,10 @@ class PrimeField:
     kind = "prime"
 
     def __init__(self, p: int):
+        if p >= CHARACTERISTIC_BOUND:
+            raise InputError(f"characteristic {p} is not below the supported bound 2^28")
         if not is_prime(p):
-            raise InputError(f"{p} is not prime")
+            raise InputError(f"characteristic {p} is not prime")
         self.p = p
         self.char = p
         self.order = p

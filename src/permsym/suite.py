@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .analysis import run_analysis
 from .catalog import build_instance, build_sym_on_pairs
 from .coherent import (
@@ -349,7 +348,6 @@ def run_all(seed: int = 0, corrupt: bool = False, only: list[str] | None = None)
             from .errors import InputError
 
             raise InputError(f"unknown criteria {unknown}; known: {sorted(known)}")
-    _kernels.warmup()
     ctx = SuiteContext(seed=seed, corrupt=corrupt)
     results = []
     for key, fn in CRITERIA:

@@ -19,6 +19,7 @@ from permsym.endo import (
     schur_ring_from_action,
     schur_vs_centralizer,
     structure_report,
+    WITNESS_ENUM_CAP,
 )
 from permsym.errors import InputError, VerificationError
 from permsym.exactlin import prime_field
@@ -34,6 +35,21 @@ def algebra_of(spec, p):
 
 def regular_cn(n):
     return PermutationGroup(n, [parse_permutation("(" + " ".join(str(i + 1) for i in range(n)) + ")", n)])
+
+
+def test_multiply_matches_python_int_reference_near_the_bound():
+    p = 268435399  # largest prime below 2^28
+    alg, _ = algebra_of("psl2cosets:32", p)
+    sc = alg.sc.tolist()
+    m = alg.dim
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        x, y = rng.integers(0, p, size=(2, m)).tolist()
+        expected = [
+            sum(x[i] * y[j] * sc[i][j][t] for i in range(m) for j in range(m)) % p
+            for t in range(m)
+        ]
+        assert alg.multiply(np.array(x), np.array(y)).tolist() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +332,16 @@ def test_nilpotent_free():
     assert not nilpotent_free_check(alg)
     alg, _ = algebra_of("sym:4", 2)  # k[X]/(X^2)
     assert not nilpotent_free_check(alg)
+
+
+@pytest.mark.parametrize("p,dims,expected", [(53, (27, 26, 25), False), (2, (27, 0), True)])
+def test_nilpotent_free_frobenius_branch(p, dims, expected):
+    # dimension 27 puts p^dim above the enumeration cap, so the iterated
+    # Frobenius kernel decides, agreeing with the radical chain
+    alg, _ = algebra_of("frobenius:53,2", p)
+    assert alg.dim == 27 and p ** alg.dim > WITNESS_ENUM_CAP
+    assert radical_chain(alg).dims[:len(dims)] == dims
+    assert nilpotent_free_check(alg) is expected
 
 
 def upper_triangular_2x2(p):

@@ -38,6 +38,13 @@ def test_non_prime_rejected():
         prime_field(4)
 
 
+def test_characteristic_bound():
+    assert prime_field(268435399).p == 268435399  # largest prime below 2^28
+    for p in (268435459, 2147483647, 4294967311):  # primes above the bound
+        with pytest.raises(InputError, match="2\\^28"):
+            prime_field(p)
+
+
 def test_reducible_modulus_names_divisor():
     # x^4 + 1 = (x+1)^4 over F_2
     with pytest.raises(InputError, match="reducible.*x\\+1"):

@@ -1,4 +1,6 @@
-"""Both kernel paths (JIT scalar loops and pure-numpy) must agree bit-exactly."""
+"""The numpy kernels against exact references: a breadth-first closure for the
+pair-orbit labels, and a Python-int Gauss-Jordan elimination for rank, rref
+and nullspace."""
 
 import random
 
@@ -6,6 +8,10 @@ import numpy as np
 import pytest
 
 from permsym import _kernels
+from permsym.exactlin import mat_gauss, prime_field
+
+#: primes from F_2 up to just below the characteristic bound 2^28
+PRIMES = (2, 3, 7, 73, 268435399)
 
 
 def _random_perms(rng, k, n):
@@ -17,23 +23,7 @@ def _random_perms(rng, k, n):
     return np.array(out, dtype=np.int64)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_pair_orbit_labels_paths_agree(seed):
-    rng = random.Random(seed)
-    n = rng.randrange(3, 25)
-    gens = _random_perms(rng, rng.randrange(1, 4), n)
-    numpy_labels = _kernels.pair_orbit_labels_numpy(gens)
-    dispatch = _kernels.pair_orbit_labels(gens)
-    assert np.array_equal(numpy_labels, dispatch)
-    if _kernels.JIT_ENABLED:
-        jit_labels = _kernels.pair_orbit_labels_jit(gens, n)
-        assert np.array_equal(numpy_labels, jit_labels)
-
-
-def test_pair_orbit_labels_are_orbit_minima():
-    rng = random.Random(7)
-    n = 8
-    gens = _random_perms(rng, 2, n)
+def _assert_labels_are_orbit_minima(gens, n):
     labels = _kernels.pair_orbit_labels(gens)
     # closure by explicit BFS
     size = n * n
@@ -57,17 +47,115 @@ def test_pair_orbit_labels_are_orbit_minima():
         assert all(labels[e] == lo for e in comp)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_pair_orbit_labels_paths_agree(seed):
+    # the min-label propagation agrees with a breadth-first closure
+    rng = random.Random(seed)
+    n = rng.randrange(3, 25)
+    _assert_labels_are_orbit_minima(_random_perms(rng, rng.randrange(1, 4), n), n)
+
+
+def test_pair_orbit_labels_are_orbit_minima():
+    rng = random.Random(7)
+    _assert_labels_are_orbit_minima(_random_perms(rng, 2, 8), 8)
+
+
+def test_pair_orbit_labels_without_generators():
+    labels = _kernels.pair_orbit_labels(np.zeros((0, 4), dtype=np.int64))
+    assert np.array_equal(labels, np.arange(16))
+
+
+# ---------------------------------------------------------------------------
+# mod-p elimination against a Python-int reference
+# ---------------------------------------------------------------------------
+
+def _reference_rref(a, p):
+    """Gauss-Jordan elimination over F_p on Python ints; returns (rref, rank)."""
+    rows = [[int(v) % p for v in row] for row in a]
+    ncols = len(rows[0]) if rows else 0
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], rows[r])]
+        r += 1
+    return rows, r
+
+
+def _reference_nullspace(rref, rank, ncols, p):
+    pivots = [next(c for c in range(ncols) if rref[i][c]) for i in range(rank)]
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = -rref[i][f] % p
+        basis.append(v)
+    return basis
+
+
+def _random_system(rng, p):
+    """A matrix over F_p of random shape and (usually deficient) rank, with
+    some zero columns and entries spread over the whole of [0, p)."""
+    rows, cols = (int(v) for v in rng.integers(1, 13, size=2))
+    k = int(rng.integers(0, min(rows, cols) + 1))
+    left = rng.integers(0, p, size=(rows, k)).tolist()
+    right = rng.integers(0, p, size=(k, cols)).tolist()
+    a = [[sum(left[i][t] * right[t][j] for t in range(k)) % p for j in range(cols)]
+         for i in range(rows)]
+    for j in np.nonzero(rng.random(cols) < 0.2)[0]:
+        for row in a:
+            row[j] = 0
+    return np.array(a, dtype=np.int64).reshape(rows, cols)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_elimination_matches_python_int_reference(p):
+    rng = np.random.default_rng(p)
+    for _ in range(40):
+        a = _random_system(rng, p)
+        ref_rref, ref_rank = _reference_rref(a, p)
+        before = a.copy()
+        assert _kernels.rank_mod_p(a, p) == ref_rank
+        rref, rank = _kernels.rref_mod_p(a, p)
+        assert rank == ref_rank
+        assert rref.tolist() == ref_rref
+        assert np.array_equal(a, before)  # inputs are not modified
+        null = mat_gauss(a, prime_field(p)).nullspace
+        assert null.tolist() == _reference_nullspace(ref_rref, ref_rank, a.shape[1], p)
+        for v in null.tolist():
+            assert all(sum(x * y for x, y in zip(row, v)) % p == 0 for row in a.tolist())
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_elimination_with_entries_near_p(p):
+    # every entry p-1 (or p-2): the largest products the int64 path ever forms
+    a = np.full((6, 5), p - 1, dtype=np.int64)
+    a[::2, ::2] = max(p - 2, 0)
+    ref_rref, ref_rank = _reference_rref(a, p)
+    rref, rank = _kernels.rref_mod_p(a, p)
+    assert rank == ref_rank == _kernels.rank_mod_p(a, p)
+    assert rref.tolist() == ref_rref
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_rref_and_rank_paths_agree(seed):
+    # rank clears below the pivot only, rref clears every other row; both
+    # must see the same pivots
     rng = np.random.default_rng(seed)
     p = [2, 3, 5, 7, 11][seed % 5]
     a = rng.integers(0, p, size=(rng.integers(1, 12), rng.integers(1, 12))).astype(np.int64)
-    rref_np, rank_np = _kernels.rref_mod_p_numpy(a.copy(), p)
-    rref_d, rank_d = _kernels.rref_mod_p(a.copy(), p)
-    assert rank_np == rank_d
-    assert np.array_equal(rref_np, rref_d)
-    assert _kernels.rank_mod_p_numpy(a.copy(), p) == rank_np
-    assert _kernels.rank_mod_p(a.copy(), p) == rank_np
+    rref, rank = _kernels.rref_mod_p(a, p)
+    assert _kernels.rank_mod_p(a, p) == rank
+    assert _kernels.rank_mod_p(rref, p) == rank
+    assert (rref.tolist(), rank) == _reference_rref(a, p)
 
 
 def test_rref_is_reduced_echelon():
@@ -85,3 +173,9 @@ def test_rref_is_reduced_echelon():
         pivots.append(c)
     assert pivots == sorted(pivots)
     assert not rref[rank:].any()
+
+
+def test_empty_matrices():
+    assert _kernels.rank_mod_p(np.zeros((0, 3), dtype=np.int64), 5) == 0
+    rref, rank = _kernels.rref_mod_p(np.zeros((2, 0), dtype=np.int64), 5)
+    assert rank == 0 and rref.shape == (2, 0)
