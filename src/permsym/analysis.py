@@ -1,7 +1,7 @@
 """The full analysis pipeline behind the CLI: build a group from a spec
-string, classify the action, compute the orbital configuration and the
-centralizer algebra over F_p, decide symmetry, and bundle everything into a
-deterministic report.
+string, compute its orbital configuration, read the classification of the
+action off it, build the centralizer algebra over F_p, decide symmetry, and
+bundle everything into a deterministic report.
 """
 
 import json
@@ -160,22 +160,11 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
         instance = clock("build", lambda: build_instance(spec))
     G = instance.group
     order = clock("order", G.order)
-    source_order = order if instance.faithful else None
-    classification = clock("classify", lambda: classify_action(G))
-    classification = ActionClassification(
-        transitive=classification.transitive,
-        orbit_sizes=classification.orbit_sizes,
-        subdegrees=classification.subdegrees,
-        rank=classification.rank,
-        half_transitive=classification.half_transitive,
-        three_halves_transitive=classification.three_halves_transitive,
-        primitive=classification.primitive,
-        faithful=instance.faithful,
-    )
+    cc = clock("two_orbits", lambda: two_orbits(G))
+    classification = clock("classify", lambda: classify_action(G, cc, instance.faithful))
     if not classification.transitive:
         raise InputError("analysis requires a transitive action")
 
-    cc = clock("two_orbits", lambda: two_orbits(G))
     tensor = clock("tensor", lambda: intersection_tensor(cc))
     axioms = clock("axioms", lambda: verify_cc_axioms(cc, tensor, seed=seed))
     if not axioms.passed:
@@ -197,12 +186,10 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
         from .perm import PermutationGroup
 
         T = PermutationGroup(G.degree, instance.regular.gens)
-        names = [instance.regular.point_names[t.images[instance.base_point]]
-                 for t in _regular_elements(instance)]
         iso = clock(
             "schur",
-            lambda: schur_vs_centralizer(G, T, fieldp, alpha=instance.base_point,
-                                         element_names=names),
+            lambda: schur_vs_centralizer(G, T, cc, alg, alpha=instance.base_point,
+                                         point_names=instance.regular.point_names),
         )
         if not iso.passed:
             raise VerificationError(f"Schur ring correspondence failed: {iso.detail}")
@@ -227,15 +214,14 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
                 raise VerificationError(
                     f"centralizer oracle dimension {dim} != orbital count {alg.dim}"
                 )
-        if order <= HECKE_ORDER_CAP:
-            H = G.point_stabilizer(instance.base_point)
-            if H.order() % p != 0:
-                h = clock("hecke", lambda: hecke_check(G, instance.base_point, fieldp))
-                checks["hecke"] = {
-                    "hecke_dim": h.hecke_dim,
-                    "rank": h.rank,
-                    "matches_rank": h.matches_rank,
-                }
+        # G is transitive, so its point stabilizer has order |G| / n
+        if order <= HECKE_ORDER_CAP and order // G.degree % p != 0:
+            h = clock("hecke", lambda: hecke_check(G, instance.base_point, fieldp))
+            checks["hecke"] = {
+                "hecke_dim": h.hecke_dim,
+                "rank": h.rank,
+                "matches_rank": h.matches_rank,
+            }
 
     return AnalysisReport(
         group_spec=instance.spec,
@@ -256,9 +242,3 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
         seed=seed,
         timings_ms=timings,
     )
-
-
-def _regular_elements(instance: CatalogInstance):
-    from .endo import enumerate_regular_subgroup
-
-    return enumerate_regular_subgroup(instance.regular.gens, instance.group.degree)

@@ -124,38 +124,34 @@ def verify_cc_axioms(cc: CoherentConfiguration, tensor: np.ndarray,
     triangle identity |t| C[t*,r,s] = |r| C[r*,s,t] = |s| C[s*,t,r], where |s|
     is the pair-set cardinality valency(s) * |support(s)|.
 
-    Axiom (3) (independence of the representative) is spot-checked on `trials`
-    random pairs per orbital.  Failures indicate an implementation bug, never
-    valid output.
+    Axioms (1) and (2) are checked on every pair; axiom (3) (independence of
+    the representative) is spot-checked on `trials` random pairs per orbital.
+    Failures indicate an implementation bug, never valid output.
     """
     failures = []
     n, m = cc.n, cc.m
 
     # (1) the diagonal is exactly the union of the reflexive orbitals
-    diag = cc.orbital_of[np.arange(n), np.arange(n)]
-    if not np.all(cc.reflexive[diag]):
-        failures.append("diagonal pair assigned to a non-reflexive orbital")
-    for s in np.nonzero(cc.reflexive)[0]:
-        pairs = cc.pairs_of(int(s))
-        if not np.all(pairs[:, 0] == pairs[:, 1]):
-            bad = pairs[pairs[:, 0] != pairs[:, 1]][0]
+    bad = np.argwhere(cc.reflexive[cc.orbital_of] != np.eye(n, dtype=bool))
+    if len(bad):
+        a, b = map(int, bad[0])
+        if a == b:
+            failures.append("diagonal pair assigned to a non-reflexive orbital")
+        else:
             failures.append(
-                f"reflexive orbital {s} contains off-diagonal pair ({bad[0]}, {bad[1]})"
+                f"reflexive orbital {cc.orbital_of[a, b]} contains off-diagonal pair ({a}, {b})"
             )
-            break
 
-    # (2) closure under transposition, spot-checked per orbital
-    rng = random.Random(seed)
-    for s in range(m):
-        pairs = cc.pairs_of(s)
-        idx = [rng.randrange(len(pairs)) for _ in range(min(trials, len(pairs)))]
-        for k in idx:
-            a, b = map(int, pairs[k])
-            if cc.orbital_of[b, a] != cc.star[s]:
-                failures.append(f"transpose of pair ({a}, {b}) leaves orbital {cc.star[s]}")
-                break
+    # (2) closure under transposition
+    bad = np.argwhere(cc.orbital_of.T != cc.star[cc.orbital_of])
+    if len(bad):
+        a, b = map(int, bad[0])
+        failures.append(
+            f"transpose of pair ({a}, {b}) leaves orbital {cc.star[cc.orbital_of[a, b]]}"
+        )
 
     # (3) intersection numbers independent of the representative
+    rng = random.Random(seed)
     for t in range(m):
         pairs = cc.pairs_of(t)
         idx = [rng.randrange(len(pairs)) for _ in range(min(trials, len(pairs)))]
@@ -185,7 +181,7 @@ def verify_cc_axioms(cc: CoherentConfiguration, tensor: np.ndarray,
     return AxiomReport(passed=not failures, failures=tuple(failures))
 
 
-def adjacency_matrices(cc: CoherentConfiguration, field=None) -> list[np.ndarray]:
+def adjacency_matrices(cc: CoherentConfiguration) -> list[np.ndarray]:
     """0/1 adjacency matrix per orbital (encodings are field-independent)."""
     return [(cc.orbital_of == s).astype(np.int64) for s in range(cc.m)]
 

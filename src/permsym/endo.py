@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .coherent import CoherentConfiguration, two_orbits, intersection_tensor
+from .coherent import CoherentConfiguration
 from .errors import InputError, VerificationError
 from .exactlin import PrimeField, nullspace_mod_p
 from .perm import Permutation, PermutationGroup
@@ -611,13 +611,14 @@ class SchurIsoReport:
 
 
 def schur_vs_centralizer(G: PermutationGroup, T: PermutationGroup,
-                         field: PrimeField, alpha: int = 0,
-                         element_names=None) -> SchurIsoReport:
-    """Check that the centralizer algebra and the Schur ring of the regular
-    normal subgroup agree: the map sending an orbital s to the subset
-    V_s = {t in T : (alpha, alpha.t) in s} is a bijection onto the basic sets,
-    matches valencies to set sizes, and carries the structure constants over
-    (with the product order reversed: A_r A_s corresponds to V_s V_r)."""
+                         cc: CoherentConfiguration, alg: SCAlgebra, alpha: int = 0,
+                         point_names=None) -> SchurIsoReport:
+    """Check that the centralizer algebra ``alg`` on the orbitals of ``cc`` and
+    the Schur ring of the regular normal subgroup T agree: the map sending an
+    orbital s to the subset V_s = {t in T : (alpha, alpha.t) in s} is a
+    bijection onto the basic sets, matches valencies to set sizes, and carries
+    the structure constants over (with the product order reversed: A_r A_s
+    corresponds to V_s V_r).  An element t is named point_names[alpha.t]."""
     for t in T.generators:
         if not G.contains(t):
             raise InputError("T is not a subgroup of G")
@@ -625,13 +626,11 @@ def schur_vs_centralizer(G: PermutationGroup, T: PermutationGroup,
             if not T.contains(t.conjugate(g)):
                 raise InputError("T is not normal in G")
     T_elements = enumerate_regular_subgroup(T.generators, G.degree)
-    if element_names is None:
-        element_names = [str(t.images[alpha]) for t in T_elements]
+    if point_names is None:
+        point_names = [str(x) for x in range(G.degree)]
+    element_names = [point_names[t.images[alpha]] for t in T_elements]
     H = G.point_stabilizer(alpha)
-    ring = schur_ring_from_action(T_elements, H, field, element_names)
-    cc = two_orbits(G)
-    tensor = intersection_tensor(cc)
-    alg = centralizer_algebra(cc, tensor, field)
+    ring = schur_ring_from_action(T_elements, H, alg.field, element_names)
 
     set_index = {s: i for i, s in enumerate(ring.basic_sets)}
     sigma = []

@@ -511,42 +511,32 @@ def minimal_block(G: PermutationGroup, alpha: int, beta: int):
     return sorted(x for x in range(n) if find(x) == root)
 
 
-def _is_primitive(G: PermutationGroup) -> bool:
+def classify_action(G: PermutationGroup, cc, faithful: bool = True) -> ActionClassification:
+    """Read the classification off the orbital configuration ``cc`` of G (see
+    ``coherent.two_orbits``): the rank is the orbital count, the subdegrees are
+    the valencies, and by Higman's criterion a transitive group is primitive
+    iff every non-reflexive orbital graph is connected, which one
+    ``minimal_block`` per orbital representative decides."""
     n = G.degree
-    if n == 1:
-        return True
-    for beta in range(1, n):
-        if len(minimal_block(G, 0, beta)) < n:
-            return False
-    return True
-
-
-def classify_action(G: PermutationGroup, source_order: int | None = None) -> ActionClassification:
-    orbs = G.orbits()
-    orbit_sizes = tuple(sorted(len(o) for o in orbs))
-    transitive = len(orbs) == 1
+    orbit_sizes = tuple(sorted(cc.point_orbit_sizes))
+    transitive = len(orbit_sizes) == 1
     half_transitive = len(set(orbit_sizes)) == 1
-    order = G.order()
-    rank = 0
-    subdegrees = None
-    for o in orbs:
-        stab = G.point_stabilizer(o[0])
-        stab_orbit_sizes = tuple(sorted(len(x) for x in stab.orbits()))
-        rank += len(stab_orbit_sizes)
-        if transitive:
-            subdegrees = stab_orbit_sizes
+    subdegrees = tuple(sorted(int(v) for v in cc.valency)) if transitive else None
     three_halves = False
-    if transitive and order > G.degree and subdegrees is not None:
+    if transitive:
         rest = list(subdegrees)
         rest.remove(1)  # the fixed point {alpha}
-        three_halves = len(set(rest)) == 1 and bool(rest)
-    primitive = transitive and _is_primitive(G)
-    faithful = source_order is None or source_order == order
+        # a regular group (every subdegree 1) is not 3/2-transitive
+        three_halves = len(set(rest)) == 1 and rest[0] > 1
+    primitive = transitive and all(
+        len(minimal_block(G, int(a), int(b))) == n
+        for (a, b), refl in zip(cc.rep, cc.reflexive) if not refl
+    )
     return ActionClassification(
         transitive=transitive,
         orbit_sizes=orbit_sizes,
         subdegrees=subdegrees,
-        rank=rank,
+        rank=cc.m,
         half_transitive=half_transitive,
         three_halves_transitive=three_halves,
         primitive=primitive,

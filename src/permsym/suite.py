@@ -150,7 +150,7 @@ def crit_sign_twist_family(ctx: SuiteContext) -> CriterionResult:
     for n in (3, 4, 5):
         def one():
             inst = ctx.instance(f"signtwist:{n}")
-            cls = classify_action(inst.group)
+            cls = classify_action(inst.group, two_orbits(inst.group))
             return inst, cls
 
         (inst, cls), dt = _timed(one)
@@ -289,7 +289,7 @@ def crit_three_halves_sweep(ctx: SuiteContext) -> CriterionResult:
     t0 = time.perf_counter()
     specs = ["altpairs:7", "psl2cosets:8", "frobenius:7,3", "frobenius:5,2"] + TWO_TRANSITIVE_SWEEP
     for spec in specs:
-        cls = classify_action(ctx.instance(spec).group)
+        cls = ctx.analyze(spec, SWEEP_PRIMES[0]).classification
         c.expect(cls.three_halves_transitive, f"{spec} is 3/2-transitive")
         for p in SWEEP_PRIMES:
             rep = ctx.analyze(spec, p)

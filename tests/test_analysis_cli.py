@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import permsym
 from permsym import cli
 from permsym.analysis import run_analysis
 from permsym.errors import InputError
@@ -56,11 +59,15 @@ def test_oracle_flag_populates_checks():
 
 
 def run_cli(*args):
+    # the child imports the same permsym as this process, installed or not
+    src = str(Path(permsym.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "permsym", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc
 

@@ -5,8 +5,13 @@ from permsym.catalog import (
     build_sym_on_pairs,
     catalog_entries,
 )
+from permsym.coherent import two_orbits
 from permsym.errors import InputError
 from permsym.perm import classify_action
+
+
+def classify(G):
+    return classify_action(G, two_orbits(G))
 
 
 def test_sym_alt_orders():
@@ -18,7 +23,7 @@ def test_sign_twist_family_subdegrees():
     for n in range(3, 8):
         inst = build_instance(f"signtwist:{n}")
         assert inst.group.degree == (n + 1) * (n + 2) // 2
-        cls = classify_action(inst.group)
+        cls = classify(inst.group)
         assert sorted(cls.subdegrees) == sorted([1, 2 * n, n * (n - 1) // 2])
         assert inst.faithful
 
@@ -26,15 +31,15 @@ def test_sign_twist_family_subdegrees():
 def test_sign_twist_5_matches_alt7_pairs_numbers():
     inst = build_instance("signtwist:5")
     assert inst.group.degree == 21
-    assert sorted(classify_action(inst.group).subdegrees) == [1, 10, 10]
+    assert sorted(classify(inst.group).subdegrees) == [1, 10, 10]
 
 
 def test_frobenius_subdegrees():
-    cls = classify_action(build_instance("frobenius:7,3").group)
+    cls = classify(build_instance("frobenius:7,3").group)
     assert sorted(cls.subdegrees) == [1, 3, 3]
-    cls = classify_action(build_instance("frobenius:5,2").group)
+    cls = classify(build_instance("frobenius:5,2").group)
     assert sorted(cls.subdegrees) == [1, 2, 2]
-    cls = classify_action(build_instance("frobenius:7,6").group)
+    cls = classify(build_instance("frobenius:7,6").group)
     assert cls.rank == 2  # full affine group is two-transitive
 
 
@@ -61,7 +66,7 @@ def test_psl2_line():
         assert inst.group.degree == q + 1
         assert inst.group.order() == q * (q * q - 1)
         assert inst.faithful
-    cls = classify_action(build_instance("psl2line:8").group)
+    cls = classify(build_instance("psl2line:8").group)
     assert cls.rank == 2  # two-transitive
 
 
@@ -69,7 +74,7 @@ def test_psl2_dihedral_cosets_q8():
     inst = build_instance("psl2cosets:8")
     assert inst.group.degree == 28
     assert inst.group.order() == 504
-    cls = classify_action(inst.group)
+    cls = classify(inst.group)
     nontrivial = [d for d in cls.subdegrees if d != 1]
     assert nontrivial == [9, 9, 9]  # all equal q+1; count (28-1)/9 = 3
     assert cls.three_halves_transitive
@@ -81,7 +86,7 @@ def test_psl2_dihedral_cosets_q32():
     assert inst.group.degree == 496
     assert inst.group.order() == 32736
     assert inst.faithful
-    cls = classify_action(inst.group)
+    cls = classify(inst.group)
     nontrivial = [d for d in cls.subdegrees if d != 1]
     assert nontrivial == [33] * 15  # all equal q+1
     assert cls.three_halves_transitive
@@ -98,7 +103,7 @@ def test_sym_on_pairs_overgroup():
     inst = build_sym_on_pairs(7)
     assert inst.group.degree == 21
     assert inst.group.order() == 5040
-    assert sorted(classify_action(inst.group).subdegrees) == [1, 10, 10]
+    assert sorted(classify(inst.group).subdegrees) == [1, 10, 10]
 
 
 def test_catalog_faithfulness_flags():

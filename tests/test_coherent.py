@@ -12,7 +12,7 @@ from permsym.coherent import (
     verify_cc_axioms,
 )
 from permsym.errors import InputError
-from permsym.perm import PermutationGroup, classify_action, parse_permutation
+from permsym.perm import PermutationGroup, parse_permutation
 
 CATALOG_SAMPLE = [
     "sym:5",
@@ -65,11 +65,12 @@ def test_degree_cap():
 
 
 def test_valencies_match_subdegrees():
+    # the valencies are the orbit sizes of a point stabilizer
     for spec in CATALOG_SAMPLE:
         G = build_instance(spec).group
         cc = two_orbits(G)
-        cls = classify_action(G)
-        assert sorted(cc.valency.tolist()) == sorted(cls.subdegrees), spec
+        subdegrees = [len(o) for o in G.point_stabilizer(0).orbits()]
+        assert sorted(cc.valency.tolist()) == sorted(subdegrees), spec
 
 
 def test_tensor_diagonal_counts_sym_n():
@@ -118,6 +119,19 @@ def test_axioms_fail_on_corrupted_table():
     report = verify_cc_axioms(corrupted, intersection_tensor(corrupted))
     assert not report.passed
     assert report.failures
+
+
+def test_axioms_find_every_corrupted_transpose():
+    cc = two_orbits(build_instance("psl2cosets:8").group)
+    a, b = map(int, cc.pairs_of(1)[-1])
+    table = cc.orbital_of.copy()
+    table[b, a] = (table[b, a] + 1) % cc.m
+    corrupted = dataclasses.replace(cc, orbital_of=table)
+    tensor = intersection_tensor(corrupted)
+    for seed in range(20):
+        report = verify_cc_axioms(corrupted, tensor, seed=seed)
+        assert not report.passed, seed
+        assert any("transpose" in f for f in report.failures), (seed, report.failures)
 
 
 def test_adjacency_matrices_identities():

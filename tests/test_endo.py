@@ -298,19 +298,27 @@ def test_schur_ring_shear_basic_sums():
     assert list(ring.labels) == ["1", "a", "a2", "b+ab+a2b", "b2+ab2+a2b2"]
 
 
+def schur_check(G, T, p, **kwargs):
+    cc = two_orbits(G)
+    alg = centralizer_algebra(cc, intersection_tensor(cc), prime_field(p))
+    return schur_vs_centralizer(G, T, cc, alg, **kwargs)
+
+
 def test_schur_vs_centralizer_cases():
     inst = build_instance("example3_2")
     T = PermutationGroup(9, inst.regular.gens)
-    report = schur_vs_centralizer(inst.group, T, prime_field(3))
+    report = schur_check(inst.group, T, 3)
     assert report.passed and report.orbital_count == report.basic_set_count == 5
+    report = schur_check(inst.group, T, 3, point_names=inst.regular.point_names)
+    assert list(report.basic_sums) == ["1", "a", "a2", "b+ab+a2b", "b2+ab2+a2b2"]
 
     instf = build_instance("frobenius:7,3")
     Tf = PermutationGroup(7, instf.regular.gens)
-    report = schur_vs_centralizer(instf.group, Tf, prime_field(5))
+    report = schur_check(instf.group, Tf, 5)
     assert report.passed and report.basic_set_count == 3
 
     Cn = regular_cn(6)
-    report = schur_vs_centralizer(Cn, Cn, prime_field(5))
+    report = schur_check(Cn, Cn, 5)
     assert report.passed and report.basic_set_count == 6
 
 
@@ -318,7 +326,7 @@ def test_schur_vs_centralizer_rejects_non_normal():
     G = build_instance("sym:4").group
     T = PermutationGroup(4, [parse_permutation("(1 2 3 4)", 4)])  # not normal in S_4
     with pytest.raises(InputError, match="normal"):
-        schur_vs_centralizer(G, T, prime_field(3))
+        schur_check(G, T, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from permsym.catalog import build_alt, build_alt_on_pairs, build_instance, build_sym
+from permsym.coherent import two_orbits
 from permsym.errors import InputError
 from permsym.perm import (
     Permutation,
@@ -186,8 +187,12 @@ def test_orbit_stabilizer_invariant_degree_496_spot():
 # classification
 # ---------------------------------------------------------------------------
 
+def classify(G):
+    return classify_action(G, two_orbits(G))
+
+
 def test_classify_alt7_on_pairs():
-    cls = classify_action(build_alt_on_pairs(7).group)
+    cls = classify(build_alt_on_pairs(7).group)
     assert cls.transitive and cls.rank == 3
     assert sorted(cls.subdegrees) == [1, 10, 10]
     assert cls.three_halves_transitive and cls.primitive
@@ -195,7 +200,7 @@ def test_classify_alt7_on_pairs():
 
 def test_classify_sign_twist_3():
     inst = build_instance("signtwist:3")
-    cls = classify_action(inst.group)
+    cls = classify(inst.group)
     assert sorted(cls.subdegrees) == [1, 3, 6]
     assert not cls.three_halves_transitive
     assert cls.primitive and inst.faithful
@@ -203,7 +208,7 @@ def test_classify_sign_twist_3():
 
 def test_classify_shear_group():
     G = build_instance("example3_2").group
-    cls = classify_action(G)
+    cls = classify(G)
     assert sorted(cls.subdegrees) == [1, 1, 1, 3, 3]
     assert not cls.three_halves_transitive
     # oracle: exhaustive block search over all 3-subsets containing point 0
@@ -223,11 +228,11 @@ def test_classify_shear_group():
 
 def test_classify_regular_and_intransitive():
     C3 = PermutationGroup(3, [parse_permutation("(1 2 3)", 3)])
-    cls = classify_action(C3)
+    cls = classify(C3)
     assert cls.transitive and cls.half_transitive and not cls.three_halves_transitive
     assert cls.rank == 3
     H = PermutationGroup(3, [parse_permutation("(1 2)", 3)])
-    cls = classify_action(H)
+    cls = classify(H)
     assert not cls.transitive and cls.subdegrees is None
     assert cls.orbit_sizes == (1, 2) and not cls.half_transitive
     assert cls.rank == 5  # orbital count of the intransitive action
@@ -247,13 +252,37 @@ def test_three_halves_flags_across_catalog():
         "signtwist:5": True,  # 2n = n(n-1)/2 exactly at n = 5
     }
     for spec, want in expected.items():
-        assert classify_action(build_instance(spec).group).three_halves_transitive == want, spec
+        assert classify(build_instance(spec).group).three_halves_transitive == want, spec
+
+
+PRIMITIVITY_SPECS = [
+    "sym:3", "sym:4", "sym:5", "alt:4", "alt:5", "alt:6", "altpairs:5", "altpairs:7",
+    "signtwist:3", "signtwist:4", "signtwist:5", "frobenius:5,2", "frobenius:7,3",
+    "frobenius:7,6", "frobenius:13,3", "frobenius:73,2", "example3_2", "psl2line:4",
+    "psl2line:8", "psl2line:32", "psl2cosets:8",
+]
+
+
+def test_primitivity_matches_exhaustive_block_scan():
+    groups = [build_instance(spec).group for spec in PRIMITIVITY_SPECS] + [
+        PermutationGroup(6, [parse_permutation("(1 2 3 4 5 6)", 6)]),  # C6
+        PermutationGroup(4, [parse_permutation(c, 4) for c in ("(1 2 3 4)", "(1 3)")]),  # D8
+        PermutationGroup(6, [parse_permutation(c, 6)  # S2 wr S3, blocks {1,2},{3,4},{5,6}
+                             for c in ("(1 2)", "(1 3)(2 4)", "(1 3 5)(2 4 6)")]),
+        PermutationGroup(3, [parse_permutation("(1 2)", 3)]),  # intransitive
+    ]
+    for G in groups:
+        n = G.degree
+        # reference: no block through point 0 other than the whole domain
+        want = G.is_transitive() and all(len(minimal_block(G, 0, b)) == n for b in range(1, n))
+        assert classify(G).primitive == want, G
+    assert [classify(G).primitive for G in groups[-4:]] == [False] * 4
 
 
 def test_minimal_block_prime_regular():
     C5 = PermutationGroup(5, [parse_permutation("(1 2 3 4 5)", 5)])
     assert len(minimal_block(C5, 0, 3)) == 5
-    assert classify_action(C5).primitive
+    assert classify(C5).primitive
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +318,7 @@ def test_coset_action_on_point_stabilizer_is_isomorphic():
         H = G.point_stabilizer(0)
         Q = action_on_cosets(G, H)
         assert Q.degree == G.degree
-        assert sorted(classify_action(Q).subdegrees) == sorted(classify_action(G).subdegrees)
+        assert sorted(classify(Q).subdegrees) == sorted(classify(G).subdegrees)
 
 
 # ---------------------------------------------------------------------------
