@@ -38,11 +38,16 @@ class SCAlgebra:
     unit: np.ndarray    # (dim,) int64
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # contract one operand at a time and reduce in between, so that every
-        # int64 product-sum stays below dim * p^2
+        return self.products(np.asarray(x)[None], np.asarray(y)[None])[0, 0]
+
+    def products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """All products of two batches: out[i, j] = xs[i] * ys[j], shape
+        (len(xs), len(ys), dim).  One operand is contracted at a time with a
+        reduction in between, so every int64 product-sum stays below
+        dim * p^2."""
         p, m = self.field.p, self.dim
-        xs = (x @ self.sc.reshape(m, m * m)) % p
-        return y @ xs.reshape(m, m) % p
+        left = (np.asarray(xs, dtype=np.int64) @ self.sc.reshape(m, m * m)) % p
+        return np.asarray(ys, dtype=np.int64) @ left.reshape(-1, m, m) % p
 
     def left_regular(self, x: np.ndarray) -> np.ndarray:
         """Matrix of left multiplication by x on coordinate column vectors."""
@@ -173,36 +178,31 @@ def _rowspace(mat: np.ndarray, p: int) -> np.ndarray:
     return rref[:rank]
 
 
-def _in_rowspace(vec: np.ndarray, basis: np.ndarray, p: int) -> bool:
-    if basis.shape[0] == 0:
-        return not np.any(vec % p)
-    stacked = np.vstack([basis, vec % p])
-    return _kernels.rank_mod_p(stacked, p) == basis.shape[0]
-
-
-def _matpow_mod(mat: np.ndarray, e: int, mod: int) -> np.ndarray:
-    r = np.eye(mat.shape[0], dtype=np.int64)
-    b = mat % mod
+def _divided_traces(alg: SCAlgebra, zs: np.ndarray, i: int) -> np.ndarray:
+    """tr(L^(p^i)) / p^i mod p for the integer lifts L of the left-regular
+    matrices of the rows of zs.  At level 0 the trace is linear in z; at
+    level i >= 1 the powers are taken mod p^(i+1), one batch of matrices at a
+    time.  On the chain layer where it is used the trace is divisible by p^i;
+    a failure of that divisibility signals a bug upstream."""
+    p, m = alg.field.p, alg.dim
+    if i == 0:
+        tau = np.trace(alg.sc, axis1=1, axis2=2) % p  # tau_i = sum_j sc[i, j, j]
+        return zs @ tau % p
+    # L(z)^T, which has the same trace powers as L(z); entries below p.
+    # The chain has p^i <= dim, so mod <= dim^2 and every sum stays below dim^5
+    lifts = (zs @ alg.sc.reshape(m, m * m) % p).reshape(-1, m, m)
+    mod = p ** (i + 1)
+    power = np.broadcast_to(np.eye(m, dtype=np.int64), lifts.shape).copy()
+    e = p ** i
     while e:
         if e & 1:
-            r = r @ b % mod
-        b = b @ b % mod
+            power = power @ lifts % mod
+        lifts = lifts @ lifts % mod
         e >>= 1
-    return r
-
-
-def _divided_trace(alg: SCAlgebra, z: np.ndarray, i: int) -> int:
-    """tr(L^(p^i)) / p^i mod p for the integer lift of the left-regular matrix
-    of z.  On the chain layer where it is used the trace is divisible by p^i;
-    a failure of that divisibility signals a bug upstream."""
-    p = alg.field.p
-    mod = p ** (i + 1)
-    L = alg.left_regular(z)
-    P = _matpow_mod(L, p ** i, mod)
-    tr = int(np.trace(P)) % mod
-    if tr % (p ** i) != 0:
+    tr = np.trace(power, axis1=1, axis2=2) % mod
+    if np.any(tr % (p ** i)):
         raise VerificationError("divided trace is not integral on the chain layer")
-    return (tr // (p ** i)) % p
+    return tr // (p ** i) % p
 
 
 def radical_chain(alg: SCAlgebra) -> RadicalSeries:
@@ -226,11 +226,9 @@ def radical_chain(alg: SCAlgebra) -> RadicalSeries:
         k = cur.shape[0]
         if k == 0:
             break
-        T = np.zeros((k, k), dtype=np.int64)
-        for j in range(k):
-            for a in range(k):
-                z = alg.multiply(cur[a], cur[j])
-                T[j, a] = _divided_trace(alg, z, i)
+        # prods[a, j] = cur[a] * cur[j]; T[j, a] is its divided trace
+        prods = alg.products(cur, cur)
+        T = np.stack([_divided_traces(alg, prods[a], i) for a in range(k)], axis=1)
         kern = nullspace_mod_p(T, p)
         cur = _rowspace(kern @ cur % p, p)
     radical = cur
@@ -238,11 +236,8 @@ def radical_chain(alg: SCAlgebra) -> RadicalSeries:
     powers = [radical]
     dims = [m, radical.shape[0]]
     while powers[-1].shape[0] > 0:
-        prods = []
-        for x in powers[-1]:
-            for y in radical:
-                prods.append(alg.multiply(x, y))
-        nxt = _rowspace(np.array(prods, dtype=np.int64).reshape(-1, m), p)
+        prods = alg.products(powers[-1], radical).reshape(-1, m)
+        nxt = _rowspace(prods, p)
         if nxt.shape[0] >= powers[-1].shape[0]:
             raise VerificationError("radical candidate is not nilpotent")
         powers.append(nxt)
@@ -263,14 +258,15 @@ def radical_chain(alg: SCAlgebra) -> RadicalSeries:
 
 
 def _verify_radical(alg: SCAlgebra, radical: np.ndarray):
-    p = alg.field.p
-    eye = np.eye(alg.dim, dtype=np.int64)
-    for u in radical:
-        for b in eye:
-            if not _in_rowspace(alg.multiply(b, u), radical, p):
-                raise VerificationError("radical candidate is not a left ideal")
-            if not _in_rowspace(alg.multiply(u, b), radical, p):
-                raise VerificationError("radical candidate is not a right ideal")
+    p, m = alg.field.p, alg.dim
+    eye = np.eye(m, dtype=np.int64)
+    r = radical.shape[0]
+    left = alg.products(eye, radical).reshape(-1, m)
+    if _kernels.rank_mod_p(np.vstack([radical, left]), p) != r:
+        raise VerificationError("radical candidate is not a left ideal")
+    right = alg.products(radical, eye).reshape(-1, m)
+    if _kernels.rank_mod_p(np.vstack([radical, right]), p) != r:
+        raise VerificationError("radical candidate is not a right ideal")
     quotient = _quotient_algebra(alg, radical)
     sub = radical_chain(quotient)
     if sub.dims[1] != 0:
@@ -281,30 +277,20 @@ def _quotient_algebra(alg: SCAlgebra, ideal: np.ndarray) -> SCAlgebra:
     """Quotient by a (verified nilpotent) ideal, on the complement coordinates
     of the ideal's rref pivots."""
     p = alg.field.p
-    m = alg.dim
-    pivots = []
-    for row in ideal:
-        pivots.append(int(np.nonzero(row)[0][0]))
-    pivot_set = set(pivots)
-    free = [c for c in range(m) if c not in pivot_set]
+    pivots = [int(np.nonzero(row)[0][0]) for row in ideal]
+    free = sorted(set(range(alg.dim)) - set(pivots))
 
-    def reduce_vec(v):
-        v = v.copy() % p
+    def reduce(v):
+        # v[..., :] modulo the ideal, on the free coordinates
+        v = v % p
         for i, pc in enumerate(pivots):
-            c = v[pc]
-            if c:
-                v = (v - c * ideal[i]) % p
-        return v[free]
+            v = (v - v[..., pc, None] * ideal[i]) % p
+        return v[..., free]
 
     k = len(free)
-    basis = np.zeros((k, m), dtype=np.int64)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-    sc = np.zeros((k, k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            sc[i, j] = reduce_vec(alg.multiply(basis[i], basis[j]))
-    unit = reduce_vec(alg.unit)
+    basis = np.eye(alg.dim, dtype=np.int64)[free]
+    sc = reduce(alg.products(basis, basis))
+    unit = reduce(alg.unit)
     labels = [f"q{i}" for i in range(k)]
     return make_algebra(alg.field, labels, sc, unit, verify=False)
 
@@ -520,20 +506,30 @@ def schur_ring_from_action(T_elements: list[Permutation], H: PermutationGroup,
     axioms (identity is a singleton, partition, closure under inversion)."""
     n = T_elements[0].degree
     order = len(T_elements)
-    index = {t.images: i for i, t in enumerate(T_elements)}
-    if len(index) != order:
+    if len({t.images for t in T_elements}) != order:
         raise InputError("regular subgroup list contains duplicates")
-    base_images = {t.images[0] for t in T_elements}
-    if order != n or len(base_images) != n:
+    img = np.array([t.images for t in T_elements], dtype=np.int64)
+    if order != n or len(np.unique(img[:, 0])) != n:
         raise InputError("subgroup is not regular on the domain")
-    for a in T_elements:
-        for b in T_elements:
-            if (a * b).images not in index:
-                raise InputError("element list is not closed under products")
+    # T is regular, so an element of T is determined by its image of 0
+    pos = np.empty(n, dtype=np.int64)
+    pos[img[:, 0]] = np.arange(order)
+
+    # Cayley table: mult[a, b] = index of a * b (apply a, then b); the
+    # candidate found from the image of 0 is confirmed on the full image row
+    mult = pos[img[:, img[:, 0]].T]
+    for a in range(order):
+        if not np.array_equal(img[:, img[a]], img[mult[a]]):
+            raise InputError("element list is not closed under products")
+    conj_maps = []
     for h in H.generators:
-        for t in T_elements:
-            if t.conjugate(h).images not in index:
-                raise InputError("H does not normalize the regular subgroup")
+        himg = np.array(h.images, dtype=np.int64)
+        hinv = np.argsort(himg)
+        conj = himg[img[:, hinv]]  # images of h^-1 t h
+        cand = pos[conj[:, 0]]
+        if not np.array_equal(img[cand], conj):
+            raise InputError("H does not normalize the regular subgroup")
+        conj_maps.append(cand)
 
     if element_names is None:
         element_names = [str(t.images[0]) for t in T_elements]
@@ -548,10 +544,10 @@ def schur_ring_from_action(T_elements: list[Permutation], H: PermutationGroup,
         assigned[i] = len(sets)
         qpos = 0
         while qpos < len(comp):
-            t = T_elements[comp[qpos]]
+            t = comp[qpos]
             qpos += 1
-            for h in H.generators:
-                j = index[t.conjugate(h).images]
+            for cmap in conj_maps:
+                j = int(cmap[t])
                 if assigned[j] < 0:
                     assigned[j] = len(sets)
                     comp.append(j)
@@ -559,34 +555,28 @@ def schur_ring_from_action(T_elements: list[Permutation], H: PermutationGroup,
     sets.sort(key=lambda s: (len(s), s[0]))
 
     # axioms
-    e_idx = index[Permutation.identity(n).images]
+    e_idx = int(pos[0])
     if sets[0] != [e_idx] and [e_idx] not in sets:
         raise VerificationError("identity is not a singleton basic set")
+    inverse = np.argmax(mult == e_idx, axis=1)
     set_keys = {tuple(s) for s in sets}
     for s in sets:
-        inv = tuple(sorted(index[T_elements[i].inverse().images] for i in s))
-        if inv not in set_keys:
+        if tuple(sorted(int(i) for i in inverse[s])) not in set_keys:
             raise VerificationError("basic sets are not closed under inversion")
 
     m = len(sets)
-    set_of = [0] * order
+    set_of = np.empty(order, dtype=np.int64)
     for si, s in enumerate(sets):
-        for i in s:
-            set_of[i] = si
+        set_of[s] = si
+    first = np.array([s[0] for s in sets], dtype=np.int64)
     sc = np.zeros((m, m, m), dtype=np.int64)
     for si, s in enumerate(sets):
-        for sj, t in enumerate(sets):
-            counts = np.zeros(order, dtype=np.int64)
-            for i in s:
-                for j in t:
-                    counts[index[(T_elements[i] * T_elements[j]).images]] += 1
-            for sk, u in enumerate(sets):
-                vals = {int(counts[i]) for i in u}
-                if len(vals) != 1:
-                    raise VerificationError(
-                        "product of basic-set sums is not constant on a basic set"
-                    )
-                sc[si, sj, sk] = vals.pop() % field.p
+        # counts[sj, x] = #{(i, j) in s x sets[sj] : i * j = x}
+        keys = set_of[None, :] * order + mult[s]
+        counts = np.bincount(keys.ravel(), minlength=m * order).reshape(m, order)
+        if not np.array_equal(counts, counts[:, first[set_of]]):
+            raise VerificationError("product of basic-set sums is not constant on a basic set")
+        sc[si] = counts[:, first] % field.p
     labels = tuple("+".join(element_names[i] for i in s) for s in sets)
     unit = np.zeros(m, dtype=np.int64)
     unit[set_of[e_idx]] = 1
@@ -633,12 +623,11 @@ def schur_vs_centralizer(G: PermutationGroup, T: PermutationGroup,
     ring = schur_ring_from_action(T_elements, H, alg.field, element_names)
 
     set_index = {s: i for i, s in enumerate(ring.basic_sets)}
+    # orbital of (alpha, alpha.t) for every t
+    orbital_of_t = cc.orbital_of[alpha, [t.images[alpha] for t in T_elements]]
     sigma = []
     for s in range(cc.m):
-        members = tuple(
-            sorted(i for i, t in enumerate(T_elements)
-                   if cc.orbital_of[alpha, t.images[alpha]] == s)
-        )
+        members = tuple(int(i) for i in np.flatnonzero(orbital_of_t == s))
         if members not in set_index:
             return SchurIsoReport(False, f"orbital {s} does not map to a basic set",
                                   cc.m, len(ring.basic_sets), ring.labels)
@@ -652,15 +641,16 @@ def schur_vs_centralizer(G: PermutationGroup, T: PermutationGroup,
     if sorted(sigma) != list(range(cc.m)) or len(ring.basic_sets) != cc.m:
         return SchurIsoReport(False, "orbital-to-basic-set map is not a bijection",
                               cc.m, len(ring.basic_sets), ring.labels)
-    for r in range(cc.m):
-        for s in range(cc.m):
-            for t in range(cc.m):
-                if alg.sc[r, s, t] != ring.sc[sigma[s], sigma[r], sigma[t]]:
-                    return SchurIsoReport(
-                        False,
-                        f"structure constants differ at (r={r}, s={s}, t={t})",
-                        cc.m, len(ring.basic_sets), ring.labels,
-                    )
+    # carried[r, s, t] = ring.sc[sigma[s], sigma[r], sigma[t]]
+    carried = ring.sc[np.ix_(sigma, sigma, sigma)].transpose(1, 0, 2)
+    bad = np.argwhere(alg.sc != carried)
+    if len(bad):
+        r, s, t = map(int, bad[0])
+        return SchurIsoReport(
+            False,
+            f"structure constants differ at (r={r}, s={s}, t={t})",
+            cc.m, len(ring.basic_sets), ring.labels,
+        )
     return SchurIsoReport(True, None, cc.m, len(ring.basic_sets), ring.labels)
 
 

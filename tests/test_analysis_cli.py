@@ -149,6 +149,28 @@ def test_cli_suite_subset_deterministic_and_negative_control():
     assert "FAIL" in bad.stdout and "frobenius" in bad.stdout
 
 
+def test_cli_suite_verbose_stdout_is_free_of_timings():
+    a = run_cli("suite", "--verbose", "--only", "alt7-pairs")
+    b = run_cli("suite", "--verbose", "--only", "alt7-pairs")
+    assert a.returncode == 0, a.stdout + a.stderr
+    assert "ok: runtime at p=2 < 1s" in a.stdout
+    assert a.stdout == b.stdout
+
+
+def test_runtime_check_shows_the_measured_time_only_on_failure():
+    from permsym.suite import _Checker
+
+    c = _Checker("runtime")
+    c.expect_within(0.25, 1.0, "runtime")
+    c.expect_within(1.5, 1.0, "runtime")
+    c.expect_within(1.0, 1.0, "runtime")  # the bound is strict
+    assert c.result().details == [
+        "ok: runtime < 1s",
+        "FAIL: runtime < 1s (measured 1.500s)",
+        "FAIL: runtime < 1s (measured 1.000s)",
+    ]
+
+
 def test_cli_suite_unknown_key():
     proc = run_cli("suite", "--only", "not-a-criterion")
     assert proc.returncode == 2

@@ -153,11 +153,51 @@ def test_sym3_offdiagonal_is_ones_minus_identity():
 
 
 def test_adjacency_product_identity():
-    for spec in CATALOG_SAMPLE:
+    for spec in CATALOG_SAMPLE + ["frobenius:73,2"]:
         cc = two_orbits(build_instance(spec).group)
         C = intersection_tensor(cc)
         checked, passed, detail = adjacency_product_check(cc, C)
         assert checked and passed, (spec, detail)
+
+
+def first_failing_pair_by_matmul(cc, tensor):
+    """Reference: the identity A_r A_s = sum_t C[t,r,s] A_t checked with one
+    matrix product per (r, s), in r-major order."""
+    mats = adjacency_matrices(cc)
+    stack = np.stack(mats)
+    for r in range(cc.m):
+        for s in range(cc.m):
+            rhs = np.einsum("t,tij->ij", tensor[:, r, s], stack)
+            if not np.array_equal(mats[r] @ mats[s], rhs):
+                return r, s
+    return None
+
+
+@pytest.mark.parametrize("spec", ["frobenius:7,3", "psl2cosets:8"])
+def test_adjacency_product_check_finds_each_corrupted_entry(spec):
+    cc = two_orbits(build_instance(spec).group)
+    C = intersection_tensor(cc)
+    m = cc.m
+    rng = np.random.default_rng(3)
+    entries = [(0, 0, 0), (m - 1, m - 1, m - 1), (1, 0, 1)]
+    entries += [tuple(int(v) for v in rng.integers(0, m, size=3)) for _ in range(6)]
+    for t, r, s in entries:
+        bad = C.copy()
+        bad[t, r, s] += 1
+        want = first_failing_pair_by_matmul(cc, bad)
+        assert want == (r, s)  # one entry changes exactly one (r, s) identity
+        assert adjacency_product_check(cc, bad) == (
+            True, False, f"product identity fails at (r={want[0]}, s={want[1]})"
+        )
+    # two corrupted entries: the first failing pair in r-major order is named
+    bad = C.copy()
+    bad[0, m - 1, 0] += 1
+    bad[1, 1, m - 1] += 1
+    want = first_failing_pair_by_matmul(cc, bad)
+    assert want == (1, m - 1)
+    assert adjacency_product_check(cc, bad) == (
+        True, False, f"product identity fails at (r={want[0]}, s={want[1]})"
+    )
 
 
 def test_triangle_identity_explicit():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -26,10 +27,14 @@ from permsym.exactlin import prime_field
 from permsym.perm import PermutationGroup, parse_permutation
 
 
+@functools.lru_cache(maxsize=None)
+def configuration_of(spec):
+    cc = two_orbits(build_instance(spec).group)
+    return cc, intersection_tensor(cc)
+
+
 def algebra_of(spec, p):
-    G = build_instance(spec).group
-    cc = two_orbits(G)
-    tensor = intersection_tensor(cc)
+    cc, tensor = configuration_of(spec)
     return centralizer_algebra(cc, tensor, prime_field(p)), cc
 
 
@@ -50,6 +55,32 @@ def test_multiply_matches_python_int_reference_near_the_bound():
             for t in range(m)
         ]
         assert alg.multiply(np.array(x), np.array(y)).tolist() == expected
+
+
+def test_products_match_python_int_reference_near_the_bound():
+    p = 268435399  # largest prime below 2^28
+    alg, _ = algebra_of("psl2cosets:32", p)
+    m = alg.dim
+    assert m == 16
+    sc = alg.sc.tolist()
+    rng = np.random.default_rng(11)
+    xs = rng.integers(0, p, size=(3, m))
+    ys = rng.integers(0, p, size=(4, m))
+    xs[0] = p - 1  # the largest entries
+    ys[0] = p - 1
+    out = alg.products(xs, ys)
+    assert out.shape == (3, 4, m)
+    for i, x in enumerate(xs.tolist()):
+        for j, y in enumerate(ys.tolist()):
+            expected = [
+                sum(x[a] * y[b] * sc[a][b][t] for a in range(m) for b in range(m)) % p
+                for t in range(m)
+            ]
+            assert out[i, j].tolist() == expected, (i, j)
+            assert np.array_equal(alg.multiply(xs[i], ys[j]), out[i, j])
+            assert np.array_equal(
+                alg.multiply(xs[i], ys[j]), alg.products(xs[i][None], ys[j][None])[0, 0]
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +233,77 @@ def test_shear_radical_series_verified_value():
     assert tuple(raw_dims) == (5, 4, 1, 0)
 
 
+# catalog specs scanned for small commutative algebras: the acceptance-suite
+# specs, sym:4, and Frobenius groups whose algebras reach deeper chain levels
+BRUTE_FORCE_SPECS = (
+    "sym:4", "sym:5", "alt:5", "altpairs:7", "signtwist:3", "signtwist:4",
+    "signtwist:5", "frobenius:5,2", "frobenius:7,3", "frobenius:7,6",
+    "frobenius:11,2", "frobenius:13,3", "frobenius:17,2", "frobenius:23,2",
+    "example3_2", "psl2line:4", "psl2line:8", "psl2line:32", "psl2cosets:8",
+)
+BRUTE_FORCE_BUDGET = 4096
+
+
+def small_commutative_cases():
+    """(spec, p) with a commutative algebra, p <= dim (so the divided-trace
+    chain has a level i >= 1) and p^dim within the enumeration budget."""
+    cases = []
+    for spec in BRUTE_FORCE_SPECS:
+        cc, _ = configuration_of(spec)
+        for p in (2, 3, 5, 7):
+            if p <= cc.m and p ** cc.m <= BRUTE_FORCE_BUDGET:
+                alg, _ = algebra_of(spec, p)
+                if alg.is_commutative():
+                    cases.append((spec, p))
+    return cases
+
+
+def nilpotent_series_by_enumeration(alg):
+    """Radical power dimensions of a commutative algebra from its nilpotent
+    elements, found by enumerating every element; products are formed
+    directly from the structure constants."""
+    p, m, sc = alg.field.p, alg.dim, alg.sc
+
+    def mul(x, y):  # row-wise products
+        return np.einsum("ni,nj,ijt->nt", x, y, sc) % p
+
+    elems = np.array(list(itertools.product(range(p), repeat=m)), dtype=np.int64)
+    power = elems
+    q = 1
+    while q < m:  # x^(p^e) with p^e >= m vanishes exactly on the nilpotents
+        step = power
+        for _ in range(p - 1):
+            step = mul(step, power)
+        power = step
+        q *= p
+    nilpotents = elems[~power.any(axis=1)]
+    rr, rk = rref_mod_p(nilpotents, p)
+    assert len(nilpotents) == p ** rk  # the nilpotents form a subspace
+    radical = rr[:rk]
+    dims = [m, rk]
+    cur = radical
+    while cur.shape[0]:
+        pairs = np.array([(x, y) for x in cur for y in radical], dtype=np.int64)
+        rr, rk = rref_mod_p(mul(pairs[:, 0], pairs[:, 1]), p)
+        cur = rr[:rk]
+        dims.append(rk)
+    return tuple(dims)
+
+
+def test_divided_trace_levels_match_brute_force():
+    cases = small_commutative_cases()
+    for example in (("psl2cosets:8", 2), ("psl2cosets:8", 3), ("example3_2", 2),
+                    ("sym:4", 2), ("frobenius:7,3", 2), ("frobenius:7,3", 3)):
+        assert example in cases
+    deep = 0
+    for spec, p in cases:
+        alg, _ = algebra_of(spec, p)
+        dims = radical_chain(alg).dims
+        assert dims == nilpotent_series_by_enumeration(alg), (spec, p)
+        deep += p * p <= alg.dim and dims[1] > 0  # a radical down to level 2
+    assert deep
+
+
 def test_radical_maschke_cases():
     # characteristics coprime to the group order: the algebra is semisimple
     for spec, p in (("altpairs:7", 11), ("frobenius:7,3", 5), ("sym:5", 7), ("example3_2", 5)):
@@ -327,6 +429,23 @@ def schur_check(G, T, p, **kwargs):
     cc = two_orbits(G)
     alg = centralizer_algebra(cc, intersection_tensor(cc), prime_field(p))
     return schur_vs_centralizer(G, T, cc, alg, **kwargs)
+
+
+def test_schur_ring_rejects_a_list_not_closed_under_products():
+    T_elements = enumerate_regular_subgroup([parse_permutation("(1 2 3 4)", 4)], 4)
+    swapped = [t for t in T_elements if t.images[0] == 2]
+    assert swapped[0].images == (2, 3, 0, 1)
+    # (1 3) also sends 0 to 2, so the list is still regular on the domain
+    fake = [parse_permutation("(1 3)", 4) if t.images[0] == 2 else t for t in T_elements]
+    with pytest.raises(InputError, match="not closed under products"):
+        schur_ring_from_action(fake, PermutationGroup(4, []), prime_field(2))
+
+
+def test_schur_ring_rejects_h_that_does_not_normalize():
+    T_elements = enumerate_regular_subgroup([parse_permutation("(1 2 3 4)", 4)], 4)
+    H = PermutationGroup(4, [parse_permutation("(1 2)", 4)])
+    with pytest.raises(InputError, match="does not normalize"):
+        schur_ring_from_action(T_elements, H, prime_field(2))
 
 
 def test_schur_vs_centralizer_cases():
