@@ -159,8 +159,10 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
     if instance is None:
         instance = clock("build", lambda: build_instance(spec))
     G = instance.group
-    order = clock("order", G.order)
+    # two_orbits refuses a degree above its cap before G.order() does work
+    # that grows with the degree
     cc = clock("two_orbits", lambda: two_orbits(G))
+    order = clock("order", G.order)
     classification = clock("classify", lambda: classify_action(G, cc, instance.faithful))
     if not classification.transitive:
         raise InputError("analysis requires a transitive action")

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InputError, VerificationError
 from .exactlin import binary_field, is_prime
 from .perm import (
@@ -290,13 +292,26 @@ def _dihedral_subgroup(q: int) -> PermutationGroup:
     cyclic group generated by the first element of order q+1 found in the
     deterministic element enumeration."""
     G = build_psl2_line(q).group
-    elements = G.elements(cap=None)
-    c = next((e for e in elements if e.order() == q + 1), None)
-    if c is None:
+    elements = G.chain.elements()
+    base = G.chain.base()
+    # an element of G is determined by its base images; cur holds those of g^k
+    # for k = 1..q+1 in turn, and g has order q+1 iff g^(q+1) is the first power
+    # to fix the base
+    cur = elements[:, base]
+    early = np.zeros(len(elements), dtype=bool)
+    for _ in range(q):
+        early |= (cur == base).all(axis=1)
+        cur = np.take_along_axis(elements, cur, axis=1)
+    hits = np.flatnonzero(~early & (cur == base).all(axis=1))
+    if not len(hits):
         raise VerificationError(f"no element of order {q + 1} found in PSL(2,{q})")
-    powers = {(c ** k).images for k in range(q + 1)}
-    normalizer = [g for g in elements if c.conjugate(g).images in powers]
-    H = PermutationGroup(G.degree, normalizer)
+    c = Permutation(elements[hits[0]].tolist())
+    # g normalizes <c> iff c * g = g * c^k for some k
+    cg = elements[:, [c.images[b] for b in base]]
+    normal = np.zeros(len(elements), dtype=bool)
+    for k in range(q + 1):
+        normal |= (np.array((c ** k).images)[elements[:, base]] == cg).all(axis=1)
+    H = PermutationGroup(G.degree, [Permutation(row) for row in elements[normal].tolist()])
     if H.order() != 2 * (q + 1):
         raise VerificationError(
             f"normalizer order {H.order()} differs from 2(q+1) = {2 * (q + 1)}"

@@ -13,7 +13,7 @@ from . import _kernels
 from .coherent import CoherentConfiguration
 from .errors import InputError, VerificationError
 from .exactlin import PrimeField, nullspace_mod_p
-from .perm import Permutation, PermutationGroup
+from .perm import Permutation, PermutationGroup, breadth_first
 
 ALGEBRA_DIM_CAP = 60
 ORACLE_DEGREE_CAP = 40
@@ -57,12 +57,20 @@ class SCAlgebra:
         return np.einsum("j,ijt->ti", x, self.sc) % self.field.p
 
     def power(self, x: np.ndarray, e: int) -> np.ndarray:
-        r = self.unit.copy()
-        b = x % self.field.p
+        """x^e, or the e-th power of each row of a (k, dim) batch x, by one
+        square-and-multiply; every int64 sum stays below dim * p^2."""
+        p, m = self.field.p, self.dim
+
+        def times(xs, ys):  # xs[..., i] * ys[..., i], row by row
+            left = (xs @ self.sc.reshape(m, m * m)) % p
+            return (ys[..., None, :] @ left.reshape(xs.shape + (m,)))[..., 0, :] % p
+
+        b = np.asarray(x, dtype=np.int64) % p
+        r = self.unit * np.ones_like(b)
         while e:
             if e & 1:
-                r = self.multiply(r, b)
-            b = self.multiply(b, b)
+                r = times(r, b)
+            b = times(b, b)
             e >>= 1
         return r
 
@@ -475,19 +483,7 @@ def enumerate_regular_subgroup(gens, degree: int) -> list[Permutation]:
     """Element list in breadth-first order from the identity, multiplying on
     the right by the generators in their given order.  The order of this list
     fixes element indices (and therefore label strings) everywhere downstream."""
-    identity = Permutation.identity(degree)
-    elems = [identity]
-    seen = {identity.images}
-    qpos = 0
-    while qpos < len(elems):
-        x = elems[qpos]
-        qpos += 1
-        for g in gens:
-            y = x * g
-            if y.images not in seen:
-                seen.add(y.images)
-                elems.append(y)
-    return elems
+    return breadth_first(Permutation.identity(degree), gens, Permutation.__mul__)[0]
 
 
 @dataclass(frozen=True)
@@ -673,10 +669,7 @@ def _iterated_frobenius(alg: SCAlgebra) -> np.ndarray:
     a matrix power; the kernel is the nilradical."""
     p = alg.field.p
     m = alg.dim
-    frob = np.zeros((m, m), dtype=np.int64)
-    eye = np.eye(m, dtype=np.int64)
-    for j in range(m):
-        frob[:, j] = alg.power(eye[j], p)
+    frob = alg.power(np.eye(m, dtype=np.int64), p).T  # column j is b_j^p
     total = np.eye(m, dtype=np.int64)
     for _ in range(_frobenius_exponent(p, m)):
         total = frob @ total % p
@@ -727,22 +720,27 @@ def hecke_check(G: PermutationGroup, alpha: int, field: PrimeField,
     h_order = H.order()
     if h_order % p == 0:
         raise InputError("characteristic divides the stabilizer order")
-    elements = G.elements(cap=None)
-    index = {g.images: i for i, g in enumerate(elements)}
-    H_elements = H.elements(cap=None)
+    # an element of G is determined by its base images: look those up alone
+    elements = G.chain.elements()
+    base = G.chain.base() or [0]  # any point is a base of the trivial group
+    H_elements = H.chain.elements()
+    key = np.dtype((np.void, elements.itemsize * len(base)))
+    keys = np.ascontiguousarray(elements[:, base]).view(key).ravel()
+    sorter = np.argsort(keys)
     scale = field.inv(h_order * h_order % p)
     visited = np.zeros(order, dtype=bool)
     vectors = []
-    for g in elements:
-        if visited[index[g.images]]:
+    for gi in range(order):
+        if visited[gi]:
             continue
-        counts = np.zeros(order, dtype=np.int64)
-        for h1 in H_elements:
-            z = h1 * g
-            for h2 in H_elements:
-                counts[index[(z * h2).images]] += 1
-        support = np.nonzero(counts)[0]
-        visited[support] = True  # support is the full double coset over the integers
+        # every h1 * g * h2 as one array, rows indexed [h2, h1]: h2[g[h1[x]]]
+        prods = H_elements[:, elements[gi][H_elements]].reshape(-1, G.degree)
+        wanted = np.ascontiguousarray(prods[:, base]).view(key).ravel()
+        found = sorter[np.searchsorted(keys, wanted, sorter=sorter) % order]
+        if not np.array_equal(elements[found], prods):
+            raise VerificationError("a double-coset product is missing from the element list")
+        counts = np.bincount(found, minlength=order)
+        visited[counts > 0] = True  # support is the full double coset over the integers
         vectors.append(counts % p * scale % p)
     hecke_dim = _kernels.rank_mod_p(np.array(vectors, dtype=np.int64), p)
     rank = len(H.orbits())

@@ -5,17 +5,26 @@ k-subsets and on cosets.
 Conventions: points are 0-indexed internally and 1-indexed in all text I/O;
 actions are on the right, and ``p * q`` means "apply p, then q", so that
 ``alpha . (p*q) == (alpha . p) . q``.
+
+Validation happens once, where images enter the layer: ``Permutation(images)``
+checks for a bijection, and the parsers, the catalog constructors and
+``PermutationGroup`` given raw images go through it.  Products, inverses,
+powers and conjugates are bijections by construction and are built unchecked.
+Whole-group enumeration (``StabilizerChain.elements``) is one int32 array.
 """
 
 import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
+from operator import itemgetter
+
+import numpy as np
 
 from .errors import InputError, VerificationError
 
-KSUBSET_DEGREE_CAP = 10_000
-COSET_INDEX_CAP = 10_000
+DEGREE_CAP = 10_000  # largest degree read from a file or induced on subsets or cosets
+KSUBSET_DEGREE_CAP = COSET_INDEX_CAP = DEGREE_CAP
 ENUMERATION_ORDER_CAP = 100_000
 
 
@@ -34,12 +43,19 @@ class Permutation:
             seen[i] = True
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _unchecked(cls, images: tuple) -> "Permutation":
+        """A permutation on images already known to be a bijection."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
+
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
     @staticmethod
     def identity(n: int) -> "Permutation":
-        return Permutation(range(n))
+        return Permutation._unchecked(tuple(range(n)))
 
     @property
     def degree(self) -> int:
@@ -52,14 +68,15 @@ class Permutation:
         # apply self first, then other
         if other.degree != self.degree:
             raise InputError("degree mismatch")
-        oi = other.images
-        return Permutation(tuple(oi[i] for i in self.images))
+        if self.degree < 2:  # the identity; itemgetter of one index is no tuple
+            return other
+        return Permutation._unchecked(itemgetter(*self.images)(other.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
+        return Permutation._unchecked(tuple(inv))
 
     def __pow__(self, e: int) -> "Permutation":
         if e < 0:
@@ -78,13 +95,10 @@ class Permutation:
         return (h.inverse() * self) * h
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def first_moved(self) -> int | None:
-        for i, j in enumerate(self.images):
-            if i != j:
-                return i
-        return None
+        return None if self.is_identity() else next(i for i, j in enumerate(self.images) if i != j)
 
     def cycles(self):
         """Nontrivial cycles, each rotated to start at its least point."""
@@ -179,8 +193,8 @@ def parse_generator_text(text: str):
             if len(parts) != 2 or parts[0] != "degree" or not parts[1].isdigit():
                 raise InputError(f"line {lineno}: expected 'degree n', got {raw!r}")
             degree = int(parts[1])
-            if degree < 1:
-                raise InputError(f"line {lineno}: degree must be positive")
+            if not 1 <= degree <= DEGREE_CAP:
+                raise InputError(f"line {lineno}: degree must be in 1..{DEGREE_CAP}, got {degree}")
             continue
         try:
             gens.append(parse_permutation(line, degree))
@@ -191,34 +205,54 @@ def parse_generator_text(text: str):
     return degree, gens
 
 
+def breadth_first(start, gens, step):
+    """Everything reachable from ``start`` by moves ``step(x, g)`` with g in
+    ``gens``: the list in breadth-first order, trying the generators in their
+    given order, and a dict mapping each item found after ``start`` to the
+    (item, generator) pair it was first reached from."""
+    found = [start]
+    parent = {start: None}
+    for x in found:  # the list grows while it is walked
+        for g in gens:
+            y = step(x, g)
+            if y not in parent:
+                parent[y] = (x, g)
+                found.append(y)
+    return found, parent
+
+
+def _image(point: int, g: Permutation) -> int:
+    return g.images[point]
+
+
 def orbits(gens, domain):
     """Partition of the domain into connected components under generator moves.
 
     ``domain`` is an iterable of points or an int n meaning range(n).
     Components are listed by least element, each in BFS discovery order.
     """
-    if isinstance(domain, int):
-        points = list(range(domain))
-    else:
-        points = sorted(set(domain))
+    points = range(domain) if isinstance(domain, int) else sorted(set(domain))
     seen = set()
     out = []
     for start in points:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        qpos = 0
-        while qpos < len(comp):
-            b = comp[qpos]
-            qpos += 1
-            for g in gens:
-                c = g.images[b]
-                if c not in seen:
-                    seen.add(c)
-                    comp.append(c)
-        out.append(comp)
+        if start not in seen:
+            comp, _ = breadth_first(start, gens, _image)
+            seen.update(comp)
+            out.append(comp)
     return out
+
+
+def _transversal(gens, base: int, degree: int):
+    """The breadth-first orbit of ``base`` and two dicts on it: the word u_c in
+    ``gens`` along the search tree carrying base to c, and its inverse."""
+    orbit, parent = breadth_first(base, gens, _image)
+    words = {base: Permutation.identity(degree)}
+    inverses = dict(words)
+    for c in orbit[1:]:
+        b, g = parent[c]
+        words[c] = words[b] * g
+        inverses[c] = words[c].inverse()
+    return orbit, words, inverses
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +260,14 @@ def orbits(gens, domain):
 # ---------------------------------------------------------------------------
 
 class _Level:
-    __slots__ = ("base", "gens", "gen_keys", "orbit", "transversal", "processed", "stale")
+    __slots__ = ("base", "gens", "gen_keys", "orbit", "transversal", "inverse", "processed", "stale")
 
-    def __init__(self, base, degree):
+    def __init__(self, base):
         self.base = base
         self.gens = []          # strong generators whose first moved point is `base`
         self.gen_keys = set()
-        self.orbit = [base]
-        self.transversal = {base: Permutation.identity(degree)}
         self.processed = set()  # (orbit point, generator images) pairs already sifted
-        self.stale = False
+        self.stale = True       # orbit, transversal and inverse are set on refresh
 
 
 class StabilizerChain:
@@ -267,26 +299,9 @@ class StabilizerChain:
     def _refresh(self):
         for idx, lv in enumerate(self.levels):
             if lv.stale:
-                self._recompute_orbit(idx)
-
-    def _recompute_orbit(self, idx: int):
-        lv = self.levels[idx]
-        gens = self._gens_from(idx)
-        orbit = [lv.base]
-        transversal = {lv.base: Permutation.identity(self.degree)}
-        qpos = 0
-        while qpos < len(orbit):
-            b = orbit[qpos]
-            u = transversal[b]
-            qpos += 1
-            for s in gens:
-                c = s.images[b]
-                if c not in transversal:
-                    transversal[c] = u * s
-                    orbit.append(c)
-        lv.orbit = orbit
-        lv.transversal = transversal
-        lv.stale = False
+                lv.orbit, lv.transversal, lv.inverse = _transversal(
+                    self._gens_from(idx), lv.base, self.degree)
+                lv.stale = False
 
     def _add_generator(self, g: Permutation) -> bool:
         """Sift g and, when a nonzero residue remains, store it on the level of
@@ -300,7 +315,7 @@ class StabilizerChain:
         while idx < len(self.levels) and self.levels[idx].base < c:
             idx += 1
         if idx == len(self.levels) or self.levels[idx].base > c:
-            self.levels.insert(idx, _Level(c, self.degree))
+            self.levels.insert(idx, _Level(c))
         lv = self.levels[idx]
         if r.images in lv.gen_keys:
             return False
@@ -324,7 +339,7 @@ class StabilizerChain:
                         if key in lv.processed:
                             continue
                         lv.processed.add(key)
-                        schreier = (u * s) * lv.transversal[s.images[b]].inverse()
+                        schreier = (u * s) * lv.inverse[s.images[b]]
                         if self._add_generator(schreier):
                             grew = True
                             break
@@ -350,27 +365,26 @@ class StabilizerChain:
             beta = h.images[lv.base]
             if beta == lv.base:
                 continue
-            u = lv.transversal.get(beta)
-            if u is None:
+            u_inv = lv.inverse.get(beta)
+            if u_inv is None:
                 return h
-            h = h * u.inverse()
+            h = h * u_inv
         return h
 
     def contains(self, g: Permutation) -> bool:
         return self.sift(g).is_identity()
 
-    def elements(self):
-        """All group elements, one per transversal-product word; deterministic order."""
-
-        def rec(idx):
-            if idx == len(self.levels):
-                yield Permutation.identity(self.degree)
-                return
-            for h in rec(idx + 1):
-                for b in self.levels[idx].orbit:
-                    yield h * self.levels[idx].transversal[b]
-
-        yield from rec(0)
+    def elements(self) -> np.ndarray:
+        """All group elements as an (order, degree) int32 image array, one row
+        per transversal-product word in a fixed order: with E the rows of the
+        deeper levels' group and u_0, u_1, ... this level's transversal in
+        orbit order, row i * len(orbit) + j is E[i] * u_j."""
+        elems = np.arange(self.degree, dtype=np.int32)[None]
+        for lv in reversed(self.levels):
+            us = np.array([lv.transversal[b].images for b in lv.orbit], dtype=np.int32)
+            # (h * u)[x] = u[h[x]], so us[:, elems] is indexed [j, i, x]
+            elems = us[:, elems].transpose(1, 0, 2).reshape(-1, self.degree)
+        return elems
 
     def canonical_coset_rep(self, x: Permutation) -> Permutation:
         """The lexicographically least element of the right coset H*x, where H
@@ -436,32 +450,17 @@ class PermutationGroup:
     def point_stabilizer(self, alpha: int) -> "PermutationGroup":
         """Stabilizer of a point, generated by the Schreier generators of the
         orbit of alpha."""
-        transversal = {alpha: Permutation.identity(self.degree)}
-        orbit = [alpha]
-        qpos = 0
-        while qpos < len(orbit):
-            b = orbit[qpos]
-            qpos += 1
-            for g in self.generators:
-                c = g.images[b]
-                if c not in transversal:
-                    transversal[c] = transversal[b] * g
-                    orbit.append(c)
-        gens = []
-        seen = set()
-        for b in orbit:
-            ub = transversal[b]
-            for g in self.generators:
-                s = (ub * g) * transversal[g.images[b]].inverse()
-                if not s.is_identity() and s.images not in seen:
-                    seen.add(s.images)
-                    gens.append(s)
-        return PermutationGroup(self.degree, gens)
+        orbit, words, inverses = _transversal(self.generators, alpha, self.degree)
+        # the group constructor drops the identity and repeated generators
+        return PermutationGroup(self.degree, [
+            (words[b] * g) * inverses[g.images[b]] for b in orbit for g in self.generators
+        ])
 
     def elements(self, cap: int | None = ENUMERATION_ORDER_CAP):
+        """All elements as Permutations, in the order of ``chain.elements()``."""
         if cap is not None and self.order() > cap:
             raise InputError(f"group order {self.order()} exceeds enumeration cap {cap}")
-        return list(self.chain.elements())
+        return [Permutation._unchecked(tuple(row)) for row in self.chain.elements().tolist()]
 
     def __repr__(self):
         return f"PermutationGroup(degree={self.degree}, ngens={len(self.generators)})"
@@ -610,21 +609,6 @@ class GroupChecks:
     max_conjugate_intersection: int
 
 
-def _closure(gens, degree):
-    elems = [Permutation.identity(degree)]
-    seen = {elems[0].images}
-    qpos = 0
-    while qpos < len(elems):
-        x = elems[qpos]
-        qpos += 1
-        for g in gens:
-            y = x * g
-            if y.images not in seen:
-                seen.add(y.images)
-                elems.append(y)
-    return elems, seen
-
-
 def _sylow_subgroup(H_elements, p: int, degree: int):
     """A Sylow p-subgroup of the group given by its full element list, grown
     through normalizers (a proper p-subgroup has p | [N(P) : P])."""
@@ -633,23 +617,24 @@ def _sylow_subgroup(H_elements, p: int, degree: int):
     while size % (target * p) == 0:
         target *= p
     gens = []
-    P_elems, P_set = _closure(gens, degree)
+    identity = Permutation.identity(degree)
+    P_elems, P_set = breadth_first(identity, gens, Permutation.__mul__)
     while len(P_elems) < target:
         progress = False
         for x in H_elements:
-            if x.images in P_set:
+            if x in P_set:
                 continue
-            if any(z.conjugate(x).images not in P_set for z in gens):
+            if any(z.conjugate(x) not in P_set for z in gens):
                 continue
             # order of the coset xP in N(P)/P
             j = 1
             y = x
-            while y.images not in P_set:
+            while y not in P_set:
                 y = y * x
                 j += 1
             if j % p == 0:
                 gens.append(x ** (j // p))
-                P_elems, P_set = _closure(gens, degree)
+                P_elems, P_set = breadth_first(identity, gens, Permutation.__mul__)
                 progress = True
                 break
         if not progress:
@@ -675,7 +660,7 @@ def group_theoretic_checks(G: PermutationGroup, alpha: int, p: int,
     G_elements = G.elements(cap=None)
     normalizer_inside = True
     for x in G_elements:
-        if all(z.conjugate(x).images in _p_set for z in syl_gens):
+        if all(z.conjugate(x) in _p_set for z in syl_gens):
             if x.images not in H_set:
                 normalizer_inside = False
                 break

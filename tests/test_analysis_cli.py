@@ -10,6 +10,7 @@ import permsym
 from permsym import cli
 from permsym.analysis import run_analysis
 from permsym.errors import InputError
+from permsym.perm import PermutationGroup
 
 
 def strip_timings(doc: dict) -> dict:
@@ -44,6 +45,18 @@ def test_intransitive_rejected(tmp_path):
     path.write_text("degree 3\n(1 2)\n")
     with pytest.raises(InputError, match="transitive"):
         run_analysis(f"file:{path}", 3)
+
+
+def test_degree_above_pair_table_cap_rejected_before_order(tmp_path, monkeypatch):
+    path = tmp_path / "big.txt"
+    path.write_text("degree 1001\n(1 2 3)\n")
+
+    def no_order(self):
+        raise AssertionError("order computed before the degree cap was checked")
+
+    monkeypatch.setattr(PermutationGroup, "order", no_order)
+    with pytest.raises(InputError, match="degree 1001 exceeds the pair-table cap 1000"):
+        run_analysis(f"file:{path}", 2)
 
 
 def test_composite_characteristic_rejected():

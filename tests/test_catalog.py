@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from permsym.catalog import (
@@ -90,6 +92,20 @@ def test_psl2_dihedral_cosets_q32():
     nontrivial = [d for d in cls.subdegrees if d != 1]
     assert nontrivial == [33] * 15  # all equal q+1
     assert cls.three_halves_transitive
+
+
+def test_psl2_dihedral_coset_generators_are_unchanged():
+    # generator images as first built by element-by-element enumeration; they
+    # fix the coset numbering, hence every orbital label of these groups
+    gens = build_instance("psl2cosets:8").group.generators
+    assert [g.cycle_string() for g in gens] == [
+        "(2 4)(3 7)(5 9)(6 12)(8 14)(10 15)(11 17)(16 21)(18 25)(19 27)(20 28)(22 24)",
+        "(1 2 5 10 11 6 3)(4 8 15 22 28 25 23)(7 13 19 9 16 24 20)(12 18 26 27 14 21 17)",
+        "(1 3)(2 6)(4 8)(5 11)(9 16)(12 14)(13 20)(15 23)(17 21)(18 27)(19 24)(22 25)",
+    ]
+    gens = build_instance("psl2cosets:32").group.generators
+    digest = hashlib.sha256(repr([g.images for g in gens]).encode()).hexdigest()
+    assert digest == "727c5a6e52b8333e593525865e6ed6341f22fabbafc229057e4014b02f382462"
 
 
 def test_psl2_unsupported_q():

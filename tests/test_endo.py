@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from permsym import endo
 from permsym._kernels import rank_mod_p, rref_mod_p
 from permsym.catalog import build_instance
 from permsym.coherent import adjacency_matrices, intersection_tensor, two_orbits
@@ -394,6 +395,27 @@ def test_verdict_deterministic():
 # Schur rings
 # ---------------------------------------------------------------------------
 
+def bfs_closure(gens, degree):
+    """The breadth-first element list that enumerate_regular_subgroup first
+    used, on image tuples: right multiplication by the generators in order."""
+    elems = [tuple(range(degree))]
+    seen = set(elems)
+    for x in elems:
+        for g in gens:
+            y = tuple(g.images[i] for i in x)
+            if y not in seen:
+                seen.add(y)
+                elems.append(y)
+    return elems
+
+
+@pytest.mark.parametrize("spec", ["frobenius:73,2", "example3_2"])
+def test_regular_enumeration_order_matches_reference(spec):
+    inst = build_instance(spec)
+    elems = enumerate_regular_subgroup(inst.regular.gens, inst.group.degree)
+    assert [t.images for t in elems] == bfs_closure(inst.regular.gens, inst.group.degree)
+
+
 def test_regular_enumeration_order_for_shear_group():
     inst = build_instance("example3_2")
     elems = enumerate_regular_subgroup(inst.regular.gens, 9)
@@ -496,6 +518,52 @@ def test_nilpotent_free_frobenius_branch(p, dims, expected):
     assert nilpotent_free_check(alg) is expected
 
 
+def power_by_multiply(alg, x, e):
+    """x^e by square-and-multiply through one multiply call per product."""
+    r = alg.unit.copy()
+    b = x % alg.field.p
+    while e:
+        if e & 1:
+            r = alg.multiply(r, b)
+        b = alg.multiply(b, b)
+        e >>= 1
+    return r
+
+
+@pytest.mark.parametrize("p", [73, 268435399])
+def test_iterated_frobenius_matches_per_column_power(p):
+    alg, _ = algebra_of("frobenius:73,2", p)
+    m = alg.dim
+    eye = np.eye(m, dtype=np.int64)
+    frob = np.stack([power_by_multiply(alg, eye[j], p) for j in range(m)], axis=1)
+    expected = eye
+    for _ in range(endo._frobenius_exponent(p, m)):
+        expected = frob @ expected % p
+    assert np.array_equal(endo._iterated_frobenius(alg), expected)
+    xs = np.random.default_rng(p).integers(0, p, size=(3, m))
+    xs[0] = p - 1
+    for e in (0, 1, 5, p):
+        batch = alg.power(xs, e)
+        assert batch.shape == xs.shape
+        for x, row in zip(xs, batch):
+            assert np.array_equal(row, power_by_multiply(alg, x, e))
+            assert np.array_equal(alg.power(x, e), row)
+
+
+def test_batched_power_matches_multiply_with_constants_near_the_bound():
+    p = 268435399  # largest prime below 2^28
+    rng = np.random.default_rng(3)
+    m = 6
+    sc = rng.integers(p - 1000, p, size=(m, m, m))
+    alg = make_algebra(prime_field(p), [f"b{i}" for i in range(m)], sc, np.eye(m)[0], verify=False)
+    xs = rng.integers(0, p, size=(4, m))
+    xs[0] = p - 1
+    for e in (2, 3, 7):
+        batch = alg.power(xs, e)
+        for x, row in zip(xs, batch):
+            assert np.array_equal(row, power_by_multiply(alg, x, e)), e
+
+
 def upper_triangular_2x2(p):
     # basis e11, e22, e12
     sc = np.zeros((3, 3, 3), dtype=np.int64)
@@ -538,6 +606,47 @@ def test_hecke_examples():
     assert res.hecke_dim == 2 and res.matches_rank
     res = hecke_check(regular_cn(3), 0, prime_field(2))
     assert res.hecke_dim == 3 and res.matches_rank
+
+
+def reference_hecke_dim(G, alpha, p):
+    """Dimension of span{e g e} by the element-by-element double-coset loop,
+    on an element list of image tuples."""
+    elements = bfs_closure(G.generators, G.degree)
+    index = {g: i for i, g in enumerate(elements)}
+    H = [h for h in elements if h[alpha] == alpha]
+    scale = pow(len(H) * len(H), -1, p)
+    visited = set()
+    vectors = []
+    for g in elements:
+        if g in visited:
+            continue
+        counts = [0] * len(elements)
+        for h1 in H:
+            z = tuple(g[i] for i in h1)
+            for h2 in H:
+                counts[index[tuple(h2[i] for i in z)]] += 1
+        visited.update(elements[i] for i, c in enumerate(counts) if c)
+        vectors.append([c % p * scale % p for c in counts])
+    return rank_mod_p(np.array(vectors, dtype=np.int64), p)
+
+
+CROSSCHECK_SPECS = [
+    "sym:5", "alt:5", "altpairs:7", "signtwist:3", "signtwist:4", "signtwist:5",
+    "frobenius:7,3", "frobenius:7,6", "frobenius:5,2", "example3_2", "psl2line:4",
+    "psl2line:8", "psl2cosets:8",
+]
+
+
+@pytest.mark.parametrize("spec", CROSSCHECK_SPECS)
+def test_hecke_dims_match_double_coset_loop(spec):
+    G = build_instance(spec).group
+    stabilizer_order = G.order() // G.degree
+    primes = [p for p in (2, 3, 5, 7) if stabilizer_order % p]
+    assert primes
+    for p in primes:
+        res = hecke_check(G, 0, prime_field(p))
+        assert res.hecke_dim == reference_hecke_dim(G, 0, p), p
+        assert res.rank == len(G.point_stabilizer(0).orbits())
 
 
 def test_hecke_char_divides_stabilizer():

@@ -1,8 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 
-from permsym.catalog import build_alt, build_alt_on_pairs, build_instance, build_sym
+from permsym.catalog import (
+    _dihedral_subgroup,
+    build_alt,
+    build_alt_on_pairs,
+    build_instance,
+    build_psl2_line,
+    build_sym,
+)
 from permsym.coherent import two_orbits
 from permsym.errors import InputError
 from permsym.perm import (
@@ -33,6 +41,95 @@ def bfs_elements(gens, degree):
                     nxt.append(y)
         frontier = nxt
     return elems
+
+
+# Reference for the group layer's orders: the tuple code the array paths
+# replaced.  Schreier-Sims with base points in natural order, strong
+# generators on the level of their first moved point, and the element list of
+# transversal-product words.
+
+def tuple_mul(a, b):
+    return tuple(b[i] for i in a)
+
+
+def tuple_inv(a):
+    inv = [0] * len(a)
+    for i, j in enumerate(a):
+        inv[j] = i
+    return tuple(inv)
+
+
+def tuple_elements(degree, gens):
+    identity = tuple(range(degree))
+    levels = []  # [base, gens, orbit, transversal, processed, stale]
+
+    def refresh():
+        for idx, lv in enumerate(levels):
+            if not lv[5]:
+                continue
+            sgens = [g for deeper in levels[idx:] for g in deeper[1]]
+            orbit, transversal = [lv[0]], {lv[0]: identity}
+            for b in orbit:
+                for s in sgens:
+                    if s[b] not in transversal:
+                        transversal[s[b]] = tuple_mul(transversal[b], s)
+                        orbit.append(s[b])
+            lv[2], lv[3], lv[5] = orbit, transversal, False
+
+    def sift(h):
+        for lv in levels:
+            if h[lv[0]] != lv[0]:
+                if h[lv[0]] not in lv[3]:
+                    return h
+                h = tuple_mul(h, tuple_inv(lv[3][h[lv[0]]]))
+        return h
+
+    def add(g):
+        refresh()
+        r = sift(g)
+        moved = [i for i in range(degree) if r[i] != i]
+        if not moved:
+            return False
+        idx = 0
+        while idx < len(levels) and levels[idx][0] < moved[0]:
+            idx += 1
+        if idx == len(levels) or levels[idx][0] > moved[0]:
+            levels.insert(idx, [moved[0], [], [], {}, set(), True])
+        if r in levels[idx][1]:
+            return False
+        levels[idx][1].append(r)
+        for lv in levels[:idx + 1]:
+            lv[5] = True
+        return True
+
+    def grow():
+        refresh()
+        for idx in range(len(levels) - 1, -1, -1):
+            lv = levels[idx]
+            sgens = [g for deeper in levels[idx:] for g in deeper[1]]
+            for b in list(lv[2]):
+                for s in sgens:
+                    if (b, s) not in lv[4]:
+                        lv[4].add((b, s))
+                        schreier = tuple_mul(tuple_mul(lv[3][b], s), tuple_inv(lv[3][s[b]]))
+                        if add(schreier):
+                            return True
+        return False
+
+    for g in gens:
+        add(g)
+    while grow():
+        pass
+
+    def words(idx):
+        if idx == len(levels):
+            yield identity
+            return
+        for h in words(idx + 1):
+            for b in levels[idx][2]:
+                yield tuple_mul(h, levels[idx][3][b])
+
+    return list(words(0))
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +189,25 @@ def test_generator_file_errors():
         parse_generator_text("degree 3\n(1 5)\n")
 
 
+def test_generator_file_degree_cap():
+    with pytest.raises(InputError, match=r"line 2: degree must be in 1\.\.10000, got 10001"):
+        parse_generator_text("# header\ndegree 10001\n(1 2)\n")
+    with pytest.raises(InputError, match="line 1: degree must be in"):
+        parse_generator_text("degree 0\n")
+    assert parse_generator_text("degree 10000\n(1 2)\n")[0] == 10000
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Permutation([0, 0, 1]),
+    lambda: Permutation([0, 3]),
+    lambda: PermutationGroup(3, [[1, 1, 0]]),
+    lambda: Permutation([1, 0]) * Permutation([0, 2, 1]),
+], ids=["repeated-image", "image-out-of-range", "group-from-raw-images", "product-degree-mismatch"])
+def test_input_boundary_refuses_non_bijections(build):
+    with pytest.raises(InputError):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # group order / membership
 # ---------------------------------------------------------------------------
@@ -137,6 +253,32 @@ def test_chain_order_matches_bfs_oracle(seed):
     listed = G.elements()
     assert len(listed) == len(oracle)
     assert {e.images for e in listed} == oracle
+
+
+@pytest.mark.parametrize("spec", ["psl2line:8", "altpairs:7", "example3_2"])
+def test_element_order_matches_tuple_reference(spec):
+    G = build_instance(spec).group
+    reference = tuple_elements(G.degree, [g.images for g in G.generators])
+    array = G.chain.elements()
+    assert array.dtype == np.int32 and array.shape == (G.order(), G.degree)
+    assert [tuple(row) for row in array.tolist()] == reference
+    assert [e.images for e in G.elements()] == reference
+
+
+@pytest.mark.parametrize("q", [8, 32])
+def test_dihedral_subgroup_generators_match_tuple_reference(q):
+    G = build_psl2_line(q).group
+    elements = tuple_elements(G.degree, [g.images for g in G.generators])
+    c = next(e for e in elements if Permutation(e).order() == q + 1)
+    powers = set()
+    power = tuple(range(G.degree))
+    for _ in range(q + 1):
+        powers.add(power)
+        power = tuple_mul(power, c)
+    normalizer = [g for g in elements if tuple_mul(tuple_mul(tuple_inv(g), c), g) in powers]
+    expected = PermutationGroup(G.degree, normalizer).generators
+    assert [h.images for h in _dihedral_subgroup(q).generators] == [h.images for h in expected]
+    assert len(normalizer) == 2 * (q + 1)
 
 
 # ---------------------------------------------------------------------------
