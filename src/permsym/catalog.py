@@ -14,6 +14,7 @@ Grammar (1-indexed parameters where applicable):
     file:<path>     generator file (see perm.parse_generator_text)
 """
 
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -49,6 +50,11 @@ class CatalogInstance:
     faithful: bool
     base_point: int = 0
     regular: RegularSubgroup | None = None
+    # the p-independent stage of the analysis, by seed (analysis.configuration);
+    # dataclasses.replace gives the copy an empty one
+    configurations: dict = dataclasses.field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
 
 def _cycle(n, points):

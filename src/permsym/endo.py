@@ -85,36 +85,55 @@ def make_algebra(field: PrimeField, labels, sc: np.ndarray, unit: np.ndarray,
     unit = np.asarray(unit, dtype=np.int64) % field.p
     if sc.shape != (m, m, m) or unit.shape != (m,):
         raise InputError("structure constant shapes do not match the basis size")
-    alg = SCAlgebra(field=field, dim=m, labels=tuple(labels), sc=sc, unit=unit)
     if verify and m <= ALGEBRA_DIM_CAP:
-        _verify_algebra(alg)
-    return alg
+        _verify_algebra(sc, unit, field.p)
+    return SCAlgebra(field=field, dim=m, labels=tuple(labels), sc=sc, unit=unit)
 
 
-def _verify_algebra(alg: SCAlgebra):
-    p = alg.field.p
-    left = np.einsum("ijl,lkt->ijkt", alg.sc, alg.sc) % p
-    right = np.einsum("jkl,ilt->ijkt", alg.sc, alg.sc) % p
+def _verify_algebra(sc: np.ndarray, unit: np.ndarray, p: int | None = None):
+    """Associativity and a two-sided unit for the constants b_i b_j =
+    sum_t sc[i,j,t] b_t: over F_p, or over Z when p is None.  Over Z every
+    sum is at most dim * max|sc|^2."""
+    def reduce(a):
+        return a if p is None else a % p
+
+    left = reduce(np.einsum("ijl,lkt->ijkt", sc, sc))
+    right = reduce(np.einsum("jkl,ilt->ijkt", sc, sc))
     if not np.array_equal(left, right):
         bad = np.argwhere(left != right)[0]
         raise VerificationError(f"structure constants not associative at {tuple(bad)}")
-    eye = np.eye(alg.dim, dtype=np.int64)
-    ue = np.einsum("i,ijt->jt", alg.unit, alg.sc) % p
-    eu = np.einsum("j,ijt->it", alg.unit, alg.sc) % p
+    eye = np.eye(len(unit), dtype=np.int64)
+    ue = reduce(np.einsum("i,ijt->jt", unit, sc))
+    eu = reduce(np.einsum("j,ijt->it", unit, sc))
     if not (np.array_equal(ue, eye) and np.array_equal(eu, eye)):
         raise VerificationError("declared unit is not a two-sided identity")
 
 
+def _orbital_constants(cc: CoherentConfiguration, tensor: np.ndarray):
+    """Integer structure constants and unit of the orbital basis: A_r A_s =
+    sum_t C[t,r,s] A_t, so sc[r,s,t] = C[t,r,s]; the unit is the sum of the
+    reflexive basis elements."""
+    return tensor.transpose(1, 2, 0), cc.reflexive.astype(np.int64)
+
+
+def verify_orbital_constants(cc: CoherentConfiguration, tensor: np.ndarray):
+    """Prove associativity and the unit of the orbital basis once, over Z.
+    Reduction Z -> F_p is a ring map, so this proof holds for every p.  The
+    entries are intersection numbers, at most n, so every int64 sum is at
+    most dim * n^2."""
+    if cc.m <= ALGEBRA_DIM_CAP:
+        _verify_algebra(*_orbital_constants(cc, tensor))
+
+
 def centralizer_algebra(cc: CoherentConfiguration, tensor: np.ndarray,
-                        field: PrimeField) -> SCAlgebra:
+                        field: PrimeField, verify: bool = True) -> SCAlgebra:
     """Span of the orbital adjacency matrices with the intersection numbers as
     structure constants, reduced mod p; the unit is the sum of the reflexive
-    basis elements."""
-    unit = cc.reflexive.astype(np.int64)
+    basis elements.  verify=False skips the proof mod p, for callers that
+    have run verify_orbital_constants on the same tensor."""
+    sc, unit = _orbital_constants(cc, tensor)
     labels = [f"s{t}" for t in range(cc.m)]
-    # A_r A_s = sum_t C[t,r,s] A_t, so sc[r,s,t] = C[t,r,s]
-    sc = tensor.transpose(1, 2, 0)
-    return make_algebra(field, labels, sc, unit)
+    return make_algebra(field, labels, sc, unit, verify=verify)
 
 
 def centralizer_oracle(G: PermutationGroup, field: PrimeField,
@@ -496,10 +515,12 @@ class SchurRing:
 
 
 def schur_ring_from_action(T_elements: list[Permutation], H: PermutationGroup,
-                           field: PrimeField, element_names=None) -> SchurRing:
+                           field: PrimeField, element_names=None,
+                           verify: bool = True) -> SchurRing:
     """Schur ring spanned by the sums over the H-conjugation orbits on a regular
     subgroup T.  Verifies regularity of T, that H normalizes T, and the basic-set
-    axioms (identity is a singleton, partition, closure under inversion)."""
+    axioms (identity is a singleton, partition, closure under inversion); with
+    verify, also associativity and the unit of the structure constants."""
     n = T_elements[0].degree
     order = len(T_elements)
     if len({t.images for t in T_elements}) != order:
@@ -576,8 +597,9 @@ def schur_ring_from_action(T_elements: list[Permutation], H: PermutationGroup,
     labels = tuple("+".join(element_names[i] for i in s) for s in sets)
     unit = np.zeros(m, dtype=np.int64)
     unit[set_of[e_idx]] = 1
-    # reuse the algebra verifier for associativity and the unit
-    make_algebra(field, labels, sc, unit)
+    if verify:
+        # reuse the algebra verifier for associativity and the unit
+        make_algebra(field, labels, sc, unit)
     return SchurRing(
         group_order=order,
         basic_sets=tuple(tuple(s) for s in sets),
@@ -616,7 +638,11 @@ def schur_vs_centralizer(G: PermutationGroup, T: PermutationGroup,
         point_names = [str(x) for x in range(G.degree)]
     element_names = [point_names[t.images[alpha]] for t in T_elements]
     H = G.point_stabilizer(alpha)
-    ring = schur_ring_from_action(T_elements, H, alg.field, element_names)
+    # No proof of associativity or the unit here.  Below, the constants are
+    # compared entry by entry with those of alg, and the map sends alg's unit
+    # (the reflexive orbital) to the ring's ({e}).  Constants equal to those of
+    # an associative unital algebra make the ring associative and unital too.
+    ring = schur_ring_from_action(T_elements, H, alg.field, element_names, verify=False)
 
     set_index = {s: i for i, s in enumerate(ring.basic_sets)}
     # orbital of (alpha, alpha.t) for every t

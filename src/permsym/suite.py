@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import run_analysis
+from .analysis import configuration, run_analysis
 from .catalog import build_instance, build_sym_on_pairs
 from .coherent import (
     adjacency_product_check,
@@ -28,7 +28,7 @@ from .endo import (
     nilpotent_free_check,
 )
 from .exactlin import prime_field
-from .perm import classify_action, group_theoretic_checks
+from .perm import group_theoretic_checks
 
 AXIOM_SUITE_SPECS = [
     "sym:5",
@@ -101,6 +101,10 @@ class SuiteContext:
             self._instances[spec] = build_instance(actual)
         return self._instances[spec]
 
+    def configuration(self, spec: str):
+        """The analysis pipeline's cached configuration stage for spec."""
+        return configuration(self.instance(spec), self.seed)
+
     def analyze(self, spec: str, p: int, oracle: bool = False):
         key = (spec, p, oracle)
         if key not in self._analyses:
@@ -162,9 +166,8 @@ def crit_sign_twist_family(ctx: SuiteContext) -> CriterionResult:
     c = _Checker("sign-twist-family")
     for n in (3, 4, 5):
         def one():
-            inst = ctx.instance(f"signtwist:{n}")
-            cls = classify_action(inst.group, two_orbits(inst.group))
-            return inst, cls
+            spec = f"signtwist:{n}"
+            return ctx.instance(spec), ctx.configuration(spec).classification
 
         (inst, cls), dt = _timed(one)
         c.expect_eq(inst.group.degree, (n + 1) * (n + 2) // 2, f"degree at n={n}")
@@ -247,10 +250,10 @@ def crit_oracle_equivalence(ctx: SuiteContext) -> CriterionResult:
         G = ctx.instance(spec).group
         if G.degree > 40:
             continue
-        cc = two_orbits(G)
+        rank = ctx.configuration(spec).cc.m
         for p in (2, 3, 5, 7):
             dim = centralizer_oracle(G, prime_field(p))
-            c.expect_eq(dim, cc.m, f"oracle dimension for {spec} at p={p}")
+            c.expect_eq(dim, rank, f"oracle dimension for {spec} at p={p}")
     return c.result()
 
 
@@ -266,23 +269,19 @@ def crit_schur_correspondence(ctx: SuiteContext) -> CriterionResult:
     c.expect(rep5.schur is not None and rep5.schur["iso_pass"],
              "Schur correspondence for frobenius:7,3 over F_5")
     c.expect_eq(list(rep5.radical_dims), [3, 0], "semisimple radical series over F_5")
-    G = ctx.instance("frobenius:7,3").group
-    cc = two_orbits(G)
-    alg = centralizer_algebra(cc, intersection_tensor(cc), prime_field(5))
+    config = ctx.configuration("frobenius:7,3")
+    alg = centralizer_algebra(config.cc, config.tensor, prime_field(5))
     c.expect(nilpotent_free_check(alg), "no nonzero nilpotents over F_5")
     return c.result()
 
 
 def crit_overgroup_equal_rank(ctx: SuiteContext) -> CriterionResult:
     c = _Checker("overgroup-equal-rank")
-    alt = ctx.instance("altpairs:7")
     sym = build_sym_on_pairs(7)
-    cc_a = two_orbits(alt.group)
-    cc_s = two_orbits(sym.group)
-    c.expect(np.array_equal(cc_a.orbital_of, cc_s.orbital_of), "identical orbital tables")
-    t_a = intersection_tensor(cc_a)
-    t_s = intersection_tensor(cc_s)
-    c.expect(np.array_equal(t_a, t_s), "identical intersection tensors")
+    cfg_a = ctx.configuration("altpairs:7")
+    cfg_s = configuration(sym, ctx.seed)
+    c.expect(np.array_equal(cfg_a.cc.orbital_of, cfg_s.cc.orbital_of), "identical orbital tables")
+    c.expect(np.array_equal(cfg_a.tensor, cfg_s.tensor), "identical intersection tensors")
     for p in (2, 5):
         rep_a = ctx.analyze("altpairs:7", p)
         rep_s = run_analysis("sympairs:7", p, seed=ctx.seed, instance=sym)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import permsym
-from permsym import cli
-from permsym.analysis import run_analysis
+from permsym import analysis, cli, endo
+from permsym.analysis import configuration, run_analysis
+from permsym.catalog import build_instance
 from permsym.errors import InputError
 from permsym.perm import PermutationGroup
 
@@ -69,6 +71,86 @@ def test_oracle_flag_populates_checks():
     assert rep.checks["oracle_dim"] == 3 and rep.checks["oracle_matches"]
     assert rep.checks["hecke"]["hecke_dim"] == 3
     assert rep.checks["hecke"]["matches_rank"]
+
+
+CONFIGURATION_TIMINGS = {
+    "two_orbits", "order", "classify", "tensor", "axioms", "adjacency_identity", "associativity",
+}
+
+
+def fresh_instance(spec):
+    # build_instance is process-wide; the copy starts with no configuration
+    return dataclasses.replace(build_instance(spec))
+
+
+@pytest.mark.parametrize("spec,primes,oracle", [
+    ("psl2cosets:8", (2, 3, 7), False),
+    ("frobenius:7,3", (3, 7), True),
+])
+def test_shared_configuration_gives_the_reports_of_fresh_instances(spec, primes, oracle):
+    shared = fresh_instance(spec)
+    for i, p in enumerate(primes):
+        reused = run_analysis(spec, p, oracle=oracle, instance=shared)
+        fresh = run_analysis(spec, p, oracle=oracle, instance=fresh_instance(spec))
+        assert json.dumps(strip_timings(reused.to_dict()), sort_keys=True) == json.dumps(
+            strip_timings(fresh.to_dict()), sort_keys=True
+        )
+        assert reused.to_text() == fresh.to_text()
+        assert CONFIGURATION_TIMINGS <= set(fresh.timings_ms)
+        # only the run that builds the configuration times its stages
+        stage_keys = CONFIGURATION_TIMINGS & set(reused.timings_ms)
+        assert stage_keys == (CONFIGURATION_TIMINGS if i == 0 else set())
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_configuration_is_built_once_per_instance_and_seed(monkeypatch):
+    orbit_calls = counting(monkeypatch, analysis, "two_orbits")
+    proofs = counting(monkeypatch, endo, "_verify_algebra")
+    inst = fresh_instance("frobenius:7,3")
+    for p in (2, 3, 7):
+        run_analysis("frobenius:7,3", p, instance=inst)
+    # one integer proof serves every prime; the Schur check adds none
+    assert len(orbit_calls) == 1 and len(proofs) == 1
+    run_analysis("frobenius:7,3", 3, seed=1, instance=inst)
+    assert len(orbit_calls) == 2 and len(proofs) == 2
+    run_analysis("frobenius:7,3", 5, seed=1, instance=inst)
+    run_analysis("frobenius:7,3", 5, seed=0, instance=inst)
+    assert len(orbit_calls) == 2 and sorted(inst.configurations) == [0, 1]
+
+
+def test_intransitive_file_group_is_refused_on_every_call(tmp_path, monkeypatch):
+    path = tmp_path / "g.txt"
+    path.write_text("degree 4\n(1 2)\n")
+    orbit_calls = counting(monkeypatch, analysis, "two_orbits")
+    inst = build_instance(f"file:{path}")
+    for k, p in enumerate((2, 3, 2), start=1):
+        with pytest.raises(InputError, match="transitive"):
+            run_analysis(f"file:{path}", p, instance=inst)
+        with pytest.raises(InputError, match="transitive"):
+            run_analysis(f"file:{path}", p)
+        assert len(orbit_calls) == 2 * k  # a refused configuration is not kept
+    assert inst.configurations == {}
+
+
+def test_cached_configuration_is_read_only():
+    config = configuration(fresh_instance("frobenius:7,3"))
+    with pytest.raises(ValueError, match="read-only"):
+        config.tensor[0, 0, 0] = 5
+    with pytest.raises(ValueError, match="read-only"):
+        config.cc.orbital_of[0, 1] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        config.cc.valency[1] += 1
 
 
 def run_cli(*args):

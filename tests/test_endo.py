@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 
@@ -7,7 +8,12 @@ import pytest
 from permsym import endo
 from permsym._kernels import rank_mod_p, rref_mod_p
 from permsym.catalog import build_instance
-from permsym.coherent import adjacency_matrices, intersection_tensor, two_orbits
+from permsym.coherent import (
+    adjacency_matrices,
+    adjacency_product_check,
+    intersection_tensor,
+    two_orbits,
+)
 from permsym.endo import (
     centralizer_algebra,
     centralizer_oracle,
@@ -21,6 +27,7 @@ from permsym.endo import (
     schur_ring_from_action,
     schur_vs_centralizer,
     structure_report,
+    verify_orbital_constants,
     WITNESS_ENUM_CAP,
 )
 from permsym.errors import InputError, VerificationError
@@ -493,6 +500,60 @@ def test_schur_vs_centralizer_rejects_non_normal():
     T = PermutationGroup(4, [parse_permutation("(1 2 3 4)", 4)])  # not normal in S_4
     with pytest.raises(InputError, match="normal"):
         schur_check(G, T, 3)
+
+
+def test_schur_check_catches_a_corrupted_schur_constant(monkeypatch):
+    # schur_vs_centralizer builds its ring without an associativity proof;
+    # its entry-by-entry comparison with the algebra still sees a bad constant
+    build = endo.schur_ring_from_action
+
+    def corrupted(*args, **kwargs):
+        ring = build(*args, **kwargs)
+        sc = ring.sc.copy()
+        sc[1, 1, 0] = (sc[1, 1, 0] + 1) % 3
+        return dataclasses.replace(ring, sc=sc)
+
+    monkeypatch.setattr(endo, "schur_ring_from_action", corrupted)
+    inst = build_instance("example3_2")
+    report = schur_check(inst.group, PermutationGroup(9, inst.regular.gens), 3)
+    assert not report.passed
+    assert report.detail.startswith("structure constants differ")
+
+
+def test_only_a_standalone_schur_ring_proves_associativity(monkeypatch):
+    proofs = []
+    verify = endo._verify_algebra
+
+    def counted(*args):
+        proofs.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(endo, "_verify_algebra", counted)
+    inst = build_instance("frobenius:7,3")
+    cc, tensor = configuration_of("frobenius:7,3")
+    alg = centralizer_algebra(cc, tensor, prime_field(3), verify=False)
+    T = PermutationGroup(7, inst.regular.gens)
+    assert schur_vs_centralizer(inst.group, T, cc, alg).passed
+    assert proofs == []
+    T_elements = enumerate_regular_subgroup(inst.regular.gens, 7)
+    schur_ring_from_action(T_elements, inst.group.point_stabilizer(0), prime_field(3))
+    assert len(proofs) == 1
+
+
+@pytest.mark.parametrize("spec", ["frobenius:7,3", "psl2cosets:32"])
+def test_integer_proof_catches_a_corrupted_tensor(spec):
+    cc, tensor = configuration_of(spec)
+    checked, _, _ = adjacency_product_check(cc, tensor)
+    assert checked == (cc.n <= 100)  # skipped at degree 496
+    bad = tensor.copy()
+    last = cc.m - 1  # a non-reflexive orbital
+    bad[last, last, last] += 1
+    # the per-prime stage builds the algebra without a proof of its own
+    for p in (2, 3, 5):
+        centralizer_algebra(cc, bad, prime_field(p), verify=False)
+    verify_orbital_constants(cc, tensor)
+    with pytest.raises(VerificationError, match="not associative"):
+        verify_orbital_constants(cc, bad)
 
 
 # ---------------------------------------------------------------------------
