@@ -90,6 +90,21 @@ def make_algebra(field: PrimeField, labels, sc: np.ndarray, unit: np.ndarray,
     return SCAlgebra(field=field, dim=m, labels=tuple(labels), sc=sc, unit=unit)
 
 
+def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The exact product a @ b of two int64 matrices.  Every partial sum is an
+    integer of magnitude at most (inner dimension) * max|entry|^2.  Below 2^53
+    float64 holds each one exactly, so one BLAS matmul gives the product, and
+    it is returned as float64, integer-valued, with no int64 copy.  The bound
+    is read from the input: the integer proof (entries at most
+    n <= TWO_ORBIT_DEGREE_CAP, dimension at most ALGEBRA_DIM_CAP) and small p
+    always pass it; standalone checks mod p near 2^28 stay in int64, where
+    dim * p^2 < 2^63."""
+    bound = max(int(np.abs(a).max(initial=0)), int(np.abs(b).max(initial=0)))
+    if a.shape[1] * bound * bound < 1 << 53:
+        return a.astype(np.float64) @ b.astype(np.float64)
+    return a @ b
+
+
 def _verify_algebra(sc: np.ndarray, unit: np.ndarray, p: int | None = None):
     """Associativity and a two-sided unit for the constants b_i b_j =
     sum_t sc[i,j,t] b_t: over F_p, or over Z when p is None.  Over Z every
@@ -97,8 +112,13 @@ def _verify_algebra(sc: np.ndarray, unit: np.ndarray, p: int | None = None):
     def reduce(a):
         return a if p is None else a % p
 
-    left = reduce(np.einsum("ijl,lkt->ijkt", sc, sc))
-    right = reduce(np.einsum("jkl,ilt->ijkt", sc, sc))
+    m = len(unit)
+    rows = sc.reshape(m * m, m)
+    # (b_i b_j) b_k = sum_t (sum_l sc[i,j,l] sc[l,k,t]) b_t, indexed [i, j, k, t]
+    left = reduce(_contract(rows, sc.reshape(m, m * m)).reshape(m, m, m, m))
+    # b_i (b_j b_k) = sum_t (sum_l sc[j,k,l] sc[i,l,t]) b_t, indexed [j, k, i, t]
+    right = _contract(rows, sc.transpose(1, 0, 2).reshape(m, m * m))
+    right = reduce(right.reshape(m, m, m, m).transpose(2, 0, 1, 3))
     if not np.array_equal(left, right):
         bad = np.argwhere(left != right)[0]
         raise VerificationError(f"structure constants not associative at {tuple(bad)}")

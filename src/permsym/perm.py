@@ -646,7 +646,21 @@ def group_theoretic_checks(G: PermutationGroup, alpha: int, p: int,
                            cap: int = ENUMERATION_ORDER_CAP) -> GroupChecks:
     """With H the stabilizer of alpha and P a Sylow p-subgroup of H, decide
     whether the normalizer of P in G lies inside H, and compute the maximum of
-    |H meet H^x| over x outside H.  Both by full element enumeration."""
+    |H meet H^x| over x outside H.  Both are read off H alone, on the G-orbit
+    O of alpha (the only points that G moves alpha to):
+
+    - H meet H^x is the two-point stabilizer G_{alpha, alpha.x}, of order
+      |H| / |(alpha.x)^H|, and alpha.x runs over O minus {alpha}; so the
+      maximum is |H| over the smallest H-orbit in O other than {alpha}, and 0
+      when O = {alpha}.  The H-orbits come from H's generators, not from the
+      orbital configuration.
+    - N_G(P) is transitive on the fixed points of P in O (Wielandt, *Finite
+      Permutation Groups*, 1964, Thm 3.6, for G acting on O).  So if P fixes
+      some beta != alpha in O, some x in N_G(P) takes alpha to beta and lies
+      outside H; if P fixes only alpha in O, N_G(P) permutes that one point
+      and lies inside H.
+
+    Only H is enumerated, to build P."""
     order = G.order()
     if order > cap:
         raise InputError(f"group order {order} exceeds enumeration cap {cap}")
@@ -654,25 +668,11 @@ def group_theoretic_checks(G: PermutationGroup, alpha: int, p: int,
     h_order = H.order()
     if h_order % p != 0:
         raise InputError("Sylow subgroup trivial: p does not divide the stabilizer order")
-    H_elements = H.elements(cap=None)
-    H_set = {h.images for h in H_elements}
-    syl_gens, _p_set = _sylow_subgroup(H_elements, p, G.degree)
-    G_elements = G.elements(cap=None)
-    normalizer_inside = True
-    for x in G_elements:
-        if all(z.conjugate(x) in _p_set for z in syl_gens):
-            if x.images not in H_set:
-                normalizer_inside = False
-                break
-    max_intersection = 0
-    for x in G_elements:
-        if x.images in H_set:
-            continue
-        x_inv = x.inverse()
-        count = 0
-        for h in H_elements:
-            if ((x_inv * h) * x).images in H_set:
-                count += 1
-        if count > max_intersection:
-            max_intersection = count
-    return GroupChecks(normalizer_inside, max_intersection)
+    orbit = G.orbit(alpha)
+    in_orbit = set(orbit)
+    # each H-orbit lies inside O or outside it, since H <= G
+    sizes = [len(o) for o in H.orbits() if o[0] in in_orbit and o != [alpha]]
+    max_intersection = h_order // min(sizes) if sizes else 0
+    syl_gens, _ = _sylow_subgroup(H.elements(cap=None), p, G.degree)
+    fixed = [b for b in orbit if all(z.images[b] == b for z in syl_gens)]
+    return GroupChecks(fixed == [alpha], max_intersection)

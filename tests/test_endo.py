@@ -556,6 +556,29 @@ def test_integer_proof_catches_a_corrupted_tensor(spec):
         verify_orbital_constants(cc, bad)
 
 
+
+@pytest.mark.parametrize("top", [1000, 268435398], ids=["float64", "int64"])
+def test_contract_is_exact_on_both_sides_of_the_float64_bound(top):
+    # 60 * 1000^2 is far below 2^53; 60 * (2^28)^2 is far above it
+    rng = np.random.default_rng(11)
+    a = rng.integers(top - 50, top + 1, size=(40, 60), dtype=np.int64)
+    b = rng.integers(top - 50, top + 1, size=(60, 30), dtype=np.int64)
+    exact = a.astype(object) @ b.astype(object)
+    assert (endo._contract(a, b).astype(object) == exact).all()
+
+
+def test_standalone_proof_near_the_characteristic_bound_catches_a_corrupted_constant():
+    p = 268435399  # largest prime below 2^28
+    cc, tensor = configuration_of("frobenius:7,3")
+    bad = tensor.copy()
+    last = cc.m - 1
+    bad[last, last, last] -= 1  # p - 1 after reduction, so the proof runs in int64
+    assert cc.m * (p - 1) ** 2 >= 1 << 53
+    centralizer_algebra(cc, tensor, prime_field(p))
+    with pytest.raises(VerificationError, match="not associative"):
+        centralizer_algebra(cc, bad, prime_field(p))
+
+
 # ---------------------------------------------------------------------------
 # nilpotent-free and double-coset checks
 # ---------------------------------------------------------------------------

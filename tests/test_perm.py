@@ -14,6 +14,8 @@ from permsym.catalog import (
 from permsym.coherent import two_orbits
 from permsym.errors import InputError
 from permsym.perm import (
+    ENUMERATION_ORDER_CAP,
+    GroupChecks,
     Permutation,
     PermutationGroup,
     action_on_cosets,
@@ -24,6 +26,7 @@ from permsym.perm import (
     orbits,
     parse_generator_text,
     parse_permutation,
+    _sylow_subgroup,
 )
 
 
@@ -490,3 +493,82 @@ def test_group_checks_sylow_trivial_error():
     G = build_instance("frobenius:7,3").group
     with pytest.raises(InputError, match="Sylow"):
         group_theoretic_checks(G, 0, 5)  # 5 does not divide |H| = 3
+
+
+# Reference for the group checks: the whole-group enumeration that the
+# stabilizer-only computation replaced.
+
+def enumerated_group_checks(G: PermutationGroup, alpha: int, p: int,
+                            cap: int = ENUMERATION_ORDER_CAP) -> GroupChecks:
+    """With H the stabilizer of alpha and P a Sylow p-subgroup of H, decide
+    whether the normalizer of P in G lies inside H, and compute the maximum of
+    |H meet H^x| over x outside H.  Both by full element enumeration."""
+    order = G.order()
+    if order > cap:
+        raise InputError(f"group order {order} exceeds enumeration cap {cap}")
+    H = G.point_stabilizer(alpha)
+    h_order = H.order()
+    if h_order % p != 0:
+        raise InputError("Sylow subgroup trivial: p does not divide the stabilizer order")
+    H_elements = H.elements(cap=None)
+    H_set = {h.images for h in H_elements}
+    syl_gens, _p_set = _sylow_subgroup(H_elements, p, G.degree)
+    G_elements = G.elements(cap=None)
+    normalizer_inside = True
+    for x in G_elements:
+        if all(z.conjugate(x) in _p_set for z in syl_gens):
+            if x.images not in H_set:
+                normalizer_inside = False
+                break
+    max_intersection = 0
+    for x in G_elements:
+        if x.images in H_set:
+            continue
+        x_inv = x.inverse()
+        count = 0
+        for h in H_elements:
+            if ((x_inv * h) * x).images in H_set:
+                count += 1
+        if count > max_intersection:
+            max_intersection = count
+    return GroupChecks(normalizer_inside, max_intersection)
+
+
+# every (spec, p) with p in {2, 3, 5, 7} dividing |G_0| and |G| <= 3000, over
+# the acceptance suite's catalog specs (psl2line:32, of order 32736, is out)
+GROUP_CHECK_CASES = [
+    ("sym:5", 2), ("sym:5", 3), ("alt:5", 2), ("alt:5", 3),
+    ("altpairs:7", 2), ("altpairs:7", 3), ("altpairs:7", 5),
+    ("signtwist:3", 2), ("signtwist:3", 3), ("signtwist:4", 2), ("signtwist:4", 3),
+    ("signtwist:5", 2), ("signtwist:5", 3), ("signtwist:5", 5),
+    ("frobenius:7,3", 3), ("frobenius:7,6", 2), ("frobenius:7,6", 3),
+    ("frobenius:5,2", 2), ("example3_2", 3), ("psl2line:4", 2), ("psl2line:4", 3),
+    ("psl2line:8", 2), ("psl2line:8", 7), ("psl2cosets:8", 2), ("psl2cosets:8", 3),
+]
+
+
+@pytest.mark.parametrize("spec,p", GROUP_CHECK_CASES)
+def test_group_checks_match_enumeration(spec, p):
+    G = build_instance(spec).group
+    assert group_theoretic_checks(G, 0, p) == enumerated_group_checks(G, 0, p)
+
+
+def _group(degree, *cycles):
+    return PermutationGroup(degree, [parse_permutation(c, degree) for c in cycles])
+
+
+@pytest.mark.parametrize("G,alpha,p,expected", [
+    # S3 on {0, 1, 2} with point 3 fixed: P = <(1 2)> also fixes 3, and {3} is
+    # an H-orbit of size 1, but 3 is outside the orbit of alpha
+    (_group(4, "(1 2 3)", "(1 2)"), 0, 2, GroupChecks(True, 1)),
+    # alpha is fixed by all of G, so H = G and no x lies outside H
+    (_group(4, "(2 3 4)"), 0, 3, GroupChecks(True, 0)),
+], ids=["s3-with-a-fixed-point", "alpha-fixed-by-G"])
+def test_group_checks_restrict_to_the_orbit_of_alpha(G, alpha, p, expected):
+    assert group_theoretic_checks(G, alpha, p) == expected
+    assert enumerated_group_checks(G, alpha, p) == expected
+
+
+def test_group_checks_at_another_base_point():
+    G = build_instance("signtwist:4").group
+    assert group_theoretic_checks(G, 5, 2) == enumerated_group_checks(G, 5, 2)
