@@ -10,12 +10,9 @@ witness functional or a negative certificate.
 from .errors import InputError, PermsymError, VerificationError
 from .exactlin import (
     BinaryField,
-    FieldSpec,
     GaussResult,
     PrimeField,
     binary_field,
-    field_create,
-    field_inv,
     mat_gauss,
     mat_rank,
     prime_field,
@@ -77,7 +74,6 @@ __all__ = [
     "CatalogInstance",
     "CoherentConfiguration",
     "Configuration",
-    "FieldSpec",
     "GaussResult",
     "GroupChecks",
     "HeckeResult",
@@ -106,8 +102,6 @@ __all__ = [
     "classify_action",
     "configuration",
     "enumerate_regular_subgroup",
-    "field_create",
-    "field_inv",
     "group_theoretic_checks",
     "hecke_check",
     "intersection_tensor",

@@ -1,7 +1,7 @@
 """The full analysis pipeline behind the CLI, in two stages.  The
 configuration stage builds a group from a spec string, computes its orbital
 configuration, reads the classification of the action off it and proves the
-integer structure constants, once per group and seed.  The per-prime stage
+integer structure constants, once per group.  The per-prime stage
 reduces the constants mod p, builds the centralizer algebra over F_p, decides
 symmetry, and bundles everything into a deterministic report.
 """
@@ -157,7 +157,6 @@ class Configuration:
     cc: CoherentConfiguration
     classification: ActionClassification
     tensor: np.ndarray                  # (m, m, m) integer intersection numbers
-    adjacency_identity: bool | None     # None: skipped above its degree cap
 
 
 def _clock(timings: dict | None, name: str, fn):
@@ -168,17 +167,15 @@ def _clock(timings: dict | None, name: str, fn):
     return out
 
 
-def configuration(instance: CatalogInstance, seed: int = 0,
-                  timings: dict | None = None) -> Configuration:
+def configuration(instance: CatalogInstance, timings: dict | None = None) -> Configuration:
     """The configuration stage of the analysis: the group order, the orbital
     configuration, the classification, the integer intersection tensor, the
-    axiom checks and the adjacency product identity, and one proof of
-    associativity and the unit over Z.  It is built once per (instance, seed)
-    and kept on the instance; a failure raises and is not kept.  Only a
-    build records its stage timings into ``timings``."""
-    cached = instance.configurations.get(seed)
-    if cached is not None:
-        return cached
+    axiom checks and the adjacency product identity on every pair, and one
+    proof of associativity and the unit over Z.  It is built once per
+    instance and kept on it; a failure raises and is not kept.  Only a build
+    records its stage timings into ``timings``."""
+    if instance.configuration is not None:
+        return instance.configuration
     G = instance.group
     # two_orbits refuses a degree above its cap before G.order() does work
     # that grows with the degree
@@ -190,27 +187,23 @@ def configuration(instance: CatalogInstance, seed: int = 0,
         raise InputError("analysis requires a transitive action")
 
     tensor = _clock(timings, "tensor", lambda: intersection_tensor(cc))
-    axioms = _clock(timings, "axioms", lambda: verify_cc_axioms(cc, tensor, seed=seed))
+    axioms = _clock(timings, "axioms", lambda: verify_cc_axioms(cc, tensor))
     if not axioms.passed:
         raise VerificationError(f"configuration axioms failed: {axioms.failures[0]}")
-    adj_checked, adj_passed, adj_detail = _clock(
-        timings, "adjacency_identity", lambda: adjacency_product_check(cc, tensor)
+    adj_passed, adj_detail = _clock(
+        timings, "adjacency_identity",
+        lambda: adjacency_product_check(cc, tensor, G.generators),
     )
-    if adj_checked and not adj_passed:
+    if not adj_passed:
         raise VerificationError(f"adjacency product identity failed: {adj_detail}")
     _clock(timings, "associativity", lambda: verify_orbital_constants(cc, tensor))
 
     for value in (*vars(cc).values(), tensor):
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
-    config = Configuration(
-        order=order,
-        cc=cc,
-        classification=classification,
-        tensor=tensor,
-        adjacency_identity=adj_passed if adj_checked else None,
-    )
-    instance.configurations[seed] = config
+    config = Configuration(order=order, cc=cc, classification=classification, tensor=tensor)
+    # the instance is frozen; its configuration slot is a cache, not part of its value
+    object.__setattr__(instance, "configuration", config)
     return config
 
 
@@ -221,12 +214,14 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
     characteristic) and VerificationError when an internal consistency check
     fails.
 
-    The p-independent stage comes from ``configuration(instance, seed)``,
-    which is kept on the instance.  Catalog instances are process-wide
+    The p-independent stage comes from ``configuration(instance)``, which is
+    kept on the instance.  Catalog instances are process-wide
     (``build_instance`` caches them), so a second analysis of the same group
-    and seed reuses the first one's configuration, and its ``timings_ms``
-    has no configuration-stage keys.  A test that injects a fault into that
-    stage must pass a fresh instance (``dataclasses.replace(inst)``)."""
+    reuses the first one's configuration, whatever its seed, and its
+    ``timings_ms`` has no configuration-stage keys.  The seed drives only
+    the witness search of ``is_symmetric``.  A test that injects a fault
+    into that stage must pass a fresh instance
+    (``dataclasses.replace(inst)``)."""
     fieldp = prime_field(p)
     timings = {}
 
@@ -236,7 +231,7 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
     if instance is None:
         instance = clock("build", lambda: build_instance(spec))
     G = instance.group
-    config = configuration(instance, seed, timings)
+    config = configuration(instance, timings)
     cc, order = config.cc, config.order
 
     # No proof mod p: reduction Z -> F_p is a ring map, so the associativity
@@ -266,11 +261,11 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
             "basic_set_sums": list(iso.basic_sums),
         }
 
-    # the configuration stage raises unless the axioms hold and the constants
-    # are associative with the unit
+    # the configuration stage raises unless the axioms and the adjacency
+    # identity hold and the constants are associative with the unit
     checks = {
         "cc_axioms": True,
-        "adjacency_product_identity": config.adjacency_identity,
+        "adjacency_product_identity": True,
         "associativity": True,
     }
     if oracle:

@@ -50,10 +50,10 @@ class CatalogInstance:
     faithful: bool
     base_point: int = 0
     regular: RegularSubgroup | None = None
-    # the p-independent stage of the analysis, by seed (analysis.configuration);
-    # dataclasses.replace gives the copy an empty one
-    configurations: dict = dataclasses.field(
-        default_factory=dict, init=False, compare=False, repr=False
+    # the p-independent stage of the analysis (analysis.configuration), None
+    # until built; dataclasses.replace gives the copy None
+    configuration: object = dataclasses.field(
+        default=None, init=False, compare=False, repr=False
     )
 
 

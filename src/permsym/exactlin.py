@@ -85,14 +85,6 @@ def _irreducible_or_divisor(modulus: int, m: int):
 # fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FieldSpec:
-    kind: str  # "prime" or "binary"
-    p: int | None = None
-    m: int | None = None
-    modulus_poly: int | None = None
-
-
 class PrimeField:
     """Arithmetic context for F_p, elements encoded as ints in [0, p)."""
 
@@ -224,22 +216,6 @@ def prime_field(p: int) -> PrimeField:
 
 def binary_field(m: int, modulus_poly: int | None = None) -> BinaryField:
     return BinaryField(m, modulus_poly)
-
-
-def field_create(spec: FieldSpec):
-    if spec.kind == "prime":
-        if spec.p is None:
-            raise InputError("prime field spec requires p")
-        return PrimeField(spec.p)
-    if spec.kind == "binary":
-        if spec.m is None:
-            raise InputError("binary field spec requires m")
-        return BinaryField(spec.m, spec.modulus_poly)
-    raise InputError(f"unknown field kind {spec.kind!r}")
-
-
-def field_inv(field, a):
-    return field.inv(a)
 
 
 # ---------------------------------------------------------------------------

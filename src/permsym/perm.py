@@ -643,7 +643,7 @@ def _sylow_subgroup(H_elements, p: int, degree: int):
 
 
 def group_theoretic_checks(G: PermutationGroup, alpha: int, p: int,
-                           cap: int = ENUMERATION_ORDER_CAP) -> GroupChecks:
+                           cap: int | None = ENUMERATION_ORDER_CAP) -> GroupChecks:
     """With H the stabilizer of alpha and P a Sylow p-subgroup of H, decide
     whether the normalizer of P in G lies inside H, and compute the maximum of
     |H meet H^x| over x outside H.  Both are read off H alone, on the G-orbit
@@ -660,10 +660,8 @@ def group_theoretic_checks(G: PermutationGroup, alpha: int, p: int,
       outside H; if P fixes only alpha in O, N_G(P) permutes that one point
       and lies inside H.
 
-    Only H is enumerated, to build P."""
-    order = G.order()
-    if order > cap:
-        raise InputError(f"group order {order} exceeds enumeration cap {cap}")
+    Only H is enumerated, to build P, so ``cap`` bounds |H| (None: no
+    bound)."""
     H = G.point_stabilizer(alpha)
     h_order = H.order()
     if h_order % p != 0:
@@ -673,6 +671,6 @@ def group_theoretic_checks(G: PermutationGroup, alpha: int, p: int,
     # each H-orbit lies inside O or outside it, since H <= G
     sizes = [len(o) for o in H.orbits() if o[0] in in_orbit and o != [alpha]]
     max_intersection = h_order // min(sizes) if sizes else 0
-    syl_gens, _ = _sylow_subgroup(H.elements(cap=None), p, G.degree)
+    syl_gens, _ = _sylow_subgroup(H.elements(cap), p, G.degree)
     fixed = [b for b in orbit if all(z.images[b] == b for z in syl_gens)]
     return GroupChecks(fixed == [alpha], max_intersection)

@@ -103,7 +103,7 @@ class SuiteContext:
 
     def configuration(self, spec: str):
         """The analysis pipeline's cached configuration stage for spec."""
-        return configuration(self.instance(spec), self.seed)
+        return configuration(self.instance(spec))
 
     def analyze(self, spec: str, p: int, oracle: bool = False):
         key = (spec, p, oracle)
@@ -237,10 +237,10 @@ def crit_config_axioms(ctx: SuiteContext) -> CriterionResult:
         G = ctx.instance(spec).group
         cc = two_orbits(G)
         tensor = intersection_tensor(cc)
-        rep = verify_cc_axioms(cc, tensor, seed=ctx.seed)
+        rep = verify_cc_axioms(cc, tensor)
         c.expect(rep.passed, f"axioms and triangle identity for {spec}")
-        checked, passed, detail = adjacency_product_check(cc, tensor)
-        c.expect(checked and passed, f"integer adjacency product identity for {spec} ({detail})")
+        passed, detail = adjacency_product_check(cc, tensor, G.generators)
+        c.expect(passed, f"integer adjacency product identity for {spec} ({detail})")
     return c.result()
 
 
@@ -279,7 +279,7 @@ def crit_overgroup_equal_rank(ctx: SuiteContext) -> CriterionResult:
     c = _Checker("overgroup-equal-rank")
     sym = build_sym_on_pairs(7)
     cfg_a = ctx.configuration("altpairs:7")
-    cfg_s = configuration(sym, ctx.seed)
+    cfg_s = configuration(sym)
     c.expect(np.array_equal(cfg_a.cc.orbital_of, cfg_s.cc.orbital_of), "identical orbital tables")
     c.expect(np.array_equal(cfg_a.tensor, cfg_s.tensor), "identical intersection tensors")
     for p in (2, 5):

@@ -114,7 +114,7 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-def test_configuration_is_built_once_per_instance_and_seed(monkeypatch):
+def test_configuration_is_built_once_per_instance(monkeypatch):
     orbit_calls = counting(monkeypatch, analysis, "two_orbits")
     proofs = counting(monkeypatch, endo, "_verify_algebra")
     inst = fresh_instance("frobenius:7,3")
@@ -122,11 +122,12 @@ def test_configuration_is_built_once_per_instance_and_seed(monkeypatch):
         run_analysis("frobenius:7,3", p, instance=inst)
     # one integer proof serves every prime; the Schur check adds none
     assert len(orbit_calls) == 1 and len(proofs) == 1
+    # the seed drives only the witness search, so one configuration serves both
     run_analysis("frobenius:7,3", 3, seed=1, instance=inst)
-    assert len(orbit_calls) == 2 and len(proofs) == 2
     run_analysis("frobenius:7,3", 5, seed=1, instance=inst)
     run_analysis("frobenius:7,3", 5, seed=0, instance=inst)
-    assert len(orbit_calls) == 2 and sorted(inst.configurations) == [0, 1]
+    assert len(orbit_calls) == 1 and len(proofs) == 1
+    assert inst.configuration is configuration(inst)
 
 
 def test_intransitive_file_group_is_refused_on_every_call(tmp_path, monkeypatch):
@@ -140,7 +141,18 @@ def test_intransitive_file_group_is_refused_on_every_call(tmp_path, monkeypatch)
         with pytest.raises(InputError, match="transitive"):
             run_analysis(f"file:{path}", p)
         assert len(orbit_calls) == 2 * k  # a refused configuration is not kept
-    assert inst.configurations == {}
+    assert inst.configuration is None
+
+
+def test_adjacency_identity_is_proved_above_degree_100():
+    rep = run_analysis("psl2cosets:32", 3)
+    assert rep.degree == 496
+    assert rep.checks["adjacency_product_identity"] is True
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in permsym.__all__ if not hasattr(permsym, name)]
+    assert missing == []
 
 
 def test_cached_configuration_is_read_only():

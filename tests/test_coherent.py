@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from permsym import coherent
 from permsym.catalog import build_instance
 from permsym.coherent import (
     adjacency_matrices,
@@ -127,11 +128,9 @@ def test_axioms_find_every_corrupted_transpose():
     table = cc.orbital_of.copy()
     table[b, a] = (table[b, a] + 1) % cc.m
     corrupted = dataclasses.replace(cc, orbital_of=table)
-    tensor = intersection_tensor(corrupted)
-    for seed in range(20):
-        report = verify_cc_axioms(corrupted, tensor, seed=seed)
-        assert not report.passed, seed
-        assert any("transpose" in f for f in report.failures), (seed, report.failures)
+    report = verify_cc_axioms(corrupted, intersection_tensor(corrupted))
+    assert not report.passed
+    assert any("transpose" in f for f in report.failures), report.failures
 
 
 def test_adjacency_matrices_identities():
@@ -153,11 +152,69 @@ def test_sym3_offdiagonal_is_ones_minus_identity():
 
 
 def test_adjacency_product_identity():
-    for spec in CATALOG_SAMPLE + ["frobenius:73,2"]:
-        cc = two_orbits(build_instance(spec).group)
+    for spec in CATALOG_SAMPLE + ["frobenius:73,2", "psl2cosets:32"]:
+        G = build_instance(spec).group
+        cc = two_orbits(G)
         C = intersection_tensor(cc)
-        checked, passed, detail = adjacency_product_check(cc, C)
-        assert checked and passed, (spec, detail)
+        assert adjacency_product_check(cc, C, G.generators) == (True, None), spec
+
+
+def test_adjacency_product_check_agrees_with_every_row():
+    # the identity on every row, with no generators to carry one row to the
+    # others, against one row per point orbit
+    for spec in ("frobenius:7,3", "psl2cosets:8"):
+        G = build_instance(spec).group
+        cc = two_orbits(G)
+        C = intersection_tensor(cc)
+        assert adjacency_product_check(cc, C, []) == (True, None)
+        bad = C.copy()
+        bad[1, 1, 1] += 1
+        assert adjacency_product_check(cc, bad, []) == adjacency_product_check(
+            cc, bad, G.generators
+        )
+
+
+def test_adjacency_product_check_blocks_give_the_unblocked_result(monkeypatch):
+    G = build_instance("psl2cosets:8").group
+    cc = two_orbits(G)
+    C = intersection_tensor(cc)
+    bad = C.copy()
+    bad[2, 3, 1] += 1
+    whole = adjacency_product_check(cc, bad, G.generators)
+    assert whole == (False, "product identity fails at (r=3, s=1)")
+    # 5 columns of 4 * 4 cells per bincount: 28 columns in 6 blocks
+    monkeypatch.setattr(coherent, "PRODUCT_BLOCK_CELLS", 5 * cc.m * cc.m)
+    assert adjacency_product_check(cc, bad, G.generators) == whole
+    assert adjacency_product_check(cc, C, G.generators) == (True, None)
+
+
+@pytest.fixture(scope="module")
+def psl2_32():
+    G = build_instance("psl2cosets:32").group
+    cc = two_orbits(G)
+    return G, cc, intersection_tensor(cc)
+
+
+def test_adjacency_product_check_catches_a_corrupted_tensor_at_degree_496(psl2_32):
+    G, cc, C = psl2_32
+    assert cc.n == 496
+    last = cc.m - 1
+    bad = C.copy()
+    bad[last, 1, last] += 1
+    assert adjacency_product_check(cc, bad, G.generators) == (
+        False, f"product identity fails at (r=1, s={last})"
+    )
+
+
+def test_adjacency_product_check_catches_a_moved_label_at_degree_496(psl2_32):
+    G, cc, C = psl2_32
+    table = cc.orbital_of.copy()
+    a, b = 200, 300
+    table[a, b] = (table[a, b] + 1) % cc.m
+    corrupted = dataclasses.replace(cc, orbital_of=table)
+    passed, detail = adjacency_product_check(corrupted, C, G.generators)
+    assert not passed
+    assert "does not preserve the orbital of pair" in detail, detail
 
 
 def first_failing_pair_by_matmul(cc, tensor):
@@ -175,7 +232,8 @@ def first_failing_pair_by_matmul(cc, tensor):
 
 @pytest.mark.parametrize("spec", ["frobenius:7,3", "psl2cosets:8"])
 def test_adjacency_product_check_finds_each_corrupted_entry(spec):
-    cc = two_orbits(build_instance(spec).group)
+    G = build_instance(spec).group
+    cc = two_orbits(G)
     C = intersection_tensor(cc)
     m = cc.m
     rng = np.random.default_rng(3)
@@ -186,8 +244,8 @@ def test_adjacency_product_check_finds_each_corrupted_entry(spec):
         bad[t, r, s] += 1
         want = first_failing_pair_by_matmul(cc, bad)
         assert want == (r, s)  # one entry changes exactly one (r, s) identity
-        assert adjacency_product_check(cc, bad) == (
-            True, False, f"product identity fails at (r={want[0]}, s={want[1]})"
+        assert adjacency_product_check(cc, bad, G.generators) == (
+            False, f"product identity fails at (r={want[0]}, s={want[1]})"
         )
     # two corrupted entries: the first failing pair in r-major order is named
     bad = C.copy()
@@ -195,8 +253,23 @@ def test_adjacency_product_check_finds_each_corrupted_entry(spec):
     bad[1, 1, m - 1] += 1
     want = first_failing_pair_by_matmul(cc, bad)
     assert want == (1, m - 1)
-    assert adjacency_product_check(cc, bad) == (
-        True, False, f"product identity fails at (r={want[0]}, s={want[1]})"
+    assert adjacency_product_check(cc, bad, G.generators) == (
+        False, f"product identity fails at (r={want[0]}, s={want[1]})"
+    )
+
+
+def test_adjacency_product_check_catches_an_invariant_but_incoherent_table():
+    # fusing two orbitals gives labels that every generator preserves; the
+    # fused table is no configuration, and the identity on row 0 says so
+    G = build_instance("psl2cosets:8").group
+    cc = two_orbits(G)
+    table = np.where(cc.orbital_of == 3, 2, cc.orbital_of).astype(np.int32)
+    fused = dataclasses.replace(cc, orbital_of=table)
+    tensor = intersection_tensor(fused)
+    want = first_failing_pair_by_matmul(fused, tensor)
+    assert want is not None
+    assert adjacency_product_check(fused, tensor, G.generators) == (
+        False, f"product identity fails at (r={want[0]}, s={want[1]})"
     )
 
 

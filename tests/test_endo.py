@@ -543,14 +543,19 @@ def test_only_a_standalone_schur_ring_proves_associativity(monkeypatch):
 @pytest.mark.parametrize("spec", ["frobenius:7,3", "psl2cosets:32"])
 def test_integer_proof_catches_a_corrupted_tensor(spec):
     cc, tensor = configuration_of(spec)
-    checked, _, _ = adjacency_product_check(cc, tensor)
-    assert checked == (cc.n <= 100)  # skipped at degree 496
+    generators = build_instance(spec).group.generators
+    assert adjacency_product_check(cc, tensor, generators) == (True, None)
     bad = tensor.copy()
     last = cc.m - 1  # a non-reflexive orbital
     bad[last, last, last] += 1
     # the per-prime stage builds the algebra without a proof of its own
     for p in (2, 3, 5):
         centralizer_algebra(cc, bad, prime_field(p), verify=False)
+    # the adjacency identity, exhaustive at every degree, catches it with no
+    # associativity proof, and so does the proof on its own
+    assert adjacency_product_check(cc, bad, generators) == (
+        False, f"product identity fails at (r={last}, s={last})"
+    )
     verify_orbital_constants(cc, tensor)
     with pytest.raises(VerificationError, match="not associative"):
         verify_orbital_constants(cc, bad)

@@ -4,10 +4,7 @@ import pytest
 from permsym.errors import InputError
 from permsym.exactlin import (
     BUILTIN_BINARY_MODULUS,
-    FieldSpec,
     binary_field,
-    field_create,
-    field_inv,
     mat_gauss,
     mat_rank,
     poly_mod,
@@ -51,20 +48,11 @@ def test_reducible_modulus_names_divisor():
         binary_field(4, 0b10001)
 
 
-def test_field_create_from_spec():
-    F = field_create(FieldSpec(kind="prime", p=5))
-    assert F.mul(2, 3) == 1
-    G = field_create(FieldSpec(kind="binary", m=2))
-    assert G.mul(0b10, 0b10) == 0b11  # x^2 = x + 1 under x^2+x+1
-    with pytest.raises(InputError):
-        field_create(FieldSpec(kind="ternary"))
-
-
 def test_inverse_examples():
-    assert field_inv(prime_field(5), 2) == 3
-    assert field_inv(prime_field(7), 1) == 1
+    assert prime_field(5).inv(2) == 3
+    assert prime_field(7).inv(1) == 1
     with pytest.raises(InputError, match="zero"):
-        field_inv(prime_field(5), 0)
+        prime_field(5).inv(0)
 
 
 def test_gf8_inverse_of_x_against_table_oracle():

@@ -495,6 +495,22 @@ def test_group_checks_sylow_trivial_error():
         group_theoretic_checks(G, 0, 5)  # 5 does not divide |H| = 3
 
 
+def test_group_checks_cap_bounds_the_stabilizer_not_the_group():
+    # altpairs:9 is A_9 on the 36 pairs, |G| = 9!/2 = 181440 > 100000.  The
+    # stabilizer H of the pair {1, 2} is the even permutations of the set
+    # stabilizer S_2 x S_7; each sigma in S_7 has one partner on {1, 2} that
+    # makes it even, so H ~ S_7 and |H| = 5040 = 181440 / 36.  The H-orbits on
+    # pairs are {1, 2}, the 14 pairs meeting {1, 2} in one point and the 21
+    # inside {3..9}, so the maximum of |H meet H^x| is 5040 / 14 = 360.  A
+    # Sylow 7-subgroup of H is generated by a 7-cycle on {3..9}; its point
+    # orbits are {1}, {2} and {3..9}, so the only pair it fixes is {1, 2}.
+    G = build_instance("altpairs:9").group
+    assert group_theoretic_checks(G, 0, 7) == GroupChecks(True, 360)
+    assert group_theoretic_checks(G, 0, 7, cap=None) == GroupChecks(True, 360)
+    with pytest.raises(InputError, match="5040 exceeds enumeration cap 5000"):
+        group_theoretic_checks(G, 0, 7, cap=5000)
+
+
 # Reference for the group checks: the whole-group enumeration that the
 # stabilizer-only computation replaced.
 
