@@ -10,11 +10,8 @@ witness functional or a negative certificate.
 from .errors import InputError, PermsymError, VerificationError
 from .exactlin import (
     BinaryField,
-    GaussResult,
     PrimeField,
     binary_field,
-    mat_gauss,
-    mat_rank,
     prime_field,
 )
 from .perm import (
@@ -74,7 +71,6 @@ __all__ = [
     "CatalogInstance",
     "CoherentConfiguration",
     "Configuration",
-    "GaussResult",
     "GroupChecks",
     "HeckeResult",
     "InputError",
@@ -106,8 +102,6 @@ __all__ = [
     "hecke_check",
     "intersection_tensor",
     "is_symmetric",
-    "mat_gauss",
-    "mat_rank",
     "minimal_block",
     "natural_form",
     "nilpotent_free_check",

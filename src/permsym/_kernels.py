@@ -1,10 +1,10 @@
-"""numpy kernels: pair-orbit labels, mod-p elimination.
+"""numpy kernels: pair-orbit labels, and the one mod-p elimination behind
+every rank, reduced row-echelon form and nullspace in the package.
 
-Two loops dominate runtime at the largest supported degrees: partitioning the
-n*n pair set into orbitals, and mod-p row reduction of the dense systems
-built by the cross-checks.  Both are vectorized over whole rows or the whole
-pair set.  The elimination works in int64: every intermediate is below p^2,
-which fits for every characteristic that exactlin.PrimeField accepts.
+Partitioning the n*n pair set into orbitals is vectorized over the whole
+pair set, and the elimination over whole rows.  The elimination works in
+int64: every intermediate is below p^2, which fits for every characteristic
+that exactlin.PrimeField accepts.
 """
 
 import numpy as np
@@ -85,3 +85,17 @@ def rank_mod_p(a: np.ndarray, p: int) -> int:
 def rref_mod_p(a: np.ndarray, p: int):
     """Reduced row-echelon form over F_p; returns (rref, rank)."""
     return _eliminate(a, p, reduced=True)
+
+
+def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """Basis rows of {v : a v = 0} over F_p, read off the reduced row-echelon
+    form: one row per free column f, with a 1 at f and minus column f of the
+    rref at the pivot columns.  With no rows, every column is free."""
+    rref, rank = rref_mod_p(a, p)
+    cols = rref.shape[1]
+    pivots = [int(np.flatnonzero(row)[0]) for row in rref[:rank]]
+    free = sorted(set(range(cols)) - set(pivots))
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -rref[:rank, free].T % p
+    return basis

@@ -33,7 +33,6 @@ from .endo import (
     structure_report,
     verify_orbital_constants,
     HECKE_ORDER_CAP,
-    ORACLE_DEGREE_CAP,
 )
 from .errors import InputError, VerificationError
 from .exactlin import prime_field
@@ -269,14 +268,19 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
         "associativity": True,
     }
     if oracle:
-        if G.degree <= ORACLE_DEGREE_CAP:
-            dim = clock("oracle", lambda: centralizer_oracle(G, fieldp))
-            checks["oracle_dim"] = dim
-            checks["oracle_matches"] = dim == alg.dim
-            if dim != alg.dim:
-                raise VerificationError(
-                    f"centralizer oracle dimension {dim} != orbital count {alg.dim}"
-                )
+        n = G.degree
+        labels = clock("oracle", lambda: centralizer_oracle(G))
+        # the least pair of each pair's orbital, the oracle's contract
+        expected = (cc.rep[:, 0] * n + cc.rep[:, 1])[cc.orbital_of]
+        if not np.array_equal(labels, expected):
+            a, b = (int(v) for v in np.argwhere(labels != expected)[0])
+            raise VerificationError(
+                f"centralizer oracle puts pair ({a}, {b}) with pair index "
+                f"{labels[a, b]}, its orbital with pair index {expected[a, b]}"
+            )
+        # each component's least pair is its own label
+        checks["oracle_dim"] = int(np.count_nonzero(labels.ravel() == np.arange(n * n)))
+        checks["oracle_matches"] = True
         # G is transitive, so its point stabilizer has order |G| / n
         if order <= HECKE_ORDER_CAP and order // G.degree % p != 0:
             h = clock("hecke", lambda: hecke_check(G, instance.base_point, fieldp))

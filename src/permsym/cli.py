@@ -32,7 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("--format", choices=("text", "json"), default="text")
     an.add_argument("--seed", type=int, default=0)
     an.add_argument("--oracle", action="store_true",
-                    help="run brute-force cross-checks where the caps allow")
+                    help="cross-check the orbitals by union-find, and run the Hecke "
+                         "check where its caps allow")
 
     su = sub.add_parser("suite", help="run the verification suite")
     su.add_argument("--seed", type=int, default=0)

@@ -1,7 +1,8 @@
 """The centralizer algebra of a permutation group as a structure-constant
 algebra over F_p, the reflexive-coefficient bilinear form, radical series,
 socle/top structure, the symmetric-algebra decision procedure, Schur rings
-over regular normal subgroups, and the brute-force cross-check routines.
+over regular normal subgroups, and the independent cross-checks: the pair
+orbits by union-find, and double-coset sums in the group algebra.
 """
 
 import itertools
@@ -10,13 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .coherent import CoherentConfiguration
+from .coherent import TWO_ORBIT_DEGREE_CAP, CoherentConfiguration
 from .errors import InputError, VerificationError
-from .exactlin import PrimeField, nullspace_mod_p
+from .exactlin import PrimeField
 from .perm import Permutation, PermutationGroup, breadth_first
 
 ALGEBRA_DIM_CAP = 60
-ORACLE_DEGREE_CAP = 40
 HECKE_ORDER_CAP = 5000
 WITNESS_ENUM_CAP = 1 << 20
 WITNESS_SAMPLES = 1000
@@ -156,29 +156,50 @@ def centralizer_algebra(cc: CoherentConfiguration, tensor: np.ndarray,
     return make_algebra(field, labels, sc, unit, verify=verify)
 
 
-def centralizer_oracle(G: PermutationGroup, field: PrimeField,
-                       cap: int = ORACLE_DEGREE_CAP) -> int:
-    """Dimension of {X in M_n(F_p) : X P_g = P_g X for all generators g},
-    computed as a dense nullspace dimension in the n^2 matrix entries.  This
-    path never looks at the pair partition, so it cross-checks two_orbits."""
+def centralizer_oracle(G: PermutationGroup) -> np.ndarray:
+    """The orbits of the generators on the n^2 ordered pairs, by union-find
+    over the edges (a, b) -> (g(a), g(b)): an (n, n) array holding, for each
+    pair, the least pair index a * n + b of its orbit, as
+    _kernels.pair_orbit_labels does.  It reads only the generators, neither
+    that kernel nor the stabilizer chain, so it cross-checks two_orbits.
+
+    The number of orbits is dim End(F_p^n)^G at every p.  X commutes with
+    every P_g iff it lies in the nullspace of the system with one row
+    e_{g(x)} - e_x per pair x and generator g.  Those rows form the oriented
+    incidence matrix of the directed graph on the pairs with edges x -> g(x).
+    The edges of a spanning forest are independent over every field and span
+    every other edge's row, so over every F_p the rank is n^2 minus the
+    number of connected components (Biggs, Algebraic Graph Theory, ch. 4),
+    and the nullity is that number."""
     n = G.degree
-    if n > cap:
-        raise InputError(f"degree {n} exceeds oracle cap {cap}")
-    p = field.p
-    nn = n * n
-    blocks = []
-    src = np.arange(nn, dtype=np.int64)
+    if n > TWO_ORBIT_DEGREE_CAP:
+        raise InputError(f"degree {n} exceeds the pair-table cap {TWO_ORBIT_DEGREE_CAP}")
+    # a union links the larger root below the smaller one, so every root is
+    # the least pair of its component and parent[x] <= x throughout
+    parent = list(range(n * n))
+
+    def root(x):
+        r = x
+        while parent[r] != r:
+            r = parent[r]
+        while parent[x] != r:
+            parent[x], x = r, parent[x]
+        return r
+
     for g in G.generators:
-        img = np.array(g.images, dtype=np.int64)
-        dst = (img[:, None] * n + img[None, :]).reshape(nn)
-        block = np.zeros((nn, nn), dtype=np.int64)
-        block[src, dst] += 1
-        block[src, src] -= 1
-        blocks.append(block % p)
-    if not blocks:
-        return nn
-    rank = _kernels.rank_mod_p(np.vstack(blocks), p)
-    return nn - rank
+        img = g.images
+        for a in range(n):
+            row, image_row = a * n, img[a] * n
+            for b in range(n):
+                x, y = root(row + b), root(image_row + img[b])
+                if x < y:
+                    parent[y] = x
+                elif y < x:
+                    parent[x] = y
+    # in increasing order, parent[x] <= x has already been set to its root
+    for x in range(n * n):
+        parent[x] = parent[parent[x]]
+    return np.array(parent, dtype=np.int64).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +297,7 @@ def radical_chain(alg: SCAlgebra) -> RadicalSeries:
         # prods[a, j] = cur[a] * cur[j]; T[j, a] is its divided trace
         prods = alg.products(cur, cur)
         T = np.stack([_divided_traces(alg, prods[a], i) for a in range(k)], axis=1)
-        kern = nullspace_mod_p(T, p)
+        kern = _kernels.nullspace_mod_p(T, p)
         cur = _rowspace(kern @ cur % p, p)
     radical = cur
 
@@ -404,7 +425,7 @@ def _witness_space(alg: SCAlgebra) -> np.ndarray:
     p = alg.field.p
     diff = (alg.sc - alg.sc.transpose(1, 0, 2)) % p
     constraints = diff.reshape(alg.dim * alg.dim, alg.dim)
-    return nullspace_mod_p(constraints, p)
+    return _kernels.nullspace_mod_p(constraints, p)
 
 
 def _socle_obstruction(structure: StructureReport) -> dict | None:

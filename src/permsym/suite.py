@@ -23,7 +23,6 @@ from .coherent import (
 )
 from .endo import (
     centralizer_algebra,
-    centralizer_oracle,
     hecke_check,
     nilpotent_free_check,
 )
@@ -247,12 +246,9 @@ def crit_config_axioms(ctx: SuiteContext) -> CriterionResult:
 def crit_oracle_equivalence(ctx: SuiteContext) -> CriterionResult:
     c = _Checker("oracle-equivalence")
     for spec in AXIOM_SUITE_SPECS:
-        G = ctx.instance(spec).group
-        if G.degree > 40:
-            continue
         rank = ctx.configuration(spec).cc.m
         for p in (2, 3, 5, 7):
-            dim = centralizer_oracle(G, prime_field(p))
+            dim = ctx.analyze(spec, p, oracle=True).checks["oracle_dim"]
             c.expect_eq(dim, rank, f"oracle dimension for {spec} at p={p}")
     return c.result()
 

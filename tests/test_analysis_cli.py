@@ -11,7 +11,7 @@ import permsym
 from permsym import analysis, cli, endo
 from permsym.analysis import configuration, run_analysis
 from permsym.catalog import build_instance
-from permsym.errors import InputError
+from permsym.errors import InputError, VerificationError
 from permsym.perm import PermutationGroup
 
 
@@ -71,6 +71,24 @@ def test_oracle_flag_populates_checks():
     assert rep.checks["oracle_dim"] == 3 and rep.checks["oracle_matches"]
     assert rep.checks["hecke"]["hecke_dim"] == 3
     assert rep.checks["hecke"]["matches_rank"]
+    # the oracle runs at every degree up to the pair-table cap
+    rep = run_analysis("psl2cosets:32", 2, oracle=True)
+    assert rep.checks["oracle_dim"] == 16 and rep.checks["oracle_matches"]
+
+
+@pytest.mark.parametrize("group_spec,config_spec,m", [
+    ("frobenius:7,3", "frobenius:7,6", 2),  # two orbitals of the group fused
+    ("frobenius:7,6", "frobenius:7,3", 3),  # an orbital of the group split
+])
+def test_oracle_catches_the_orbitals_of_another_group(group_spec, config_spec, m):
+    # the Schur check would catch the wrong orbitals too; without it, only
+    # the oracle compares the orbitals with the group's generators
+    inst = dataclasses.replace(build_instance(group_spec), regular=None)
+    object.__setattr__(inst, "configuration", configuration(build_instance(config_spec)))
+    rep = run_analysis(group_spec, 2, instance=inst)
+    assert rep.orbital_count == m
+    with pytest.raises(VerificationError, match="centralizer oracle puts pair"):
+        run_analysis(group_spec, 2, oracle=True, instance=inst)
 
 
 CONFIGURATION_TIMINGS = {

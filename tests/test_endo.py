@@ -33,6 +33,7 @@ from permsym.endo import (
 from permsym.errors import InputError, VerificationError
 from permsym.exactlin import prime_field
 from permsym.perm import PermutationGroup, parse_permutation
+from permsym.suite import AXIOM_SUITE_SPECS
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,23 +121,65 @@ def test_unit_is_identity_and_associativity_guard():
         make_algebra(alg.field, alg.labels, bad, alg.unit)
 
 
+def dense_centralizer_oracle(G, field, cap=40):
+    """Dimension of {X in M_n(F_p) : X P_g = P_g X for all generators g},
+    computed as a dense nullspace dimension in the n^2 matrix entries.  This
+    path never looks at the pair partition, so it cross-checks two_orbits.
+
+    The elimination that centralizer_oracle's union-find replaced, kept as
+    the reference for its theorem."""
+    n = G.degree
+    if n > cap:
+        raise InputError(f"degree {n} exceeds oracle cap {cap}")
+    p = field.p
+    nn = n * n
+    blocks = []
+    src = np.arange(nn, dtype=np.int64)
+    for g in G.generators:
+        img = np.array(g.images, dtype=np.int64)
+        dst = (img[:, None] * n + img[None, :]).reshape(nn)
+        block = np.zeros((nn, nn), dtype=np.int64)
+        block[src, dst] += 1
+        block[src, src] -= 1
+        blocks.append(block % p)
+    if not blocks:
+        return nn
+    rank = rank_mod_p(np.vstack(blocks), p)
+    return nn - rank
+
+
+def component_count(labels):
+    # each component's least pair is its own label
+    return int(np.count_nonzero(labels.ravel() == np.arange(labels.size)))
+
+
 def test_oracle_examples():
-    assert centralizer_oracle(build_instance("sym:3").group, prime_field(2)) == 2
-    assert centralizer_oracle(regular_cn(3), prime_field(5)) == 3
-    assert centralizer_oracle(build_instance("altpairs:7").group, prime_field(5)) == 3
+    assert component_count(centralizer_oracle(build_instance("sym:3").group)) == 2
+    assert component_count(centralizer_oracle(regular_cn(3))) == 3
+    assert component_count(centralizer_oracle(build_instance("altpairs:7").group)) == 3
+    labels = centralizer_oracle(PermutationGroup(2, []))
+    assert np.array_equal(labels, [[0, 1], [2, 3]])
 
 
 def test_oracle_matches_orbital_count():
-    for spec in ("sym:5", "signtwist:3", "frobenius:5,2", "example3_2", "psl2line:8"):
+    # the incidence-matrix theorem: the dense nullity is the number of
+    # union-find components at every p, and those are the orbitals
+    for spec in AXIOM_SUITE_SPECS:
         G = build_instance(spec).group
         cc = two_orbits(G)
+        labels = centralizer_oracle(G)
+        n = G.degree
+        assert np.array_equal(labels, (cc.rep[:, 0] * n + cc.rep[:, 1])[cc.orbital_of]), spec
+        count = component_count(labels)
+        assert count == cc.m, spec
         for p in (2, 3, 5, 7):
-            assert centralizer_oracle(G, prime_field(p)) == cc.m, (spec, p)
+            assert dense_centralizer_oracle(G, prime_field(p)) == count, (spec, p)
 
 
 def test_oracle_degree_cap():
-    with pytest.raises(InputError):
-        centralizer_oracle(build_instance("psl2cosets:8").group, prime_field(3), cap=20)
+    G = PermutationGroup(1001, [])
+    with pytest.raises(InputError, match="degree 1001 exceeds the pair-table cap 1000"):
+        centralizer_oracle(G)
 
 
 # ---------------------------------------------------------------------------
