@@ -36,7 +36,7 @@ from .endo import (
 )
 from .errors import InputError, VerificationError
 from .exactlin import prime_field
-from .perm import ActionClassification, classify_action
+from .perm import ActionClassification, classify_action, orbits
 
 
 @dataclass
@@ -168,9 +168,10 @@ def _clock(timings: dict | None, name: str, fn):
 
 def configuration(instance: CatalogInstance, timings: dict | None = None) -> Configuration:
     """The configuration stage of the analysis: the group order, the orbital
-    configuration, the classification, the integer intersection tensor, the
-    axiom checks and the adjacency product identity on every pair, and one
-    proof of associativity and the unit over Z.  It is built once per
+    configuration, the classification, the count of the point stabilizer's
+    orbits against the orbitals, the integer intersection tensor, the axiom
+    checks and the adjacency product identity on every pair, and one proof of
+    associativity and the unit over Z.  It is built once per
     instance and kept on it; a failure raises and is not kept.  Only a build
     records its stage timings into ``timings``."""
     if instance.configuration is not None:
@@ -184,6 +185,15 @@ def configuration(instance: CatalogInstance, timings: dict | None = None) -> Con
                             lambda: classify_action(G, cc, instance.faithful))
     if not classification.transitive:
         raise InputError("analysis requires a transitive action")
+    # In a transitive group the orbitals correspond to the orbits of a point
+    # stabilizer.  The strong generators stored at chain levels >= 1 generate
+    # the stabilizer of the first base point, so count its orbits there.
+    stabilizer_gens = [g for lv in G.chain.levels[1:] for g in lv.gens]
+    suborbits = len(orbits(stabilizer_gens, G.degree))
+    if suborbits != cc.m:
+        raise VerificationError(
+            f"the point stabilizer has {suborbits} orbits, but there are {cc.m} orbitals"
+        )
 
     tensor = _clock(timings, "tensor", lambda: intersection_tensor(cc))
     axioms = _clock(timings, "axioms", lambda: verify_cc_axioms(cc, tensor))

@@ -42,28 +42,27 @@ class SCAlgebra:
 
     def products(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """All products of two batches: out[i, j] = xs[i] * ys[j], shape
-        (len(xs), len(ys), dim).  One operand is contracted at a time with a
-        reduction in between, so every int64 product-sum stays below
-        dim * p^2."""
+        (len(xs), len(ys), dim).  Two flat exact products mod p: xs against
+        the constants gives [i, (b, t)], the coefficient of b_t in
+        xs[i] * b_b, and ys against that, regrouped as [b, (i, t)], gives
+        [j, (i, t)].  The inputs are reduced first, as the exact product
+        requires."""
         p, m = self.field.p, self.dim
-        left = (np.asarray(xs, dtype=np.int64) @ self.sc.reshape(m, m * m)) % p
-        return np.asarray(ys, dtype=np.int64) @ left.reshape(-1, m, m) % p
-
-    def left_regular(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of left multiplication by x on coordinate column vectors."""
-        return np.einsum("i,ijt->tj", x, self.sc) % self.field.p
-
-    def right_regular(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("j,ijt->ti", x, self.sc) % self.field.p
+        xs = np.asarray(xs, dtype=np.int64) % p
+        ys = np.asarray(ys, dtype=np.int64) % p
+        left = _kernels._contract(xs, self.sc.reshape(m, m * m), p)
+        left = left.reshape(-1, m, m).transpose(1, 0, 2).reshape(m, -1)
+        out = _kernels._contract(ys, left, p)
+        return out.reshape(len(ys), len(xs), m).transpose(1, 0, 2)
 
     def power(self, x: np.ndarray, e: int) -> np.ndarray:
         """x^e, or the e-th power of each row of a (k, dim) batch x, by one
-        square-and-multiply; every int64 sum stays below dim * p^2."""
+        square-and-multiply of exact products."""
         p, m = self.field.p, self.dim
 
         def times(xs, ys):  # xs[..., i] * ys[..., i], row by row
-            left = (xs @ self.sc.reshape(m, m * m)) % p
-            return (ys[..., None, :] @ left.reshape(xs.shape + (m,)))[..., 0, :] % p
+            left = _kernels._contract(xs, self.sc.reshape(m, m * m), p).reshape(xs.shape + (m,))
+            return _kernels._contract(ys[..., None, :], left, p)[..., 0, :]
 
         b = np.asarray(x, dtype=np.int64) % p
         r = self.unit * np.ones_like(b)
@@ -90,35 +89,20 @@ def make_algebra(field: PrimeField, labels, sc: np.ndarray, unit: np.ndarray,
     return SCAlgebra(field=field, dim=m, labels=tuple(labels), sc=sc, unit=unit)
 
 
-def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The exact product a @ b of two int64 matrices.  Every partial sum is an
-    integer of magnitude at most (inner dimension) * max|entry|^2.  Below 2^53
-    float64 holds each one exactly, so one BLAS matmul gives the product, and
-    it is returned as float64, integer-valued, with no int64 copy.  The bound
-    is read from the input: the integer proof (entries at most
-    n <= TWO_ORBIT_DEGREE_CAP, dimension at most ALGEBRA_DIM_CAP) and small p
-    always pass it; standalone checks mod p near 2^28 stay in int64, where
-    dim * p^2 < 2^63."""
-    bound = max(int(np.abs(a).max(initial=0)), int(np.abs(b).max(initial=0)))
-    if a.shape[1] * bound * bound < 1 << 53:
-        return a.astype(np.float64) @ b.astype(np.float64)
-    return a @ b
-
-
 def _verify_algebra(sc: np.ndarray, unit: np.ndarray, p: int | None = None):
     """Associativity and a two-sided unit for the constants b_i b_j =
-    sum_t sc[i,j,t] b_t: over F_p, or over Z when p is None.  Over Z every
-    sum is at most dim * max|sc|^2."""
+    sum_t sc[i,j,t] b_t: over F_p, with sc and unit reduced mod p, or over Z
+    when p is None.  Over Z every sum is at most dim * max|sc|^2."""
     def reduce(a):
         return a if p is None else a % p
 
     m = len(unit)
     rows = sc.reshape(m * m, m)
     # (b_i b_j) b_k = sum_t (sum_l sc[i,j,l] sc[l,k,t]) b_t, indexed [i, j, k, t]
-    left = reduce(_contract(rows, sc.reshape(m, m * m)).reshape(m, m, m, m))
+    left = _kernels._contract(rows, sc.reshape(m, m * m), p).reshape(m, m, m, m)
     # b_i (b_j b_k) = sum_t (sum_l sc[j,k,l] sc[i,l,t]) b_t, indexed [j, k, i, t]
-    right = _contract(rows, sc.transpose(1, 0, 2).reshape(m, m * m))
-    right = reduce(right.reshape(m, m, m, m).transpose(2, 0, 1, 3))
+    right = _kernels._contract(rows, sc.transpose(1, 0, 2).reshape(m, m * m), p)
+    right = right.reshape(m, m, m, m).transpose(2, 0, 1, 3)
     if not np.array_equal(left, right):
         bad = np.argwhere(left != right)[0]
         raise VerificationError(f"structure constants not associative at {tuple(bad)}")
@@ -139,8 +123,8 @@ def _orbital_constants(cc: CoherentConfiguration, tensor: np.ndarray):
 def verify_orbital_constants(cc: CoherentConfiguration, tensor: np.ndarray):
     """Prove associativity and the unit of the orbital basis once, over Z.
     Reduction Z -> F_p is a ring map, so this proof holds for every p.  The
-    entries are intersection numbers, at most n, so every int64 sum is at
-    most dim * n^2."""
+    entries are intersection numbers, at most n, so every sum is at most
+    dim * n^2, far below 2^53: the exact product runs on float64 BLAS."""
     if cc.m <= ALGEBRA_DIM_CAP:
         _verify_algebra(*_orbital_constants(cc, tensor))
 
@@ -255,17 +239,17 @@ def _divided_traces(alg: SCAlgebra, zs: np.ndarray, i: int) -> np.ndarray:
     p, m = alg.field.p, alg.dim
     if i == 0:
         tau = np.trace(alg.sc, axis1=1, axis2=2) % p  # tau_i = sum_j sc[i, j, j]
-        return zs @ tau % p
+        return _kernels._contract(zs, tau, p)
     # L(z)^T, which has the same trace powers as L(z); entries below p.
     # The chain has p^i <= dim, so mod <= dim^2 and every sum stays below dim^5
-    lifts = (zs @ alg.sc.reshape(m, m * m) % p).reshape(-1, m, m)
+    lifts = _kernels._contract(zs, alg.sc.reshape(m, m * m), p).reshape(-1, m, m)
     mod = p ** (i + 1)
-    power = np.broadcast_to(np.eye(m, dtype=np.int64), lifts.shape).copy()
+    power = np.broadcast_to(np.eye(m, dtype=np.int64), lifts.shape)
     e = p ** i
     while e:
         if e & 1:
-            power = power @ lifts % mod
-        lifts = lifts @ lifts % mod
+            power = _kernels._contract(power, lifts, mod)
+        lifts = _kernels._contract(lifts, lifts, mod)
         e >>= 1
     tr = np.trace(power, axis1=1, axis2=2) % mod
     if np.any(tr % (p ** i)):
@@ -298,7 +282,7 @@ def radical_chain(alg: SCAlgebra) -> RadicalSeries:
         prods = alg.products(cur, cur)
         T = np.stack([_divided_traces(alg, prods[a], i) for a in range(k)], axis=1)
         kern = _kernels.nullspace_mod_p(T, p)
-        cur = _rowspace(kern @ cur % p, p)
+        cur = _rowspace(_kernels._contract(kern, cur, p), p)
     radical = cur
 
     powers = [radical]
@@ -385,8 +369,11 @@ def structure_report(alg: SCAlgebra, series: RadicalSeries | None = None) -> Str
     if radical.shape[0] == 0:
         left = right = m
     else:
-        left_mats = np.vstack([alg.left_regular(u) for u in radical]) % p
-        right_mats = np.vstack([alg.right_regular(u) for u in radical]) % p
+        # the matrices of x -> u x and x -> x u for every radical row u,
+        # stacked: rows (u, t), columns the basis element x
+        eye = np.eye(m, dtype=np.int64)
+        left_mats = alg.products(radical, eye).transpose(0, 2, 1).reshape(-1, m)
+        right_mats = alg.products(eye, radical).transpose(1, 2, 0).reshape(-1, m)
         left = m - _kernels.rank_mod_p(left_mats, p)
         right = m - _kernels.rank_mod_p(right_mats, p)
     top = m - radical.shape[0]
@@ -416,7 +403,7 @@ class SymmetricVerdict:
 
 
 def _gram_of(alg: SCAlgebra, lam: np.ndarray) -> np.ndarray:
-    return alg.sc @ lam % alg.field.p
+    return _kernels._contract(alg.sc, lam, alg.field.p)
 
 
 def _witness_space(alg: SCAlgebra) -> np.ndarray:
@@ -472,7 +459,7 @@ def is_symmetric(alg: SCAlgebra, hint: PairingForm | None = None,
         for coeffs in itertools.product(range(p), repeat=w):
             if not any(coeffs):
                 continue
-            lam = np.array(coeffs, dtype=np.int64) @ W % p
+            lam = _kernels._contract(np.array(coeffs, dtype=np.int64), W, p)
             gram = _gram_of(alg, lam)
             if _kernels.rank_mod_p(gram, p) == alg.dim:
                 witness = lam
@@ -483,7 +470,7 @@ def is_symmetric(alg: SCAlgebra, hint: PairingForm | None = None,
             coeffs = rng.integers(0, p, size=w)
             if not coeffs.any():
                 continue
-            lam = coeffs.astype(np.int64) @ W % p
+            lam = _kernels._contract(coeffs, W, p)
             gram = _gram_of(alg, lam)
             if _kernels.rank_mod_p(gram, p) == alg.dim:
                 witness = lam
@@ -739,7 +726,7 @@ def _iterated_frobenius(alg: SCAlgebra) -> np.ndarray:
     frob = alg.power(np.eye(m, dtype=np.int64), p).T  # column j is b_j^p
     total = np.eye(m, dtype=np.int64)
     for _ in range(_frobenius_exponent(p, m)):
-        total = frob @ total % p
+        total = _kernels._contract(frob, total, p)
     return total
 
 

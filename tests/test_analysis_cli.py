@@ -91,6 +91,18 @@ def test_oracle_catches_the_orbitals_of_another_group(group_spec, config_spec, m
         run_analysis(group_spec, 2, oracle=True, instance=inst)
 
 
+def test_configuration_stage_catches_the_orbitals_of_another_group(monkeypatch):
+    # The orbitals of frobenius:7,6 fuse two orbitals of frobenius:7,3.  The
+    # fusion passes the axioms, the adjacency identity and the integer proof;
+    # the orbits of the group's own point stabilizer do not match it.
+    inst = dataclasses.replace(build_instance("frobenius:7,3"), regular=None)
+    fused = analysis.two_orbits(build_instance("frobenius:7,6").group)
+    monkeypatch.setattr(analysis, "two_orbits", lambda G: fused)
+    with pytest.raises(VerificationError, match="has 3 orbits, but there are 2 orbitals"):
+        run_analysis("frobenius:7,3", 2, instance=inst)
+    assert inst.configuration is None
+
+
 CONFIGURATION_TIMINGS = {
     "two_orbits", "order", "classify", "tensor", "axioms", "adjacency_identity", "associativity",
 }

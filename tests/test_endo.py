@@ -66,8 +66,7 @@ def test_multiply_matches_python_int_reference_near_the_bound():
         assert alg.multiply(np.array(x), np.array(y)).tolist() == expected
 
 
-def test_products_match_python_int_reference_near_the_bound():
-    p = 268435399  # largest prime below 2^28
+def _assert_products_match_python_int_reference(p):
     alg, _ = algebra_of("psl2cosets:32", p)
     m = alg.dim
     assert m == 16
@@ -90,6 +89,18 @@ def test_products_match_python_int_reference_near_the_bound():
             assert np.array_equal(
                 alg.multiply(xs[i], ys[j]), alg.products(xs[i][None], ys[j][None])[0, 0]
             )
+
+
+def test_products_match_python_int_reference_near_the_bound():
+    p = 268435399  # largest prime below 2^28: the products run in int64
+    assert 16 * (p - 1) ** 2 >= 1 << 53
+    _assert_products_match_python_int_reference(p)
+
+
+def test_products_match_python_int_reference_on_the_float64_path():
+    p = 73  # 16 * 72^2 is far below 2^53: the larger products run on float64 BLAS
+    assert 16 * (p - 1) ** 2 < 1 << 53
+    _assert_products_match_python_int_reference(p)
 
 
 # ---------------------------------------------------------------------------
@@ -603,16 +614,6 @@ def test_integer_proof_catches_a_corrupted_tensor(spec):
     with pytest.raises(VerificationError, match="not associative"):
         verify_orbital_constants(cc, bad)
 
-
-
-@pytest.mark.parametrize("top", [1000, 268435398], ids=["float64", "int64"])
-def test_contract_is_exact_on_both_sides_of_the_float64_bound(top):
-    # 60 * 1000^2 is far below 2^53; 60 * (2^28)^2 is far above it
-    rng = np.random.default_rng(11)
-    a = rng.integers(top - 50, top + 1, size=(40, 60), dtype=np.int64)
-    b = rng.integers(top - 50, top + 1, size=(60, 30), dtype=np.int64)
-    exact = a.astype(object) @ b.astype(object)
-    assert (endo._contract(a, b).astype(object) == exact).all()
 
 
 def test_standalone_proof_near_the_characteristic_bound_catches_a_corrupted_constant():

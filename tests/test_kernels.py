@@ -100,10 +100,11 @@ def _reference_nullspace(rref, rank, ncols, p):
     return basis
 
 
-def _random_system(rng, p):
-    """A matrix over F_p of random shape and (usually deficient) rank, with
-    some zero columns and entries spread over the whole of [0, p)."""
-    rows, cols = (int(v) for v in rng.integers(1, 13, size=2))
+def _random_system(rng, p, shape=None):
+    """A matrix over F_p of the given or a random shape and of random
+    (usually deficient) rank, with some zero columns and entries spread over
+    the whole of [0, p)."""
+    rows, cols = shape or (int(v) for v in rng.integers(1, 13, size=2))
     k = int(rng.integers(0, min(rows, cols) + 1))
     left = rng.integers(0, p, size=(rows, k)).tolist()
     right = rng.integers(0, p, size=(k, cols)).tolist()
@@ -115,11 +116,29 @@ def _random_system(rng, p):
     return np.array(a, dtype=np.int64).reshape(rows, cols)
 
 
+def _tall_systems(rng, p):
+    """Inputs on both sides of the tall path's boundary rows > 2 * cols, up
+    to 8 * cols rows: random rank, rank 0, full rank, full rank reached only
+    by the last rows, and a matrix with no columns."""
+    for cols in (1, 3, 7):
+        for rows in (2 * cols, 2 * cols + 1, 5 * cols, 8 * cols):
+            yield _random_system(rng, p, (rows, cols))
+            yield np.zeros((rows, cols), dtype=np.int64)
+            full = rng.integers(0, p, size=(rows, cols))
+            full[rng.permutation(rows)[:cols]] = np.eye(cols, dtype=np.int64)
+            yield full
+            late = full.copy()
+            late[:rows - cols] = late[0]
+            late[rows - cols:] = np.eye(cols, dtype=np.int64)
+            yield late
+    yield np.zeros((9, 0), dtype=np.int64)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_elimination_matches_python_int_reference(p):
     rng = np.random.default_rng(p)
-    for _ in range(40):
-        a = _random_system(rng, p)
+    randoms = [_random_system(rng, p) for _ in range(40)]
+    for a in randoms + list(_tall_systems(rng, p)):
         ref_rref, ref_rank = _reference_rref(a, p)
         before = a.copy()
         assert _kernels.rank_mod_p(a, p) == ref_rank
@@ -178,3 +197,35 @@ def test_empty_matrices():
     assert _kernels.rank_mod_p(np.zeros((0, 3), dtype=np.int64), 5) == 0
     rref, rank = _kernels.rref_mod_p(np.zeros((2, 0), dtype=np.int64), 5)
     assert rank == 0 and rref.shape == (2, 0)
+
+
+# ---------------------------------------------------------------------------
+# the exact product
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("top", [1000, 268435398], ids=["float64", "int64"])
+def test_contract_is_exact_on_both_sides_of_the_float64_bound(top):
+    # 60 * 1000^2 is far below 2^53; 60 * (2^28)^2 is far above it
+    rng = np.random.default_rng(11)
+    a = rng.integers(top - 50, top + 1, size=(40, 60), dtype=np.int64)
+    b = rng.integers(top - 50, top + 1, size=(60, 30), dtype=np.int64)
+    exact = a.astype(object) @ b.astype(object)
+    assert (_kernels._contract(a, b).astype(object) == exact).all()
+    # mod a modulus just above every entry, on the same side of the bound
+    modulus = top + 1
+    reduced = _kernels._contract(a, b, modulus)
+    assert reduced.dtype == np.int64
+    assert (reduced.astype(object) == exact % modulus).all()
+    # a stack of row vectors against a stack of matrices, as SCAlgebra.power forms
+    mats = np.stack([b, b[::-1], b])
+    stacked = _kernels._contract(a[:3, None, :], mats, modulus)
+    for i in range(3):
+        expected = a[i].astype(object) @ mats[i].astype(object) % modulus
+        assert stacked[i, 0].tolist() == expected.tolist()
+
+
+def test_contract_refuses_a_product_that_can_overflow_int64():
+    # 4 * (2^31 - 1)^2 is above 2^63 - 1
+    a = np.ones((2, 4), dtype=np.int64)
+    with pytest.raises(OverflowError):
+        _kernels._contract(a, a.T, 1 << 31)
