@@ -180,8 +180,9 @@ def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     rref at the pivot columns.  With no rows, every column is free."""
     rref, rank = rref_mod_p(a, p)
     cols = rref.shape[1]
-    pivots = [int(np.flatnonzero(row)[0]) for row in rref[:rank]]
-    free = sorted(set(range(cols)) - set(pivots))
+    # argmax refuses a matrix without columns, which has rank 0 and no pivots
+    pivots = (rref[:rank] != 0).argmax(axis=1) if rank else np.zeros(0, dtype=np.intp)
+    free = sorted(set(range(cols)) - set(pivots.tolist()))
     basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = -rref[:rank, free].T % p

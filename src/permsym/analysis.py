@@ -36,7 +36,7 @@ from .endo import (
 )
 from .errors import InputError, VerificationError
 from .exactlin import prime_field
-from .perm import ActionClassification, classify_action, orbits
+from .perm import ActionClassification, PermutationGroup, classify_action, orbits
 
 
 @dataclass
@@ -253,8 +253,6 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
 
     schur_summary = None
     if instance.regular is not None:
-        from .perm import PermutationGroup
-
         T = PermutationGroup(G.degree, instance.regular.gens)
         iso = clock(
             "schur",

@@ -2,7 +2,8 @@
 algebra over F_p, the reflexive-coefficient bilinear form, radical series,
 socle/top structure, the symmetric-algebra decision procedure, Schur rings
 over regular normal subgroups, and the independent cross-checks: the pair
-orbits by union-find, and double-coset sums in the group algebra.
+orbits by union-find, and the double cosets that span the Hecke algebra
+e·F_pG·e, counted from explicit products.
 """
 
 import itertools
@@ -329,15 +330,14 @@ def _quotient_algebra(alg: SCAlgebra, ideal: np.ndarray) -> SCAlgebra:
     """Quotient by a (verified nilpotent) ideal, on the complement coordinates
     of the ideal's rref pivots."""
     p = alg.field.p
-    pivots = [int(np.nonzero(row)[0][0]) for row in ideal]
-    free = sorted(set(range(alg.dim)) - set(pivots))
+    pivots = (ideal != 0).argmax(axis=1)
+    free = sorted(set(range(alg.dim)) - set(pivots.tolist()))
 
     def reduce(v):
-        # v[..., :] modulo the ideal, on the free coordinates
+        # v[..., :] modulo the ideal, on the free coordinates; the rref rows
+        # carry the identity on the pivot columns, so one product clears them
         v = v % p
-        for i, pc in enumerate(pivots):
-            v = (v - v[..., pc, None] * ideal[i]) % p
-        return v[..., free]
+        return _kernels._mod(v - _kernels._contract(v[..., pivots], ideal, p), p)[..., free]
 
     k = len(free)
     basis = np.eye(alg.dim, dtype=np.int64)[free]
@@ -452,29 +452,21 @@ def is_symmetric(alg: SCAlgebra, hint: PairingForm | None = None,
     w = W.shape[0]
     space = p ** w
 
-    witness = None
-    searched_all = False
-    if space <= WITNESS_ENUM_CAP:
-        searched_all = True
-        for coeffs in itertools.product(range(p), repeat=w):
-            if not any(coeffs):
-                continue
-            lam = _kernels._contract(np.array(coeffs, dtype=np.int64), W, p)
-            gram = _gram_of(alg, lam)
-            if _kernels.rank_mod_p(gram, p) == alg.dim:
-                witness = lam
-                break
+    # every candidate when the space fits the budget, else seeded draws
+    searched_all = space <= WITNESS_ENUM_CAP
+    if searched_all:
+        candidates = itertools.product(range(p), repeat=w)
     else:
         rng = np.random.default_rng(seed)
-        for _ in range(WITNESS_SAMPLES):
-            coeffs = rng.integers(0, p, size=w)
-            if not coeffs.any():
-                continue
-            lam = _kernels._contract(coeffs, W, p)
-            gram = _gram_of(alg, lam)
-            if _kernels.rank_mod_p(gram, p) == alg.dim:
-                witness = lam
-                break
+        candidates = (rng.integers(0, p, size=w) for _ in range(WITNESS_SAMPLES))
+    witness = None
+    for coeffs in candidates:
+        if not any(coeffs):
+            continue
+        lam = _kernels._contract(np.asarray(coeffs, dtype=np.int64), W, p)
+        if _kernels.rank_mod_p(_gram_of(alg, lam), p) == alg.dim:
+            witness = lam
+            break
 
     if semisimple:
         return SymmetricVerdict(
@@ -765,14 +757,20 @@ def hecke_check(G: PermutationGroup, alpha: int, field: PrimeField,
                 cap: int = HECKE_ORDER_CAP) -> HeckeResult:
     """Dimension of span{e g e : g in G} in the group algebra, where e is the
     averaged stabilizer sum (1/|H|) sum_{h in H} h; compared against the
-    permutation rank.  Requires char coprime to |H| and a full element list."""
+    permutation rank.  Requires char coprime to |H| and a full element list.
+
+    e g e is (1/|H|^2) times the sum of h1 g h2 over H x H, which is the
+    double coset HgH with each x in it counted |H meet g^-1 H g| times.  That
+    count divides |H|, so for p not dividing |H| the coefficient of x is
+    non-zero.  Distinct double cosets are disjoint, so the e g e of distinct
+    double cosets have disjoint supports, and the dimension is the number of
+    double cosets at every such p.  They are counted by building each HgH
+    from explicit products, independently of H.orbits()."""
     order = G.order()
     if order > cap:
         raise InputError(f"group order {order} exceeds cap {cap}")
-    p = field.p
     H = G.point_stabilizer(alpha)
-    h_order = H.order()
-    if h_order % p == 0:
+    if H.order() % field.p == 0:
         raise InputError("characteristic divides the stabilizer order")
     # an element of G is determined by its base images: look those up alone
     elements = G.chain.elements()
@@ -781,9 +779,8 @@ def hecke_check(G: PermutationGroup, alpha: int, field: PrimeField,
     key = np.dtype((np.void, elements.itemsize * len(base)))
     keys = np.ascontiguousarray(elements[:, base]).view(key).ravel()
     sorter = np.argsort(keys)
-    scale = field.inv(h_order * h_order % p)
     visited = np.zeros(order, dtype=bool)
-    vectors = []
+    hecke_dim = 0
     for gi in range(order):
         if visited[gi]:
             continue
@@ -793,9 +790,7 @@ def hecke_check(G: PermutationGroup, alpha: int, field: PrimeField,
         found = sorter[np.searchsorted(keys, wanted, sorter=sorter) % order]
         if not np.array_equal(elements[found], prods):
             raise VerificationError("a double-coset product is missing from the element list")
-        counts = np.bincount(found, minlength=order)
-        visited[counts > 0] = True  # support is the full double coset over the integers
-        vectors.append(counts % p * scale % p)
-    hecke_dim = _kernels.rank_mod_p(np.array(vectors, dtype=np.int64), p)
+        visited[found] = True
+        hecke_dim += 1
     rank = len(H.orbits())
     return HeckeResult(hecke_dim=hecke_dim, rank=rank, matches_rank=hecke_dim == rank)

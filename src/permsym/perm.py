@@ -1,6 +1,7 @@
 """Permutations, generated groups with stabilizer chains, orbit/stabilizer
-and block machinery, transitivity classification, and derived actions on
-k-subsets and on cosets.
+and block machinery, transitivity classification, derived actions on
+k-subsets and on cosets, and the point-stabilizer checks, which are read
+off orbit lengths by the theorems of Sylow and Wielandt.
 
 Conventions: points are 0-indexed internally and 1-indexed in all text I/O;
 actions are on the right, and ``p * q`` means "apply p, then q", so that
@@ -609,45 +610,12 @@ class GroupChecks:
     max_conjugate_intersection: int
 
 
-def _sylow_subgroup(H_elements, p: int, degree: int):
-    """A Sylow p-subgroup of the group given by its full element list, grown
-    through normalizers (a proper p-subgroup has p | [N(P) : P])."""
-    size = len(H_elements)
-    target = 1
-    while size % (target * p) == 0:
-        target *= p
-    gens = []
-    identity = Permutation.identity(degree)
-    P_elems, P_set = breadth_first(identity, gens, Permutation.__mul__)
-    while len(P_elems) < target:
-        progress = False
-        for x in H_elements:
-            if x in P_set:
-                continue
-            if any(z.conjugate(x) not in P_set for z in gens):
-                continue
-            # order of the coset xP in N(P)/P
-            j = 1
-            y = x
-            while y not in P_set:
-                y = y * x
-                j += 1
-            if j % p == 0:
-                gens.append(x ** (j // p))
-                P_elems, P_set = breadth_first(identity, gens, Permutation.__mul__)
-                progress = True
-                break
-        if not progress:
-            raise VerificationError("Sylow subgroup construction stalled")
-    return gens, P_set
-
-
-def group_theoretic_checks(G: PermutationGroup, alpha: int, p: int,
-                           cap: int | None = ENUMERATION_ORDER_CAP) -> GroupChecks:
+def group_theoretic_checks(G: PermutationGroup, alpha: int, p: int) -> GroupChecks:
     """With H the stabilizer of alpha and P a Sylow p-subgroup of H, decide
     whether the normalizer of P in G lies inside H, and compute the maximum of
-    |H meet H^x| over x outside H.  Both are read off H alone, on the G-orbit
-    O of alpha (the only points that G moves alpha to):
+    |H meet H^x| over x outside H.  Both are read off the orbits of H on the
+    G-orbit O of alpha (the only points that G moves alpha to), and |H| is
+    |G| / |O| by orbit-stabilizer; nothing is enumerated:
 
     - H meet H^x is the two-point stabilizer G_{alpha, alpha.x}, of order
       |H| / |(alpha.x)^H|, and alpha.x runs over O minus {alpha}; so the
@@ -659,18 +627,20 @@ def group_theoretic_checks(G: PermutationGroup, alpha: int, p: int,
       some beta != alpha in O, some x in N_G(P) takes alpha to beta and lies
       outside H; if P fixes only alpha in O, N_G(P) permutes that one point
       and lies inside H.
-
-    Only H is enumerated, to build P, so ``cap`` bounds |H| (None: no
-    bound)."""
-    H = G.point_stabilizer(alpha)
-    h_order = H.order()
+    - P fixes a point of an H-orbit beta^H iff p does not divide
+      |beta^H| = |H : H_beta|.  If p does not divide it, H_beta contains a
+      Sylow p-subgroup of H, which is H-conjugate to P, so P fixes a point
+      of beta^H.  If P fixes gamma in beta^H, then P <= H_gamma, so
+      |beta^H| = |H : H_gamma| divides |H : P|, which is prime to p.  So P
+      fixes only alpha in O, and N_G(P) lies inside H, iff every H-orbit in
+      O other than {alpha} has length divisible by p."""
+    orbit = G.orbit(alpha)
+    h_order = G.order() // len(orbit)
     if h_order % p != 0:
         raise InputError("Sylow subgroup trivial: p does not divide the stabilizer order")
-    orbit = G.orbit(alpha)
     in_orbit = set(orbit)
     # each H-orbit lies inside O or outside it, since H <= G
-    sizes = [len(o) for o in H.orbits() if o[0] in in_orbit and o != [alpha]]
+    sizes = [len(o) for o in G.point_stabilizer(alpha).orbits()
+             if o[0] in in_orbit and o != [alpha]]
     max_intersection = h_order // min(sizes) if sizes else 0
-    syl_gens, _ = _sylow_subgroup(H.elements(cap), p, G.degree)
-    fixed = [b for b in orbit if all(z.images[b] == b for z in syl_gens)]
-    return GroupChecks(fixed == [alpha], max_intersection)
+    return GroupChecks(all(s % p == 0 for s in sizes), max_intersection)

@@ -26,6 +26,7 @@ from .endo import (
     hecke_check,
     nilpotent_free_check,
 )
+from .errors import InputError
 from .exactlin import prime_field
 from .perm import group_theoretic_checks
 
@@ -353,8 +354,6 @@ def run_all(seed: int = 0, corrupt: bool = False, only: list[str] | None = None)
         known = {key for key, _ in CRITERIA}
         unknown = sorted(set(only) - known)
         if unknown:
-            from .errors import InputError
-
             raise InputError(f"unknown criteria {unknown}; known: {sorted(known)}")
     ctx = SuiteContext(seed=seed, corrupt=corrupt)
     results = []

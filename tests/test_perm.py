@@ -12,7 +12,7 @@ from permsym.catalog import (
     build_sym,
 )
 from permsym.coherent import two_orbits
-from permsym.errors import InputError
+from permsym.errors import InputError, VerificationError
 from permsym.perm import (
     ENUMERATION_ORDER_CAP,
     GroupChecks,
@@ -20,13 +20,13 @@ from permsym.perm import (
     PermutationGroup,
     action_on_cosets,
     action_on_ksubsets,
+    breadth_first,
     classify_action,
     group_theoretic_checks,
     minimal_block,
     orbits,
     parse_generator_text,
     parse_permutation,
-    _sylow_subgroup,
 )
 
 
@@ -495,24 +495,55 @@ def test_group_checks_sylow_trivial_error():
         group_theoretic_checks(G, 0, 5)  # 5 does not divide |H| = 3
 
 
-def test_group_checks_cap_bounds_the_stabilizer_not_the_group():
+def test_group_checks_on_a_group_above_the_enumeration_cap():
     # altpairs:9 is A_9 on the 36 pairs, |G| = 9!/2 = 181440 > 100000.  The
     # stabilizer H of the pair {1, 2} is the even permutations of the set
     # stabilizer S_2 x S_7; each sigma in S_7 has one partner on {1, 2} that
     # makes it even, so H ~ S_7 and |H| = 5040 = 181440 / 36.  The H-orbits on
     # pairs are {1, 2}, the 14 pairs meeting {1, 2} in one point and the 21
-    # inside {3..9}, so the maximum of |H meet H^x| is 5040 / 14 = 360.  A
-    # Sylow 7-subgroup of H is generated by a 7-cycle on {3..9}; its point
-    # orbits are {1}, {2} and {3..9}, so the only pair it fixes is {1, 2}.
+    # inside {3..9}, so the maximum of |H meet H^x| is 5040 / 14 = 360.  Both
+    # 14 and 21 are divisible by 7, so a Sylow 7-subgroup of H fixes only
+    # {1, 2}.
     G = build_instance("altpairs:9").group
+    assert G.order() > ENUMERATION_ORDER_CAP
     assert group_theoretic_checks(G, 0, 7) == GroupChecks(True, 360)
-    assert group_theoretic_checks(G, 0, 7, cap=None) == GroupChecks(True, 360)
-    with pytest.raises(InputError, match="5040 exceeds enumeration cap 5000"):
-        group_theoretic_checks(G, 0, 7, cap=5000)
 
 
 # Reference for the group checks: the whole-group enumeration that the
-# stabilizer-only computation replaced.
+# orbit-length computation replaced, with the Sylow-subgroup search it used.
+
+def _sylow_subgroup(H_elements, p: int, degree: int):
+    """A Sylow p-subgroup of the group given by its full element list, grown
+    through normalizers (a proper p-subgroup has p | [N(P) : P])."""
+    size = len(H_elements)
+    target = 1
+    while size % (target * p) == 0:
+        target *= p
+    gens = []
+    identity = Permutation.identity(degree)
+    P_elems, P_set = breadth_first(identity, gens, Permutation.__mul__)
+    while len(P_elems) < target:
+        progress = False
+        for x in H_elements:
+            if x in P_set:
+                continue
+            if any(z.conjugate(x) not in P_set for z in gens):
+                continue
+            # order of the coset xP in N(P)/P
+            j = 1
+            y = x
+            while y not in P_set:
+                y = y * x
+                j += 1
+            if j % p == 0:
+                gens.append(x ** (j // p))
+                P_elems, P_set = breadth_first(identity, gens, Permutation.__mul__)
+                progress = True
+                break
+        if not progress:
+            raise VerificationError("Sylow subgroup construction stalled")
+    return gens, P_set
+
 
 def enumerated_group_checks(G: PermutationGroup, alpha: int, p: int,
                             cap: int = ENUMERATION_ORDER_CAP) -> GroupChecks:
