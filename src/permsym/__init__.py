@@ -39,7 +39,6 @@ from .coherent import (
 )
 from .catalog import CatalogInstance, build_instance, catalog_entries
 from .endo import (
-    HeckeResult,
     PairingForm,
     RadicalSeries,
     SCAlgebra,
@@ -72,7 +71,6 @@ __all__ = [
     "CoherentConfiguration",
     "Configuration",
     "GroupChecks",
-    "HeckeResult",
     "InputError",
     "PairingForm",
     "Permutation",

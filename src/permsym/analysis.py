@@ -1,9 +1,9 @@
 """The full analysis pipeline behind the CLI, in two stages.  The
 configuration stage builds a group from a spec string, computes its orbital
-configuration, reads the classification of the action off it and proves the
-integer structure constants, once per group.  The per-prime stage
-reduces the constants mod p, builds the centralizer algebra over F_p, decides
-symmetry, and bundles everything into a deterministic report.
+configuration, reads the classification of the action off it, and proves the
+integer structure constants and the Schur ring correspondence, once per group.
+The per-prime stage reduces the constants mod p, builds the centralizer algebra
+over F_p, decides symmetry, and bundles everything into a deterministic report.
 """
 
 import json
@@ -21,6 +21,7 @@ from .coherent import (
     verify_cc_axioms,
 )
 from .endo import (
+    SchurIsoReport,
     StructureReport,
     SymmetricVerdict,
     centralizer_algebra,
@@ -150,12 +151,17 @@ class AnalysisReport:
 class Configuration:
     """The p-independent facts of a transitive action, each computed and
     proved once.  Every array is read-only, because one configuration serves
-    the analyses at every characteristic."""
+    the analyses at every characteristic.  ``checks`` keeps the oracle
+    dimension and the double-coset count, under their timing names, once a
+    run of ``run_analysis`` has computed them; a check that fails keeps
+    nothing."""
 
     order: int
     cc: CoherentConfiguration
     classification: ActionClassification
     tensor: np.ndarray                  # (m, m, m) integer intersection numbers
+    schur: SchurIsoReport | None        # None without a regular normal subgroup
+    checks: dict = field(default_factory=dict, compare=False)
 
 
 def _clock(timings: dict | None, name: str, fn):
@@ -170,10 +176,11 @@ def configuration(instance: CatalogInstance, timings: dict | None = None) -> Con
     """The configuration stage of the analysis: the group order, the orbital
     configuration, the classification, the count of the point stabilizer's
     orbits against the orbitals, the integer intersection tensor, the axiom
-    checks and the adjacency product identity on every pair, and one proof of
-    associativity and the unit over Z.  It is built once per
-    instance and kept on it; a failure raises and is not kept.  Only a build
-    records its stage timings into ``timings``."""
+    checks and the adjacency product identity on every pair, one proof of
+    associativity and the unit over Z, and, for an instance with a regular
+    normal subgroup, the Schur ring correspondence over Z.  It is built once
+    per instance and kept on it; a failure raises and is not kept.  Only a
+    build records its stage timings into ``timings``."""
     if instance.configuration is not None:
         return instance.configuration
     G = instance.group
@@ -207,31 +214,61 @@ def configuration(instance: CatalogInstance, timings: dict | None = None) -> Con
         raise VerificationError(f"adjacency product identity failed: {adj_detail}")
     _clock(timings, "associativity", lambda: verify_orbital_constants(cc, tensor))
 
+    schur = None
+    if instance.regular is not None:
+        T = PermutationGroup(G.degree, instance.regular.gens)
+        schur = _clock(
+            timings, "schur",
+            lambda: schur_vs_centralizer(G, T, cc, tensor, alpha=instance.base_point,
+                                         point_names=instance.regular.point_names),
+        )
+        if not schur.passed:
+            raise VerificationError(f"Schur ring correspondence failed: {schur.detail}")
+
     for value in (*vars(cc).values(), tensor):
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
-    config = Configuration(order=order, cc=cc, classification=classification, tensor=tensor)
+    config = Configuration(order, cc, classification, tensor, schur)
     # the instance is frozen; its configuration slot is a cache, not part of its value
     object.__setattr__(instance, "configuration", config)
     return config
+
+
+def _oracle_dim(G: PermutationGroup, cc: CoherentConfiguration) -> int:
+    """The number of pair orbits by union-find; raises unless they are the orbitals."""
+    n = G.degree
+    labels = centralizer_oracle(G)
+    # the least pair of each pair's orbital, the oracle's contract
+    expected = (cc.rep[:, 0] * n + cc.rep[:, 1])[cc.orbital_of]
+    if not np.array_equal(labels, expected):
+        a, b = (int(v) for v in np.argwhere(labels != expected)[0])
+        raise VerificationError(
+            f"centralizer oracle puts pair ({a}, {b}) with pair index "
+            f"{labels[a, b]}, its orbital with pair index {expected[a, b]}"
+        )
+    # each component's least pair is its own label
+    return int(np.count_nonzero(labels.ravel() == np.arange(n * n)))
 
 
 def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
                  instance: CatalogInstance | None = None) -> AnalysisReport:
     """Run the whole pipeline on a group spec and characteristic.  Raises
     InputError on bad input (intransitive action, composite or too large
-    characteristic) and VerificationError when an internal consistency check
-    fails.
+    characteristic, negative seed) and VerificationError when an internal
+    consistency check fails.
 
     The p-independent stage comes from ``configuration(instance)``, which is
     kept on the instance.  Catalog instances are process-wide
     (``build_instance`` caches them), so a second analysis of the same group
     reuses the first one's configuration, whatever its seed, and its
-    ``timings_ms`` has no configuration-stage keys.  The seed drives only
-    the witness search of ``is_symmetric``.  A test that injects a fault
+    ``timings_ms`` has no configuration-stage keys.  So too the oracle and
+    Hecke checks: only the analysis that runs one times it.  The seed drives
+    only the witness search of ``is_symmetric``.  A test that injects a fault
     into that stage must pass a fresh instance
     (``dataclasses.replace(inst)``)."""
     fieldp = prime_field(p)
+    if seed < 0:
+        raise InputError(f"seed {seed} is negative")
     timings = {}
 
     def clock(name, fn):
@@ -243,6 +280,11 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
     config = configuration(instance, timings)
     cc, order = config.cc, config.order
 
+    def once(name, fn):  # a p-independent cross-check, kept unless it raises
+        if name not in config.checks:
+            config.checks[name] = clock(name, fn)
+        return config.checks[name]
+
     # No proof mod p: reduction Z -> F_p is a ring map, so the associativity
     # and the unit proved over Z in the configuration stage hold mod p.
     alg = clock("algebra", lambda: centralizer_algebra(cc, config.tensor, fieldp, verify=False))
@@ -250,23 +292,6 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
     series = clock("radical", lambda: radical_chain(alg))
     structure = clock("structure", lambda: structure_report(alg, series))
     verdict = clock("verdict", lambda: is_symmetric(alg, hint=form, series=series, seed=seed))
-
-    schur_summary = None
-    if instance.regular is not None:
-        T = PermutationGroup(G.degree, instance.regular.gens)
-        iso = clock(
-            "schur",
-            lambda: schur_vs_centralizer(G, T, cc, alg, alpha=instance.base_point,
-                                         point_names=instance.regular.point_names),
-        )
-        if not iso.passed:
-            raise VerificationError(f"Schur ring correspondence failed: {iso.detail}")
-        schur_summary = {
-            "iso_pass": iso.passed,
-            "orbital_count": iso.orbital_count,
-            "basic_set_count": iso.basic_set_count,
-            "basic_set_sums": list(iso.basic_sums),
-        }
 
     # the configuration stage raises unless the axioms and the adjacency
     # identity hold and the constants are associative with the unit
@@ -276,28 +301,17 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
         "associativity": True,
     }
     if oracle:
-        n = G.degree
-        labels = clock("oracle", lambda: centralizer_oracle(G))
-        # the least pair of each pair's orbital, the oracle's contract
-        expected = (cc.rep[:, 0] * n + cc.rep[:, 1])[cc.orbital_of]
-        if not np.array_equal(labels, expected):
-            a, b = (int(v) for v in np.argwhere(labels != expected)[0])
-            raise VerificationError(
-                f"centralizer oracle puts pair ({a}, {b}) with pair index "
-                f"{labels[a, b]}, its orbital with pair index {expected[a, b]}"
-            )
-        # each component's least pair is its own label
-        checks["oracle_dim"] = int(np.count_nonzero(labels.ravel() == np.arange(n * n)))
+        checks["oracle_dim"] = once("oracle", lambda: _oracle_dim(G, cc))
         checks["oracle_matches"] = True
-        # G is transitive, so its point stabilizer has order |G| / n
+        # G is transitive, so its point stabilizer has order |G| / n; the
+        # double-coset count is the Hecke dimension for p prime to that order
         if order <= HECKE_ORDER_CAP and order // G.degree % p != 0:
-            h = clock("hecke", lambda: hecke_check(G, instance.base_point, fieldp))
-            checks["hecke"] = {
-                "hecke_dim": h.hecke_dim,
-                "rank": h.rank,
-                "matches_rank": h.matches_rank,
-            }
+            h = once("hecke", lambda: hecke_check(G, instance.base_point))
+            # the configuration stage found cc.m orbits of a point stabilizer,
+            # and the stabilizers of a transitive group are conjugate
+            checks["hecke"] = {"hecke_dim": h, "rank": cc.m, "matches_rank": h == cc.m}
 
+    iso = config.schur
     return AnalysisReport(
         group_spec=instance.spec,
         degree=G.degree,
@@ -312,7 +326,12 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
         radical_dims=series.dims,
         structure=structure,
         verdict=verdict,
-        schur=schur_summary,
+        schur=None if iso is None else {
+            "iso_pass": iso.passed,
+            "orbital_count": iso.orbital_count,
+            "basic_set_count": iso.basic_set_count,
+            "basic_set_sums": list(iso.basic_sums),
+        },
         checks=checks,
         seed=seed,
         timings_ms=timings,

@@ -6,7 +6,8 @@
     permsym catalog
 
 Exit codes: 0 success, 2 user error (bad spec, intransitive action, composite
-characteristic or one not below 2^28), 3 internal verification failure.
+characteristic or one not below 2^28, negative seed), 3 internal verification
+failure.
 """
 
 import argparse

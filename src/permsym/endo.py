@@ -529,18 +529,19 @@ def enumerate_regular_subgroup(gens, degree: int) -> list[Permutation]:
 class SchurRing:
     group_order: int
     basic_sets: tuple[tuple[int, ...], ...]  # element indices per basic set
-    sc: np.ndarray                            # (m, m, m) mod p
+    sc: np.ndarray                            # (m, m, m) integer constants
     labels: tuple[str, ...]                   # rendered basic-set sums
     element_names: tuple[str, ...]
 
 
 def schur_ring_from_action(T_elements: list[Permutation], H: PermutationGroup,
-                           field: PrimeField, element_names=None,
-                           verify: bool = True) -> SchurRing:
+                           element_names=None, verify: bool = True) -> SchurRing:
     """Schur ring spanned by the sums over the H-conjugation orbits on a regular
-    subgroup T.  Verifies regularity of T, that H normalizes T, and the basic-set
-    axioms (identity is a singleton, partition, closure under inversion); with
-    verify, also associativity and the unit of the structure constants."""
+    subgroup T, with its integer structure constants.  Verifies regularity of
+    T, that H normalizes T, and the basic-set axioms (identity is a singleton,
+    partition, closure under inversion); with verify, also associativity and
+    the unit of the constants, over Z.  Reduction Z -> F_p is a ring map, so
+    the ring mod p is that of F_p[T] at every p."""
     n = T_elements[0].degree
     order = len(T_elements)
     if len({t.images for t in T_elements}) != order:
@@ -613,13 +614,13 @@ def schur_ring_from_action(T_elements: list[Permutation], H: PermutationGroup,
         counts = np.bincount(keys.ravel(), minlength=m * order).reshape(m, order)
         if not np.array_equal(counts, counts[:, first[set_of]]):
             raise VerificationError("product of basic-set sums is not constant on a basic set")
-        sc[si] = counts[:, first] % field.p
+        sc[si] = counts[:, first]
     labels = tuple("+".join(element_names[i] for i in s) for s in sets)
     unit = np.zeros(m, dtype=np.int64)
     unit[set_of[e_idx]] = 1
-    if verify:
-        # reuse the algebra verifier for associativity and the unit
-        make_algebra(field, labels, sc, unit)
+    if verify and m <= ALGEBRA_DIM_CAP:
+        # every constant is at most |T|, so the proof over Z runs on BLAS
+        _verify_algebra(sc, unit)
     return SchurRing(
         group_order=order,
         basic_sets=tuple(tuple(s) for s in sets),
@@ -639,13 +640,14 @@ class SchurIsoReport:
 
 
 def schur_vs_centralizer(G: PermutationGroup, T: PermutationGroup,
-                         cc: CoherentConfiguration, alg: SCAlgebra, alpha: int = 0,
+                         cc: CoherentConfiguration, tensor: np.ndarray, alpha: int = 0,
                          point_names=None) -> SchurIsoReport:
-    """Check that the centralizer algebra ``alg`` on the orbitals of ``cc`` and
-    the Schur ring of the regular normal subgroup T agree: the map sending an
-    orbital s to the subset V_s = {t in T : (alpha, alpha.t) in s} is a
-    bijection onto the basic sets, matches valencies to set sizes, and carries
-    the structure constants over (with the product order reversed: A_r A_s
+    """Check that the orbital algebra of ``cc``, with the integer intersection
+    numbers ``tensor`` as constants, and the Schur ring of the regular normal
+    subgroup T agree over Z, and so mod every p: the map sending an orbital s
+    to the subset V_s = {t in T : (alpha, alpha.t) in s} is a bijection onto
+    the basic sets, matches valencies to set sizes, and carries the integer
+    structure constants over (with the product order reversed: A_r A_s
     corresponds to V_s V_r).  An element t is named point_names[alpha.t]."""
     for t in T.generators:
         if not G.contains(t):
@@ -659,10 +661,14 @@ def schur_vs_centralizer(G: PermutationGroup, T: PermutationGroup,
     element_names = [point_names[t.images[alpha]] for t in T_elements]
     H = G.point_stabilizer(alpha)
     # No proof of associativity or the unit here.  Below, the constants are
-    # compared entry by entry with those of alg, and the map sends alg's unit
+    # compared entry by entry with the orbital constants, which the caller
+    # proves over Z (verify_orbital_constants), and the map sends their unit
     # (the reflexive orbital) to the ring's ({e}).  Constants equal to those of
     # an associative unital algebra make the ring associative and unital too.
-    ring = schur_ring_from_action(T_elements, H, alg.field, element_names, verify=False)
+    ring = schur_ring_from_action(T_elements, H, element_names, verify=False)
+
+    def report(detail=None):
+        return SchurIsoReport(detail is None, detail, cc.m, len(ring.basic_sets), ring.labels)
 
     set_index = {s: i for i, s in enumerate(ring.basic_sets)}
     # orbital of (alpha, alpha.t) for every t
@@ -671,29 +677,20 @@ def schur_vs_centralizer(G: PermutationGroup, T: PermutationGroup,
     for s in range(cc.m):
         members = tuple(int(i) for i in np.flatnonzero(orbital_of_t == s))
         if members not in set_index:
-            return SchurIsoReport(False, f"orbital {s} does not map to a basic set",
-                                  cc.m, len(ring.basic_sets), ring.labels)
+            return report(f"orbital {s} does not map to a basic set")
         sigma.append(set_index[members])
         if int(cc.valency[s]) != len(members):
-            return SchurIsoReport(
-                False,
-                f"valency {int(cc.valency[s])} of orbital {s} differs from set size {len(members)}",
-                cc.m, len(ring.basic_sets), ring.labels,
-            )
+            return report(f"valency {int(cc.valency[s])} of orbital {s} "
+                          f"differs from set size {len(members)}")
     if sorted(sigma) != list(range(cc.m)) or len(ring.basic_sets) != cc.m:
-        return SchurIsoReport(False, "orbital-to-basic-set map is not a bijection",
-                              cc.m, len(ring.basic_sets), ring.labels)
+        return report("orbital-to-basic-set map is not a bijection")
     # carried[r, s, t] = ring.sc[sigma[s], sigma[r], sigma[t]]
     carried = ring.sc[np.ix_(sigma, sigma, sigma)].transpose(1, 0, 2)
-    bad = np.argwhere(alg.sc != carried)
+    bad = np.argwhere(_orbital_constants(cc, tensor)[0] != carried)
     if len(bad):
         r, s, t = map(int, bad[0])
-        return SchurIsoReport(
-            False,
-            f"structure constants differ at (r={r}, s={s}, t={t})",
-            cc.m, len(ring.basic_sets), ring.labels,
-        )
-    return SchurIsoReport(True, None, cc.m, len(ring.basic_sets), ring.labels)
+        return report(f"structure constants differ at (r={r}, s={s}, t={t})")
+    return report()
 
 
 # ---------------------------------------------------------------------------
@@ -723,55 +720,36 @@ def _iterated_frobenius(alg: SCAlgebra) -> np.ndarray:
 
 
 def nilpotent_free_check(alg: SCAlgebra) -> bool:
-    """True iff a commutative algebra has no nonzero nilpotent element.
-    Exhaustive elementwise search when |F|^dim fits the enumeration budget,
-    otherwise the kernel test on the iterated Frobenius map x -> x^(p^e)."""
+    """True iff a commutative algebra has no nonzero nilpotent element: iff
+    the iterated Frobenius map x -> x^(p^e) is injective.  Its kernel is the
+    nilradical, exactly and at every size, because x^(p^e) = 0 for every
+    nilpotent x of a dimension-m algebra once p^e >= m."""
     if not alg.is_commutative():
         raise InputError("nilpotent-free check requires a commutative algebra")
-    p = alg.field.p
-    m = alg.dim
-    if p ** m <= WITNESS_ENUM_CAP:
-        q = p ** _frobenius_exponent(p, m)
-        for coeffs in itertools.product(range(p), repeat=m):
-            if not any(coeffs):
-                continue
-            x = np.array(coeffs, dtype=np.int64)
-            if not alg.power(x, q).any():
-                return False
-        return True
-    return _kernels.rank_mod_p(_iterated_frobenius(alg), p) == m
+    return _kernels.rank_mod_p(_iterated_frobenius(alg), alg.field.p) == alg.dim
 
 
 # ---------------------------------------------------------------------------
 # double-coset sums in the group algebra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HeckeResult:
-    hecke_dim: int
-    rank: int
-    matches_rank: bool
+def hecke_check(G: PermutationGroup, alpha: int) -> int:
+    """The number of double cosets HgH of the stabilizer H of alpha, each
+    built from explicit products, independently of H.orbits().  It needs a
+    full element list, so it refuses a group of order above HECKE_ORDER_CAP.
 
-
-def hecke_check(G: PermutationGroup, alpha: int, field: PrimeField,
-                cap: int = HECKE_ORDER_CAP) -> HeckeResult:
-    """Dimension of span{e g e : g in G} in the group algebra, where e is the
-    averaged stabilizer sum (1/|H|) sum_{h in H} h; compared against the
-    permutation rank.  Requires char coprime to |H| and a full element list.
-
-    e g e is (1/|H|^2) times the sum of h1 g h2 over H x H, which is the
-    double coset HgH with each x in it counted |H meet g^-1 H g| times.  That
-    count divides |H|, so for p not dividing |H| the coefficient of x is
-    non-zero.  Distinct double cosets are disjoint, so the e g e of distinct
-    double cosets have disjoint supports, and the dimension is the number of
-    double cosets at every such p.  They are counted by building each HgH
-    from explicit products, independently of H.orbits()."""
+    The count is the dimension of span{e g e : g in G} in F_pG at every p
+    not dividing |H|, where e is the averaged stabilizer sum
+    (1/|H|) sum_{h in H} h.  e g e is (1/|H|^2) times the sum of h1 g h2 over
+    H x H, which is the double coset HgH with each x in it counted
+    |H meet g^-1 H g| times.  That count divides |H|, so for such p the
+    coefficient of x is non-zero.  Distinct double cosets are disjoint, so
+    the e g e of distinct double cosets have disjoint supports.  The count
+    reads no p, so a caller computes it once per group."""
     order = G.order()
-    if order > cap:
-        raise InputError(f"group order {order} exceeds cap {cap}")
+    if order > HECKE_ORDER_CAP:
+        raise InputError(f"group order {order} exceeds cap {HECKE_ORDER_CAP}")
     H = G.point_stabilizer(alpha)
-    if H.order() % field.p == 0:
-        raise InputError("characteristic divides the stabilizer order")
     # an element of G is determined by its base images: look those up alone
     elements = G.chain.elements()
     base = G.chain.base() or [0]  # any point is a base of the trivial group
@@ -792,5 +770,4 @@ def hecke_check(G: PermutationGroup, alpha: int, field: PrimeField,
             raise VerificationError("a double-coset product is missing from the element list")
         visited[found] = True
         hecke_dim += 1
-    rank = len(H.orbits())
-    return HeckeResult(hecke_dim=hecke_dim, rank=rank, matches_rank=hecke_dim == rank)
+    return hecke_dim

@@ -23,6 +23,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import InputError, VerificationError
+from .exactlin import prime_field
 
 DEGREE_CAP = 10_000  # largest degree read from a file or induced on subsets or cosets
 KSUBSET_DEGREE_CAP = COSET_INDEX_CAP = DEGREE_CAP
@@ -634,6 +635,7 @@ def group_theoretic_checks(G: PermutationGroup, alpha: int, p: int) -> GroupChec
       |beta^H| = |H : H_gamma| divides |H : P|, which is prime to p.  So P
       fixes only alpha in O, and N_G(P) lies inside H, iff every H-orbit in
       O other than {alpha} has length divisible by p."""
+    prime_field(p)  # refuses a p that is not a prime below the bound
     orbit = G.orbit(alpha)
     h_order = G.order() // len(orbit)
     if h_order % p != 0:

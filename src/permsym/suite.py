@@ -218,15 +218,15 @@ def crit_frobenius(ctx: SuiteContext) -> CriterionResult:
     def run():
         rep3 = ctx.analyze("frobenius:7,3", 3)
         rep7 = ctx.analyze("frobenius:7,3", 7)
-        hk = hecke_check(ctx.instance("frobenius:7,3").group, 0, prime_field(7))
+        hk = hecke_check(ctx.instance("frobenius:7,3").group, 0)
         return rep3, rep7, hk
 
     (rep3, rep7, hk), dt = _timed(run)
     c.expect_eq(sorted(rep3.classification.subdegrees), [1, 3, 3], "subdegrees")
     c.expect(rep3.verdict.is_positive(), f"symmetric verdict over F_3 ({rep3.verdict.status})")
     c.expect(rep7.verdict.is_positive(), f"symmetric verdict over F_7 ({rep7.verdict.status})")
-    c.expect_eq(hk.hecke_dim, 3, "double-coset span dimension over F_7")
-    c.expect(hk.matches_rank, "double-coset dimension equals the rank")
+    c.expect_eq(hk, 3, "double-coset span dimension over F_7")
+    c.expect(hk == rep7.classification.rank, "double-coset dimension equals the rank")
     c.expect_within(dt, 1.0, "runtime")
     return c.result()
 
@@ -350,6 +350,8 @@ CRITERIA = [
 
 
 def run_all(seed: int = 0, corrupt: bool = False, only: list[str] | None = None):
+    if seed < 0:
+        raise InputError(f"seed {seed} is negative")
     if only:
         known = {key for key, _ in CRITERIA}
         unknown = sorted(set(only) - known)

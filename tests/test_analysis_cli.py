@@ -13,6 +13,7 @@ from permsym.analysis import configuration, run_analysis
 from permsym.catalog import build_instance
 from permsym.errors import InputError, VerificationError
 from permsym.perm import PermutationGroup
+from permsym.suite import run_all
 
 
 def strip_timings(doc: dict) -> dict:
@@ -82,13 +83,15 @@ def test_oracle_flag_populates_checks():
 ])
 def test_oracle_catches_the_orbitals_of_another_group(group_spec, config_spec, m):
     # the Schur check would catch the wrong orbitals too; without it, only
-    # the oracle compares the orbitals with the group's generators
+    # the oracle compares the orbitals with the group's generators.  The
+    # injected configuration is fresh, so it holds no oracle result of its own
     inst = dataclasses.replace(build_instance(group_spec), regular=None)
-    object.__setattr__(inst, "configuration", configuration(build_instance(config_spec)))
+    object.__setattr__(inst, "configuration", configuration(fresh_instance(config_spec)))
     rep = run_analysis(group_spec, 2, instance=inst)
     assert rep.orbital_count == m
     with pytest.raises(VerificationError, match="centralizer oracle puts pair"):
         run_analysis(group_spec, 2, oracle=True, instance=inst)
+    assert inst.configuration.checks == {}
 
 
 def test_configuration_stage_catches_the_orbitals_of_another_group(monkeypatch):
@@ -142,6 +145,41 @@ def counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def test_cross_checks_run_once_per_instance(monkeypatch):
+    calls = [counting(monkeypatch, analysis, name)
+             for name in ("centralizer_oracle", "schur_vs_centralizer", "hecke_check")]
+    inst = fresh_instance("frobenius:7,3")
+    timed = []
+    for p in (2, 3, 5, 7):
+        rep = run_analysis("frobenius:7,3", p, oracle=True, instance=inst)
+        timed.append({"schur", "oracle", "hecke"} & set(rep.timings_ms))
+        assert rep.checks["oracle_dim"] == 3 and rep.schur["iso_pass"]
+        # |H| = 3, so p = 3 has no Hecke check
+        assert rep.checks.get("hecke", {}).get("hecke_dim") == (None if p == 3 else 3)
+    assert [len(c) for c in calls] == [1, 1, 1]
+    # each cross-check is timed on the one run that computes it
+    assert timed == [{"schur", "oracle", "hecke"}, set(), set(), set()]
+
+
+def test_a_failing_oracle_comparison_keeps_no_result(monkeypatch):
+    inst = fresh_instance("frobenius:7,3")
+    oracle = analysis.centralizer_oracle
+    monkeypatch.setattr(analysis, "centralizer_oracle", lambda G: 0 * oracle(G))
+    with pytest.raises(VerificationError, match="centralizer oracle puts pair"):
+        run_analysis("frobenius:7,3", 2, oracle=True, instance=inst)
+    assert "oracle" not in inst.configuration.checks
+    monkeypatch.setattr(analysis, "centralizer_oracle", oracle)
+    assert run_analysis("frobenius:7,3", 2, oracle=True, instance=inst).checks["oracle_dim"] == 3
+    assert inst.configuration.checks["oracle"] == 3
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(InputError, match="seed -1 is negative"):
+        run_analysis("frobenius:7,3", 2, seed=-1)
+    with pytest.raises(InputError, match="seed -1 is negative"):
+        run_all(seed=-1, only=["frobenius"])
 
 
 def test_configuration_is_built_once_per_instance(monkeypatch):
@@ -241,6 +279,14 @@ def test_cli_exit_code_user_error():
         path = pathlib.Path(d) / "g.txt"
         path.write_text("degree 4\n(1 2)\n")
         assert run_cli("analyze", "--file", str(path), "--char", "3").returncode == 2
+
+
+def test_cli_refuses_a_negative_seed(capsys):
+    # the witness sampling of frobenius:73,2 at p = 2 would seed numpy with it
+    for args in (["analyze", "--group", "frobenius:73,2", "--char", "2"],
+                 ["suite", "--only", "frobenius"]):
+        assert cli.main([*args, "--seed", "-1"]) == 2
+        assert "seed -1 is negative" in capsys.readouterr().err
 
 
 def test_cli_rejects_characteristic_above_bound():

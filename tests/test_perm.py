@@ -495,6 +495,13 @@ def test_group_checks_sylow_trivial_error():
         group_theoretic_checks(G, 0, 5)  # 5 does not divide |H| = 3
 
 
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_group_checks_refuse_a_characteristic_that_is_not_prime(p):
+    G = build_instance("frobenius:7,3").group
+    with pytest.raises(InputError, match="not prime"):
+        group_theoretic_checks(G, 0, p)
+
+
 def test_group_checks_on_a_group_above_the_enumeration_cap():
     # altpairs:9 is A_9 on the 36 pairs, |G| = 9!/2 = 181440 > 100000.  The
     # stabilizer H of the pair {1, 2} is the even permutations of the set
