@@ -24,6 +24,7 @@ import numpy as np
 from .errors import InputError, VerificationError
 from .exactlin import binary_field, is_prime
 from .perm import (
+    DEGREE_CAP,
     Permutation,
     PermutationGroup,
     action_on_cosets,
@@ -57,6 +58,14 @@ class CatalogInstance:
     )
 
 
+def _check_degree(spec: str, degree: int):
+    """Refuse a spec whose action would exceed DEGREE_CAP points.  The
+    constructors call it before they build any generator: the n - 2
+    generators of alt:n alone take memory that grows as n^2."""
+    if degree > DEGREE_CAP:
+        raise InputError(f"{spec} acts on {degree} points, above the cap {DEGREE_CAP}")
+
+
 def _cycle(n, points):
     images = list(range(n))
     for a, b in zip(points, points[1:]):
@@ -85,6 +94,7 @@ def _alt_gens(n):
 def build_sym(n: int) -> CatalogInstance:
     if n < 1:
         raise InputError("sym:n requires n >= 1")
+    _check_degree(f"sym:{n}", n)
     return CatalogInstance(
         spec=f"sym:{n}",
         group=PermutationGroup(n, _sym_gens(n)),
@@ -97,6 +107,7 @@ def build_sym(n: int) -> CatalogInstance:
 def build_alt(n: int) -> CatalogInstance:
     if n < 1:
         raise InputError("alt:n requires n >= 1")
+    _check_degree(f"alt:{n}", n)
     return CatalogInstance(
         spec=f"alt:{n}",
         group=PermutationGroup(n, _alt_gens(n)),
@@ -109,6 +120,7 @@ def build_alt(n: int) -> CatalogInstance:
 def build_alt_on_pairs(n: int) -> CatalogInstance:
     if n < 4:
         raise InputError("altpairs:n requires n >= 4")
+    _check_degree(f"altpairs:{n}", n * (n - 1) // 2)
     base = PermutationGroup(n, _alt_gens(n))
     group = action_on_ksubsets(base, 2)
     return CatalogInstance(
@@ -125,6 +137,7 @@ def build_sym_on_pairs(n: int) -> CatalogInstance:
     Not part of the CLI grammar; used by the library and test suite."""
     if n < 4:
         raise InputError("sym-on-pairs requires n >= 4")
+    _check_degree(f"sympairs:{n}", n * (n - 1) // 2)
     base = PermutationGroup(n, _alt_gens(n) + [_cycle(n, [0, 1])])
     group = action_on_ksubsets(base, 2)
     return CatalogInstance(
@@ -142,6 +155,7 @@ def build_sign_twist(n: int) -> CatalogInstance:
     the two extra points."""
     if n < 3:
         raise InputError("signtwist:n requires n >= 3")
+    _check_degree(f"signtwist:{n}", (n + 1) * (n + 2) // 2)
     m = n + 2
     big = PermutationGroup(m, _alt_gens(m))
     extra = _cycle(m, [n, n + 1])  # the two added points
@@ -185,6 +199,7 @@ def _primitive_root(q: int) -> int:
 def build_frobenius(q: int, d: int) -> CatalogInstance:
     """One-dimensional affine maps x -> ax + b with a restricted to the order-d
     subgroup of F_q*; Frobenius for 2 <= d < q-1, two-transitive for d = q-1."""
+    _check_degree(f"frobenius:{q},{d}", q)
     if not is_prime(q):
         raise InputError(f"frobenius requires prime q, got {q}")
     if d < 2 or (q - 1) % d != 0:

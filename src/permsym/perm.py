@@ -11,7 +11,14 @@ Validation happens once, where images enter the layer: ``Permutation(images)``
 checks for a bijection, and the parsers, the catalog constructors and
 ``PermutationGroup`` given raw images go through it.  Products, inverses,
 powers and conjugates are bijections by construction and are built unchecked.
-Whole-group enumeration (``StabilizerChain.elements``) is one int32 array.
+
+The stabilizer chain works on int32 image arrays: each level stores its
+transversal as an (orbit length, degree) array of rows and one of their
+inverses, which sifting, whole-group enumeration (``StabilizerChain.elements``,
+one int32 array) and the canonical coset representatives read directly.  The
+derived actions on k-subsets and on cosets are homomorphic images of the
+acting group, so its order bounds theirs; their chains stop as soon as the
+product of the orbit lengths reaches that bound, which proves them complete.
 """
 
 import math
@@ -244,17 +251,51 @@ def orbits(gens, domain):
     return out
 
 
-def _transversal(gens, base: int, degree: int):
-    """The breadth-first orbit of ``base`` and two dicts on it: the word u_c in
-    ``gens`` along the search tree carrying base to c, and its inverse."""
-    orbit, parent = breadth_first(base, gens, _image)
-    words = {base: Permutation.identity(degree)}
-    inverses = dict(words)
-    for c in orbit[1:]:
-        b, g = parent[c]
-        words[c] = words[b] * g
-        inverses[c] = words[c].inverse()
-    return orbit, words, inverses
+def _transversal_rows(images, stack, base: int):
+    """The transversal of ``base`` under generators given twice, as image
+    tuples ``images`` and as the (k, n) int32 array ``stack``.  Returns the
+    breadth-first orbit (point-major, generator-minor) as a list, its
+    point -> position map as an intp array with -1 off the orbit, and two
+    (len(orbit), n) int32 arrays: row k is the word u_k along the search tree
+    carrying base to orbit[k], and the second array holds the inverses.
+
+    The orbit is a point-level search on the image tuples.  Row k is its
+    parent's row followed by one generator, gathered for a whole search layer
+    at once; the inverses are one scatter."""
+    n = stack.shape[1]
+    index = [-1] * n
+    index[base] = 0
+    orbit = [base]
+    parent, via = [], []  # for orbit[1:]: the parent's position and the generator
+    layers = [1]
+    start = 0
+    while start < len(orbit):
+        stop = len(orbit)
+        for k in range(start, stop):
+            x = orbit[k]
+            for j, img in enumerate(images):
+                y = img[x]
+                if index[y] < 0:
+                    index[y] = len(orbit)
+                    orbit.append(y)
+                    parent.append(k)
+                    via.append(j)
+        start = stop
+        layers.append(len(orbit))
+    size = len(orbit)
+    rows = np.empty((size, n), dtype=np.int32)
+    rows[0] = np.arange(n)
+    # flat indices gather from stack and scatter into the inverse rows faster
+    # than two-dimensional fancy indexing does
+    flat = stack.ravel()
+    parent = np.array(parent, dtype=np.intp)
+    offset = np.array(via, dtype=np.intp)[:, None] * n
+    for a, b in zip(layers, layers[1:-1]):
+        # (u_parent * g)[x] = g[u_parent[x]]
+        rows[a:b] = flat[rows[parent[a - 1:b - 1]] + offset[a - 1:b - 1]]
+    inverse_rows = np.empty_like(rows)
+    inverse_rows.reshape(-1)[rows + np.arange(0, size * n, n)[:, None]] = rows[0]
+    return orbit, np.array(index, dtype=np.intp), rows, inverse_rows
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +303,16 @@ def _transversal(gens, base: int, degree: int):
 # ---------------------------------------------------------------------------
 
 class _Level:
-    __slots__ = ("base", "gens", "gen_keys", "orbit", "transversal", "inverse", "processed", "stale")
+    __slots__ = ("base", "gens", "arrays", "serials", "orbit", "position", "rows",
+                 "inverse_rows", "processed", "stale")
 
     def __init__(self, base):
         self.base = base
         self.gens = []          # strong generators whose first moved point is `base`
-        self.gen_keys = set()
-        self.processed = set()  # (orbit point, generator images) pairs already sifted
-        self.stale = True       # orbit, transversal and inverse are set on refresh
+        self.arrays = []        # the same as int32 image arrays
+        self.serials = []       # and their numbers in the chain's storing order
+        self.processed = set()  # (orbit point, generator serial) pairs already sifted
+        self.stale = True       # orbit, position, rows and inverse_rows are set on rebuild
 
 
 class StabilizerChain:
@@ -279,78 +322,127 @@ class StabilizerChain:
     level i's group is generated by the union of the generator lists at levels
     i and deeper, and it fixes every point below its base.  That property (and
     the strictly increasing bases) is what the canonical coset representative
-    walk relies on.  Completion iterates Schreier-generator sifting to a
-    fixpoint; orbits are recomputed whenever a union changes.
+    walk relies on.  Each level keeps its transversal as arrays: the
+    breadth-first orbit, a point -> position map, ``rows`` (row k carries the
+    base to orbit[k]) and ``inverse_rows``.  A level goes stale when a strong
+    generator is stored at it or deeper, and is rebuilt when next read.
+    Completion sifts the Schreier generators u_b * s * u_{b.s}^-1, deepest
+    level first, in orbit order and then generator order, until none adds a
+    strong generator.
+
+    With an ``order_bound`` B >= |A|, where A is the group generated, the
+    completion also stops as soon as the product P of the orbit lengths
+    equals B, and raises VerificationError if P exceeds B.  Proof that the
+    stopped chain is complete: let A_i be the group of level i's generators
+    and beyond, and D_i its orbit.  A_{i+1} fixes the base of level i, so
+    |A_i| = |D_i| |(A_i)_{base}| >= |D_i| |A_{i+1}|, and |A| = |A_0| >= P.
+    So P = B forces |A| = P, and then (A_i)_{base} = A_{i+1} at every level:
+    the chain is complete.  A complete chain sifts every Schreier generator
+    to the identity and stores nothing more, so the stopped chain is the one
+    a full run builds, with the same bases, strong generators, orbit order
+    and elements.  A bound that |A| does not reach only costs the full run.
+
+    ``sifted`` counts the Schreier generators sifted, and
+    ``stopped_at_bound`` says whether the bound ended the build.
     """
 
     def __init__(self, degree: int):
         self.degree = degree
         self.levels: list[_Level] = []
+        self.sifted = 0
+        self.stopped_at_bound = False
+        self._stored = 0  # strong generators stored so far
+        self._identity = np.arange(degree, dtype=np.int32)
+        self._identity_bytes = self._identity.tobytes()
 
     @classmethod
-    def build(cls, degree, generators):
+    def build(cls, degree, generators, order_bound: int | None = None):
         chain = cls(degree)
         for g in generators:
-            chain._add_generator(g)
-        chain._complete()
+            chain._add(np.array(g.images, dtype=np.int32))
+        chain._complete(order_bound)
         return chain
 
-    def _gens_from(self, idx: int):
-        return [g for lv in self.levels[idx:] for g in lv.gens]
+    def _rebuild(self, idx: int):
+        lv = self.levels[idx]
+        deeper = self.levels[idx:]
+        lv.orbit, lv.position, lv.rows, lv.inverse_rows = _transversal_rows(
+            [g.images for d in deeper for g in d.gens],
+            np.array([a for d in deeper for a in d.arrays]), lv.base)
+        lv.stale = False
 
-    def _refresh(self):
+    def _sift(self, h: np.ndarray) -> np.ndarray:
         for idx, lv in enumerate(self.levels):
-            if lv.stale:
-                lv.orbit, lv.transversal, lv.inverse = _transversal(
-                    self._gens_from(idx), lv.base, self.degree)
-                lv.stale = False
+            beta = h[lv.base]
+            if beta != lv.base:
+                if lv.stale:
+                    self._rebuild(idx)
+                k = lv.position[beta]
+                if k < 0:
+                    return h
+                h = lv.inverse_rows[k][h]
+        return h
 
-    def _add_generator(self, g: Permutation) -> bool:
-        """Sift g and, when a nonzero residue remains, store it on the level of
-        its first moved point; returns True when the chain grew."""
-        self._refresh()
-        r = self.sift(g)
-        c = r.first_moved()
-        if c is None:
+    def _add(self, h: np.ndarray) -> bool:
+        """Sift the image array h and, when a residue other than the identity
+        remains, store it on the level of its first moved point; returns True
+        when the chain grew.  The residue is never stored already: it moves a
+        base point out of that level's orbit, or its first moved point is no
+        base yet."""
+        r = self._sift(h)
+        if r.tobytes() == self._identity_bytes:
             return False
+        c = int(np.flatnonzero(r != self._identity)[0])
         idx = 0
         while idx < len(self.levels) and self.levels[idx].base < c:
             idx += 1
         if idx == len(self.levels) or self.levels[idx].base > c:
             self.levels.insert(idx, _Level(c))
         lv = self.levels[idx]
-        if r.images in lv.gen_keys:
-            return False
-        lv.gens.append(r)
-        lv.gen_keys.add(r.images)
+        lv.gens.append(Permutation._unchecked(tuple(r.tolist())))
+        lv.arrays.append(r)
+        lv.serials.append(self._stored)
+        self._stored += 1
         for j in range(idx + 1):
             self.levels[j].stale = True
         return True
 
-    def _complete(self):
+    def _complete(self, order_bound):
         while True:
-            self._refresh()
-            grew = False
-            for idx in range(len(self.levels) - 1, -1, -1):
-                lv = self.levels[idx]
-                gens = self._gens_from(idx)
-                for b in list(lv.orbit):
-                    u = lv.transversal[b]
-                    for s in gens:
-                        key = (b, s.images)
-                        if key in lv.processed:
-                            continue
-                        lv.processed.add(key)
-                        schreier = (u * s) * lv.inverse[s.images[b]]
-                        if self._add_generator(schreier):
-                            grew = True
-                            break
-                    if grew:
-                        break
-                if grew:
-                    break
-            if not grew:
+            if order_bound is not None:
+                for idx, lv in enumerate(self.levels):
+                    if lv.stale:
+                        self._rebuild(idx)
+                reached = self.order()
+                if reached > order_bound:
+                    raise VerificationError(
+                        f"stabilizer chain reached order {reached} above the bound {order_bound}")
+                if reached == order_bound:
+                    self.stopped_at_bound = True
+                    return
+            if not self._grow():
                 return
+
+    def _grow(self) -> bool:
+        """Sift the Schreier generators not sifted yet, in completion order,
+        until one adds a strong generator; False when none does."""
+        for idx in range(len(self.levels) - 1, -1, -1):
+            lv = self.levels[idx]
+            if lv.stale:
+                self._rebuild(idx)
+            gens = [(serial, g.images, a) for d in self.levels[idx:]
+                    for serial, g, a in zip(d.serials, d.gens, d.arrays)]
+            for k, b in enumerate(lv.orbit):
+                u = lv.rows[k]
+                for serial, s, s_array in gens:
+                    if (b, serial) in lv.processed:
+                        continue
+                    lv.processed.add((b, serial))
+                    self.sifted += 1
+                    # u_b * s * u_{b.s}^-1
+                    if self._add(lv.inverse_rows[lv.position[s[b]]][s_array[u]]):
+                        return True
+        return False
 
     def order(self) -> int:
         n = 1
@@ -361,51 +453,40 @@ class StabilizerChain:
     def base(self):
         return [lv.base for lv in self.levels]
 
-    def sift(self, g: Permutation) -> Permutation:
-        h = g
-        for lv in self.levels:
-            beta = h.images[lv.base]
-            if beta == lv.base:
-                continue
-            u_inv = lv.inverse.get(beta)
-            if u_inv is None:
-                return h
-            h = h * u_inv
-        return h
-
     def contains(self, g: Permutation) -> bool:
-        return self.sift(g).is_identity()
+        return self._sift(np.array(g.images, dtype=np.int32)).tobytes() == self._identity_bytes
 
     def elements(self) -> np.ndarray:
         """All group elements as an (order, degree) int32 image array, one row
         per transversal-product word in a fixed order: with E the rows of the
         deeper levels' group and u_0, u_1, ... this level's transversal in
         orbit order, row i * len(orbit) + j is E[i] * u_j."""
-        elems = np.arange(self.degree, dtype=np.int32)[None]
+        elems = self._identity[None]
         for lv in reversed(self.levels):
-            us = np.array([lv.transversal[b].images for b in lv.orbit], dtype=np.int32)
-            # (h * u)[x] = u[h[x]], so us[:, elems] is indexed [j, i, x]
-            elems = us[:, elems].transpose(1, 0, 2).reshape(-1, self.degree)
+            # (h * u)[x] = u[h[x]], so rows[:, elems] is indexed [j, i, x]
+            elems = lv.rows[:, elems].transpose(1, 0, 2).reshape(-1, self.degree)
         return elems
 
-    def canonical_coset_rep(self, x: Permutation) -> Permutation:
-        """The lexicographically least element of the right coset H*x, where H
-        is the group of this chain.  Computed greedily level by level; within a
+    def canonical_coset_reps(self, xs: np.ndarray) -> np.ndarray:
+        """For each row x of the (m, degree) image array ``xs``, the
+        lexicographically least element of the right coset H*x, where H is the
+        group of this chain.  Computed greedily level by level, as u * x with
+        u the transversal row whose image of x is least on the orbit; within a
         level the minimizing orbit point is unique because x is a bijection."""
-        cur = x
         for lv in self.levels:
-            imgs = cur.images
-            best = min(lv.orbit, key=imgs.__getitem__)
-            if best != lv.base:
-                cur = lv.transversal[best] * cur
-        return cur
+            best = xs[:, lv.orbit].argmin(axis=1)
+            # (u * x)[y] = x[u[y]]
+            xs = np.take_along_axis(xs, lv.rows[best], axis=1)
+        return xs
 
 
 class PermutationGroup:
     """Group generated by permutations of a common degree; the stabilizer chain
-    is built lazily on first use and frozen afterwards."""
+    is built lazily on first use and frozen afterwards.  ``order_bound``, when
+    given, must be at least the group's order; the chain stops once it proves
+    that order (see ``StabilizerChain``).  Only the derived actions set it."""
 
-    def __init__(self, degree: int, generators=()):
+    def __init__(self, degree: int, generators=(), order_bound: int | None = None):
         gens = []
         seen = set()
         for g in generators:
@@ -419,12 +500,13 @@ class PermutationGroup:
             gens.append(g)
         self.degree = degree
         self.generators = tuple(gens)
+        self._order_bound = order_bound
         self._chain = None
 
     @property
     def chain(self) -> StabilizerChain:
         if self._chain is None:
-            self._chain = StabilizerChain.build(self.degree, self.generators)
+            self._chain = StabilizerChain.build(self.degree, self.generators, self._order_bound)
         return self._chain
 
     def order(self) -> int:
@@ -450,12 +532,18 @@ class PermutationGroup:
         return not self.generators
 
     def point_stabilizer(self, alpha: int) -> "PermutationGroup":
-        """Stabilizer of a point, generated by the Schreier generators of the
-        orbit of alpha."""
-        orbit, words, inverses = _transversal(self.generators, alpha, self.degree)
+        """Stabilizer of a point, generated by the Schreier generators
+        u_b * g * u_{b.g}^-1 of the orbit of alpha, b-major."""
+        images = [g.images for g in self.generators]
+        stack = np.array(images, dtype=np.int32).reshape(len(images), self.degree)
+        orbit, index, rows, inverse_rows = _transversal_rows(images, stack, alpha)
+        # words[b, j] = u_b * g_j, indexed [b, j, x]
+        words = stack[np.arange(len(images))[:, None], rows[:, None, :]]
+        ends = index[stack[:, orbit].T.ravel()]
+        schreier = inverse_rows[ends[:, None], words.reshape(-1, self.degree)]
         # the group constructor drops the identity and repeated generators
         return PermutationGroup(self.degree, [
-            (words[b] * g) * inverses[g.images[b]] for b in orbit for g in self.generators
+            Permutation._unchecked(tuple(row)) for row in schreier.tolist()
         ])
 
     def elements(self, cap: int | None = ENUMERATION_ORDER_CAP):
@@ -550,18 +638,19 @@ def classify_action(G: PermutationGroup, cc, faithful: bool = True) -> ActionCla
 # ---------------------------------------------------------------------------
 
 def action_on_ksubsets(G: PermutationGroup, k: int, cap: int = KSUBSET_DEGREE_CAP) -> PermutationGroup:
-    """Induced action on k-subsets of the domain, ordered lexicographically."""
+    """Induced action on k-subsets of the domain, ordered lexicographically.
+    It is a homomorphic image of G, so |G| bounds its order."""
     n = G.degree
     if k > n:
         raise InputError("k exceeds the degree")
+    if math.comb(n, k) > cap:
+        raise InputError(f"induced degree {math.comb(n, k)} exceeds cap {cap}")
     subsets = list(combinations(range(n), k))
-    if len(subsets) > cap:
-        raise InputError(f"induced degree {len(subsets)} exceeds cap {cap}")
     index = {s: i for i, s in enumerate(subsets)}
     gens = []
     for g in G.generators:
         gens.append(Permutation(tuple(index[tuple(sorted(g.images[x] for x in s))] for s in subsets)))
-    return PermutationGroup(len(subsets), gens)
+    return PermutationGroup(len(subsets), gens, order_bound=G.order())
 
 
 def action_on_cosets(G: PermutationGroup, H: PermutationGroup, cap: int = COSET_INDEX_CAP) -> PermutationGroup:
@@ -569,36 +658,40 @@ def action_on_cosets(G: PermutationGroup, H: PermutationGroup, cap: int = COSET_
 
     Coset 0 is H itself.  Cosets are discovered breadth-first; each coset is
     keyed by its canonical representative, computed with H's stabilizer chain
-    (Hx = Hy iff x*y^-1 in H iff the canonical representatives agree).
+    (Hx = Hy iff x*y^-1 in H iff the canonical representatives agree).  The
+    action is a homomorphic image of G, so |G| bounds its order.
     """
     if H.degree != G.degree:
         raise InputError("degree mismatch between group and subgroup")
     for h in H.generators:
         if not G.contains(h):
             raise InputError("H is not a subgroup of G (generator fails membership)")
-    canon = H.chain.canonical_coset_rep
-    start = canon(Permutation.identity(G.degree))
-    reps = [start]
-    index = {start.images: 0}
-    images = [[] for _ in G.generators]
-    qpos = 0
-    while qpos < len(reps):
-        r = reps[qpos]
-        qpos += 1
-        for gi, g in enumerate(G.generators):
-            z = canon(r * g)
-            j = index.get(z.images)
+    n = G.degree
+    canon = H.chain.canonical_coset_reps
+    stack = np.array([g.images for g in G.generators], dtype=np.int32).reshape(-1, n)
+    layer = canon(np.arange(n, dtype=np.int32)[None])
+    index = {layer.tobytes(): 0}
+    targets = []  # the coset of r * g, for r by coset number and then g
+    while len(layer):
+        # (r * g)[x] = g[r[x]]; stack[:, layer] is indexed [g, r, x]
+        found = canon(stack[:, layer].transpose(1, 0, 2).reshape(-1, n))
+        new = []
+        for k, key in enumerate(found.view(f"V{4 * n}").ravel().tolist()):
+            j = index.get(key)
             if j is None:
-                j = len(reps)
+                j = len(index)
                 if j >= cap:
                     raise InputError(f"coset index exceeds cap {cap}")
-                index[z.images] = j
-                reps.append(z)
-            images[gi].append(j)
-    n_cosets = len(reps)
-    if G.order() != n_cosets * H.order():
+                index[key] = j
+                new.append(k)
+            targets.append(j)
+        layer = found[new]
+    n_cosets = len(index)
+    images = np.array(targets, dtype=np.int32).reshape(n_cosets, len(stack)).T.tolist()
+    order = G.order()
+    if order != n_cosets * H.order():
         raise VerificationError("coset enumeration inconsistent with group orders")
-    return PermutationGroup(n_cosets, [Permutation(img) for img in images])
+    return PermutationGroup(n_cosets, [Permutation(img) for img in images], order_bound=order)
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,13 @@ def test_cli_exit_code_user_error():
         assert run_cli("analyze", "--file", str(path), "--char", "3").returncode == 2
 
 
+def test_cli_refuses_an_oversized_catalog_parameter(capsys):
+    # sym:n builds two generators, so this stays small even if the catalog's
+    # own cap were missing; the message tells which check refused it
+    assert cli.main(["analyze", "--group", "sym:20000", "--char", "2"]) == 2
+    assert "sym:20000 acts on 20000 points, above the cap 10000" in capsys.readouterr().err
+
+
 def test_cli_refuses_a_negative_seed(capsys):
     # the witness sampling of frobenius:73,2 at p = 2 would seed numpy with it
     for args in (["analyze", "--group", "frobenius:73,2", "--char", "2"],

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from permsym import catalog
 from permsym.catalog import (
     build_instance,
     build_sym_on_pairs,
@@ -126,6 +127,30 @@ def test_catalog_faithfulness_flags():
     for spec in ("sym:5", "alt:5", "altpairs:7", "signtwist:4", "frobenius:5,2",
                  "example3_2", "psl2line:4", "psl2cosets:8"):
         assert build_instance(spec).faithful, spec
+
+
+@pytest.mark.parametrize("spec,degree", [
+    ("sym:10001", 10001), ("alt:10001", 10001), ("altpairs:142", 10011),
+    ("signtwist:140", 10011), ("frobenius:10007,2", 10007),
+])
+def test_oversized_parameters_are_refused_before_any_generator(monkeypatch, spec, degree):
+    def refuse(*args):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(catalog, "Permutation", refuse)
+    with pytest.raises(InputError, match=f"acts on {degree} points, above the cap 10000"):
+        build_instance(spec)
+
+
+def test_largest_degree_under_the_cap_is_accepted(monkeypatch):
+    # altpairs:141 acts on 9870 points; the refusal comes from the stub, so
+    # the cap check passed and nothing of degree 9870 is built
+    def refuse(*args):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(catalog, "Permutation", refuse)
+    with pytest.raises(AssertionError, match="a generator was built"):
+        build_instance("altpairs:141")
 
 
 def test_unknown_specs_rejected():

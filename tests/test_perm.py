@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from permsym import perm
 from permsym.catalog import (
     _dihedral_subgroup,
     build_alt,
@@ -18,6 +19,7 @@ from permsym.perm import (
     GroupChecks,
     Permutation,
     PermutationGroup,
+    StabilizerChain,
     action_on_cosets,
     action_on_ksubsets,
     breadth_first,
@@ -285,6 +287,60 @@ def test_dihedral_subgroup_generators_match_tuple_reference(q):
 
 
 # ---------------------------------------------------------------------------
+# the order bound of derived actions
+# ---------------------------------------------------------------------------
+
+def chain_signature(chain, with_elements=True):
+    """Everything a chain exposes: bases, strong generators, orbit order and
+    transversal rows, and the element array, which the rows determine."""
+    return (
+        chain.base(),
+        [[g.images for g in lv.gens] for lv in chain.levels],
+        [list(lv.orbit) for lv in chain.levels],
+        [(lv.rows.tobytes(), lv.inverse_rows.tobytes()) for lv in chain.levels],
+        chain.elements().tobytes() if with_elements else None,
+    )
+
+
+@pytest.mark.parametrize("spec", [
+    "altpairs:7", "signtwist:3", "signtwist:4", "signtwist:5", "psl2cosets:8", "psl2cosets:32",
+])
+def test_bounded_chain_is_the_full_chain(spec):
+    G = build_instance(spec).group
+    bounded = G.chain
+    full = StabilizerChain.build(G.degree, G.generators)
+    assert bounded.stopped_at_bound and not full.stopped_at_bound
+    assert bounded.order() == full.order()
+    # the element array of psl2cosets:32 is 32736 x 496; its rows are compared
+    with_elements = G.degree < 100
+    assert chain_signature(bounded, with_elements) == chain_signature(full, with_elements)
+
+
+def test_bound_stops_psl2cosets_32_early():
+    G = build_instance("psl2cosets:32").group
+    full = StabilizerChain.build(G.degree, G.generators)
+    assert G.chain.stopped_at_bound and G.order() == 32736
+    assert 0 < G.chain.sifted < full.sifted
+
+
+def test_unfaithful_coset_action_completes_in_full():
+    # S4 on the cosets of D8: the kernel is the Klein four-group, so the image
+    # is S3 of order 6 and never reaches the bound |S4| = 24
+    S4 = build_sym(4).group
+    D8 = PermutationGroup(4, [parse_permutation(c, 4) for c in ("(1 2 3 4)", "(1 3)")])
+    Q = action_on_cosets(S4, D8)
+    assert Q.degree == 3 and Q.order() == 6
+    assert not Q.chain.stopped_at_bound
+    assert chain_signature(Q.chain) == chain_signature(StabilizerChain.build(3, Q.generators))
+
+
+def test_bound_below_the_first_orbit_is_refused():
+    gens = build_sym(5).group.generators
+    with pytest.raises(VerificationError, match="above the bound 4"):
+        PermutationGroup(5, gens, order_bound=4).order()
+
+
+# ---------------------------------------------------------------------------
 # orbits and stabilizers
 # ---------------------------------------------------------------------------
 
@@ -442,6 +498,16 @@ def test_ksubsets_degrees():
     assert action_on_ksubsets(S3, 3).degree == 1
     with pytest.raises(InputError):
         action_on_ksubsets(S4, 2, cap=3)
+
+
+def test_ksubsets_cap_is_checked_before_the_subsets_are_listed(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the k-subsets were listed")
+
+    monkeypatch.setattr(perm, "combinations", refuse)
+    # C(200, 3) = 1,313,400 subsets
+    with pytest.raises(InputError, match="induced degree 1313400 exceeds cap 10000"):
+        action_on_ksubsets(build_sym(200).group, 3)
 
 
 def test_coset_action_self_is_trivial():
