@@ -1,9 +1,6 @@
-"""numpy kernels: pair-orbit labels, the one exact integer product, and the
-one mod-p elimination behind every rank, reduced row-echelon form and
-nullspace in the package.
-
-Partitioning the n*n pair set into orbitals is vectorized over the whole
-pair set, and the elimination over whole rows.
+"""numpy kernels: the one exact integer product, and the one mod-p
+elimination behind every rank, reduced row-echelon form and nullspace in the
+package.  The elimination is vectorized over whole rows.
 
 The exact product ``_contract`` multiplies integer matrices on float64 BLAS
 whenever every partial sum is below 2^53, the range in which float64 holds
@@ -27,44 +24,6 @@ loop's on the whole input.
 """
 
 import numpy as np
-
-
-def pair_orbit_labels(gen_images: np.ndarray) -> np.ndarray:
-    """Minimum pair index per orbit of the diagonal action on ordered pairs.
-
-    Iterate min-label propagation along each generator's pair permutation
-    (both directions) until a fixpoint.  Stability under the generator maps
-    alone makes the labels constant on orbits (and equal to the orbit
-    minimum); squared copies of the maps are propagated as well so that long
-    single-generator cycles converge in logarithmic rounds rather than linear
-    ones.
-    """
-    gen_images = np.asarray(gen_images, dtype=np.int64)
-    k, n = gen_images.shape
-    size = n * n
-    labels = np.arange(size, dtype=np.int64)
-    maps = []
-    for g in gen_images:
-        maps.append((g[:, None] * n + g[None, :]).reshape(size))
-        inv = np.empty(n, dtype=np.int64)
-        inv[g] = np.arange(n, dtype=np.int64)
-        maps.append((inv[:, None] * n + inv[None, :]).reshape(size))
-    accel = [mp.copy() for mp in maps]
-    changed = True
-    while changed:
-        changed = False
-        for mp in maps:
-            new = np.minimum(labels, labels[mp])
-            if not np.array_equal(new, labels):
-                labels = new
-                changed = True
-        for i, mp in enumerate(accel):
-            new = np.minimum(labels, labels[mp])
-            if not np.array_equal(new, labels):
-                labels = new
-                changed = True
-            accel[i] = mp[mp]
-    return labels
 
 
 #: Products with fewer multiply-adds than this run in int64 even below 2^53:

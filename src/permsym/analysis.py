@@ -68,7 +68,7 @@ class AnalysisReport:
             "classification": {
                 "transitive": self.classification.transitive,
                 "orbit_sizes": sorted(self.classification.orbit_sizes),
-                "subdegrees": sorted(self.classification.subdegrees or ()),
+                "subdegrees": sorted(self.classification.subdegrees),
                 "rank": self.classification.rank,
                 "half_transitive": self.classification.half_transitive,
                 "three_halves_transitive": self.classification.three_halves_transitive,
@@ -184,17 +184,17 @@ def configuration(instance: CatalogInstance, timings: dict | None = None) -> Con
     if instance.configuration is not None:
         return instance.configuration
     G = instance.group
-    # two_orbits refuses a degree above its cap before G.order() does work
-    # that grows with the degree
+    # two_orbits refuses a degree above its cap, and then an intransitive
+    # group, before G.order() does work that grows with the degree
     cc = _clock(timings, "two_orbits", lambda: two_orbits(G))
     order = _clock(timings, "order", G.order)
     classification = _clock(timings, "classify",
                             lambda: classify_action(G, cc, instance.faithful))
-    if not classification.transitive:
-        raise InputError("analysis requires a transitive action")
     # In a transitive group the orbitals correspond to the orbits of a point
     # stabilizer.  The strong generators stored at chain levels >= 1 generate
-    # the stabilizer of the first base point, so count its orbits there.
+    # a subgroup K of the stabilizer of the first base point, so K has at
+    # least as many orbits as there are orbitals; with the adjacency check
+    # below, this count proves the labels of two_orbits are the orbitals.
     stabilizer_gens = [g for lv in G.chain.levels[1:] for g in lv.gens]
     suborbits = len(orbits(stabilizer_gens, G.degree))
     if suborbits != cc.m:

@@ -61,7 +61,8 @@ class CatalogInstance:
 def _check_degree(spec: str, degree: int):
     """Refuse a spec whose action would exceed DEGREE_CAP points.  The
     constructors call it before they build any generator: the n - 2
-    generators of alt:n alone take memory that grows as n^2."""
+    generators that altpairs:n and signtwist:n induce take memory that grows
+    as n times the degree."""
     if degree > DEGREE_CAP:
         raise InputError(f"{spec} acts on {degree} points, above the cap {DEGREE_CAP}")
 
@@ -84,10 +85,20 @@ def _sym_gens(n):
 
 
 def _alt_gens(n):
-    # 3-cycles (0,1,k) generate A_n
+    # 3-cycles (0,1,k) generate A_n; altpairs, sympairs and signtwist number
+    # their subsets and cosets by these generators
     if n < 3:
         return []
     return [_cycle(n, [0, 1, k]) for k in range(2, n)]
+
+
+def _alt_two_gens(n):
+    """Two generators of A_n: (0 1 2) with the n-cycle (0 1 ... n-1) for odd
+    n, or with the (n-1)-cycle (1 2 ... n-1) for even n.  At n = 3 both are
+    (0 1 2), and PermutationGroup keeps one."""
+    if n < 3:
+        return []
+    return [_cycle(n, [0, 1, 2]), _cycle(n, list(range(n % 2 == 0, n)))]
 
 
 @lru_cache(maxsize=None)
@@ -110,7 +121,7 @@ def build_alt(n: int) -> CatalogInstance:
     _check_degree(f"alt:{n}", n)
     return CatalogInstance(
         spec=f"alt:{n}",
-        group=PermutationGroup(n, _alt_gens(n)),
+        group=PermutationGroup(n, _alt_two_gens(n)),
         description=f"alternating group on {n} points, natural action",
         faithful=True,
     )

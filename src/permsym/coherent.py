@@ -1,14 +1,14 @@
-"""Orbital (2-orbit) configurations of permutation groups: the partition of
-the pair set, per-orbital metadata, adjacency matrices, and the full
-intersection-number tensor, together with the axiom and identity checks that
-every configuration built from a group must satisfy.
+"""Orbital (2-orbit) configurations of transitive permutation groups: the
+partition of the pair set, read off the stabilizer chain, per-orbital
+metadata, adjacency matrices, and the full intersection-number tensor,
+together with the axiom and identity checks that every configuration built
+from a group must satisfy.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import InputError
 from .perm import PermutationGroup, orbits
 
@@ -25,10 +25,7 @@ class CoherentConfiguration:
     valency: np.ndarray           # (m,) int64
     star: np.ndarray              # (m,) int64, index of the transposed orbital
     reflexive: np.ndarray         # (m,) bool
-    support_orbit: np.ndarray     # (m,) int64, point-orbit index of the rows
     rep: np.ndarray               # (m, 2) int64, least pair of each orbital
-    point_orbit_of: np.ndarray    # (n,) int64
-    point_orbit_sizes: tuple[int, ...]
 
     def pairs_of(self, s: int) -> np.ndarray:
         """All pairs of an orbital, as an (k, 2) array in row-major order."""
@@ -37,61 +34,57 @@ class CoherentConfiguration:
 
 
 def two_orbits(G: PermutationGroup, cap: int = TWO_ORBIT_DEGREE_CAP) -> CoherentConfiguration:
-    """Partition the pair set into orbits of the diagonal action, using only
-    the generators (no group enumeration).  Orbitals are sorted reflexive
-    first, then by valency, then by least pair, and renumbered."""
+    """The orbitals of a transitive G, read off its stabilizer chain; an
+    intransitive G is refused.  Orbitals are sorted reflexive first, then by
+    valency, then by least pair, and renumbered.
+
+    G is transitive, so its chain's first base point is 0 (a group that fixes
+    0 is not transitive for n > 1), and u_a, the first level's transversal
+    row carrying 0 to a, runs over every point a.  The strong generators at
+    the deeper levels generate a group K, and the pair (a, c) is labelled by
+    the K-orbit of c.u_a^-1: one (n, n) gather through the inverse rows.
+    Row 0 is the identity, so every label occurs in row 0, the least pair of
+    each label is (0, least point of its K-orbit), and its valency is the
+    length of that K-orbit.
+
+    A complete chain has K = G_0, and then the labels are the orbitals.  The
+    checks of the configuration stage prove it for the table they are given,
+    without trusting the chain: ``adjacency_product_check`` proves that every
+    generator preserves the labels, so each label class is a union of
+    orbitals and there are at most as many labels as orbitals; and the stage
+    counts the K-orbits against the m labels, where K <= G_0 has at least as
+    many orbits as G_0, the number of orbitals.  Together these force every
+    label class to be exactly one orbital."""
     n = G.degree
     if n > cap:
         raise InputError(f"degree {n} exceeds the pair-table cap {cap}")
-    gen_images = np.array([g.images for g in G.generators], dtype=np.int64)
-    if gen_images.size == 0:
-        gen_images = gen_images.reshape(0, n)
-    labels = _kernels.pair_orbit_labels(gen_images)
-    uniq, inverse = np.unique(labels, return_inverse=True)
-    m = len(uniq)
-    table = inverse.reshape(n, n)
-
-    point_orbs = orbits(G.generators, n)
-    point_orbit_of = np.empty(n, dtype=np.int64)
-    for oi, orb in enumerate(point_orbs):
-        for x in orb:
-            point_orbit_of[x] = oi
-
-    reps = np.stack([uniq // n, uniq % n], axis=1)
-    valency = np.empty(m, dtype=np.int64)
+    levels = G.chain.levels
+    if n == 1:  # the trivial group, with no chain levels
+        inverse_rows = np.zeros((1, 1), dtype=np.int32)
+    elif levels and len(levels[0].orbit) == n:
+        inverse_rows = levels[0].inverse_rows[levels[0].position]
+    else:
+        raise InputError("analysis requires a transitive action")
+    # orbits() lists the K-orbits by least point, so the stable sort orders
+    # them by length, then by least point, with the fixed point 0 first
+    suborbits = sorted(orbits([g for lv in levels[1:] for g in lv.gens], n), key=len)
+    suborbit_of = np.empty(n, dtype=np.int32)
+    for i, orb in enumerate(suborbits):
+        suborbit_of[orb] = i
+    table = suborbit_of[inverse_rows]
+    m = len(suborbits)
+    rep = np.zeros((m, 2), dtype=np.int64)
+    rep[:, 1] = [orb[0] for orb in suborbits]
     reflexive = np.zeros(m, dtype=bool)
-    for s in range(m):
-        a = int(reps[s, 0])
-        valency[s] = int(np.count_nonzero(table[a] == s))
-    diag = table[np.arange(n), np.arange(n)]
-    reflexive[np.unique(diag)] = True
-
-    # sort: reflexive first, then valency, then least pair
-    order = sorted(range(m), key=lambda s: (not reflexive[s], int(valency[s]), int(uniq[s])))
-    renumber = np.empty(m, dtype=np.int64)
-    for new, old in enumerate(order):
-        renumber[old] = new
-    table = renumber[table].astype(np.int32)
-    valency = valency[order]
-    reflexive = reflexive[order]
-    reps = reps[order]
-    star = np.empty(m, dtype=np.int64)
-    support = np.empty(m, dtype=np.int64)
-    for s in range(m):
-        a, b = int(reps[s, 0]), int(reps[s, 1])
-        star[s] = table[b, a]
-        support[s] = point_orbit_of[a]
+    reflexive[0] = True
     return CoherentConfiguration(
         n=n,
         m=m,
         orbital_of=table,
-        valency=valency,
-        star=star,
+        valency=np.array([len(orb) for orb in suborbits], dtype=np.int64),
+        star=table[rep[:, 1], 0].astype(np.int64),
         reflexive=reflexive,
-        support_orbit=support,
-        rep=reps,
-        point_orbit_of=point_orbit_of,
-        point_orbit_sizes=tuple(len(o) for o in point_orbs),
+        rep=rep,
     )
 
 
@@ -116,7 +109,7 @@ def verify_cc_axioms(cc: CoherentConfiguration, tensor: np.ndarray) -> AxiomRepo
     """Check the defining axioms (1) and (2) of the configuration on every
     pair, plus the valency-weighted triangle identity
     |t| C[t*,r,s] = |r| C[r*,s,t] = |s| C[s*,t,r], where |s| is the pair-set
-    cardinality valency(s) * |support(s)|.
+    cardinality valency(s) * n of a transitive configuration.
 
     Axiom (3), that the intersection numbers do not depend on the
     representative pair, is the adjacency identity on every pair; see
@@ -146,7 +139,7 @@ def verify_cc_axioms(cc: CoherentConfiguration, tensor: np.ndarray) -> AxiomRepo
         )
 
     # triangle identity
-    size = cc.valency * np.array([cc.point_orbit_sizes[int(o)] for o in cc.support_orbit])
+    size = cc.valency * n
     star = cc.star
     lhs = size[:, None, None] * tensor[star, :, :]  # |t| C[t*, r, s] with axes (t, r, s)
     mid = np.einsum("r,rst->trs", size, tensor[star, :, :])

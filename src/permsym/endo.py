@@ -144,9 +144,9 @@ def centralizer_algebra(cc: CoherentConfiguration, tensor: np.ndarray,
 def centralizer_oracle(G: PermutationGroup) -> np.ndarray:
     """The orbits of the generators on the n^2 ordered pairs, by union-find
     over the edges (a, b) -> (g(a), g(b)): an (n, n) array holding, for each
-    pair, the least pair index a * n + b of its orbit, as
-    _kernels.pair_orbit_labels does.  It reads only the generators, neither
-    that kernel nor the stabilizer chain, so it cross-checks two_orbits.
+    pair, the least pair index a * n + b of its orbit.  It reads only the
+    generators, not the stabilizer chain that two_orbits reads the orbitals
+    off, so it cross-checks two_orbits.
 
     The number of orbits is dim End(F_p^n)^G at every p.  X commutes with
     every P_g iff it lies in the nullspace of the system with one row
@@ -201,10 +201,9 @@ class PairingForm:
 
 def natural_form(alg: SCAlgebra, cc: CoherentConfiguration) -> PairingForm:
     """The form (x, y) -> coefficient of the reflexive basis element in x*y.
-    Requires a transitive configuration (single reflexive orbital); its Gram
-    matrix is supported on the pairs (r, star r) with entries the valencies."""
-    if int(cc.reflexive.sum()) != 1:
-        raise InputError("form requires transitivity (a single reflexive orbital)")
+    The configuration is transitive, so it has one reflexive orbital (see
+    ``coherent.two_orbits``); the Gram matrix is supported on the pairs
+    (r, star r) with entries the valencies."""
     refl = int(np.nonzero(cc.reflexive)[0][0])
     lam = np.zeros(alg.dim, dtype=np.int64)
     lam[refl] = 1

@@ -564,7 +564,7 @@ class PermutationGroup:
 class ActionClassification:
     transitive: bool
     orbit_sizes: tuple[int, ...]
-    subdegrees: tuple[int, ...] | None  # transitive case only
+    subdegrees: tuple[int, ...]
     rank: int
     half_transitive: bool
     three_halves_transitive: bool
@@ -602,31 +602,26 @@ def minimal_block(G: PermutationGroup, alpha: int, beta: int):
 
 def classify_action(G: PermutationGroup, cc, faithful: bool = True) -> ActionClassification:
     """Read the classification off the orbital configuration ``cc`` of G (see
-    ``coherent.two_orbits``): the rank is the orbital count, the subdegrees are
-    the valencies, and by Higman's criterion a transitive group is primitive
-    iff every non-reflexive orbital graph is connected, which one
-    ``minimal_block`` per orbital representative decides."""
+    ``coherent.two_orbits``, which refuses an intransitive G): the rank is the
+    orbital count, the subdegrees are the valencies, and by Higman's criterion
+    the group is primitive iff every non-reflexive orbital graph is connected,
+    which one ``minimal_block`` per orbital representative decides."""
     n = G.degree
-    orbit_sizes = tuple(sorted(cc.point_orbit_sizes))
-    transitive = len(orbit_sizes) == 1
-    half_transitive = len(set(orbit_sizes)) == 1
-    subdegrees = tuple(sorted(int(v) for v in cc.valency)) if transitive else None
-    three_halves = False
-    if transitive:
-        rest = list(subdegrees)
-        rest.remove(1)  # the fixed point {alpha}
-        # a regular group (every subdegree 1) is not 3/2-transitive
-        three_halves = len(set(rest)) == 1 and rest[0] > 1
-    primitive = transitive and all(
+    subdegrees = tuple(sorted(int(v) for v in cc.valency))
+    rest = list(subdegrees)
+    rest.remove(1)  # the fixed point {alpha}
+    # a regular group (every subdegree 1) is not 3/2-transitive
+    three_halves = len(set(rest)) == 1 and rest[0] > 1
+    primitive = all(
         len(minimal_block(G, int(a), int(b))) == n
         for (a, b), refl in zip(cc.rep, cc.reflexive) if not refl
     )
     return ActionClassification(
-        transitive=transitive,
-        orbit_sizes=orbit_sizes,
+        transitive=True,
+        orbit_sizes=(n,),
         subdegrees=subdegrees,
         rank=cc.m,
-        half_transitive=half_transitive,
+        half_transitive=True,
         three_halves_transitive=three_halves,
         primitive=primitive,
         faithful=faithful,
@@ -673,8 +668,10 @@ def action_on_cosets(G: PermutationGroup, H: PermutationGroup, cap: int = COSET_
     index = {layer.tobytes(): 0}
     targets = []  # the coset of r * g, for r by coset number and then g
     while len(layer):
-        # (r * g)[x] = g[r[x]]; stack[:, layer] is indexed [g, r, x]
-        found = canon(stack[:, layer].transpose(1, 0, 2).reshape(-1, n))
+        # (r * g)[x] = g[r[x]]; stack[:, layer] is indexed [g, r, x].  The
+        # byte keys need contiguous rows, which a trivial H passes through as
+        # the gather left them
+        found = np.ascontiguousarray(canon(stack[:, layer].transpose(1, 0, 2).reshape(-1, n)))
         new = []
         for k, key in enumerate(found.view(f"V{4 * n}").ravel().tolist()):
             j = index.get(key)

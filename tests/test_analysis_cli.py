@@ -10,7 +10,8 @@ import pytest
 import permsym
 from permsym import analysis, cli, endo
 from permsym.analysis import configuration, run_analysis
-from permsym.catalog import build_instance
+from permsym.catalog import CatalogInstance, build_instance
+from permsym.coherent import intersection_tensor, two_orbits, verify_cc_axioms
 from permsym.errors import InputError, VerificationError
 from permsym.perm import PermutationGroup
 from permsym.suite import run_all
@@ -103,6 +104,33 @@ def test_configuration_stage_catches_the_orbitals_of_another_group(monkeypatch):
     monkeypatch.setattr(analysis, "two_orbits", lambda G: fused)
     with pytest.raises(VerificationError, match="has 3 orbits, but there are 2 orbitals"):
         run_analysis("frobenius:7,3", 2, instance=inst)
+    assert inst.configuration is None
+
+
+def test_configuration_stage_catches_the_orbitals_of_a_smaller_stabilizer():
+    # The translations of F_2^3 and the coordinate swaps (1 2) and (2 3)
+    # generate F_2^3 : S_3 on the 8 vectors.  The chain's first level carries
+    # 0 to x by the translation by x; its deepest level holds the swap (2 3).  Without that
+    # level the stabilizer K = <(1 2)> has 6 orbits, against the 4 orbitals,
+    # and two_orbits labels the pairs by the orbitals of F_2^3 : K.  That
+    # finer table passes the orbit count, which reads the same chain, and the
+    # axioms; the generator (2 3) does not preserve its labels.
+    def swap(i, j):
+        return [x & ~(1 << i | 1 << j) | (x >> i & 1) << j | (x >> j & 1) << i
+                for x in range(8)]
+
+    gens = [[x ^ 1 << i for x in range(8)] for i in range(3)] + [swap(0, 1), swap(1, 2)]
+    assert two_orbits(PermutationGroup(8, gens)).m == 4
+    G = PermutationGroup(8, gens)
+    assert [(lv.base, len(lv.orbit)) for lv in G.chain.levels] == [(0, 8), (1, 3), (2, 2)]
+    del G.chain.levels[-1]
+    finer = two_orbits(G)
+    assert finer.m == 6
+    assert verify_cc_axioms(finer, intersection_tensor(finer)).passed
+    inst = CatalogInstance("agl", G, "F_2^3 : S_3 with a truncated chain", faithful=True)
+    with pytest.raises(VerificationError, match="adjacency product identity failed: "
+                       "generator 4 does not preserve the orbital of pair"):
+        configuration(inst)
     assert inst.configuration is None
 
 

@@ -1,8 +1,11 @@
+import dataclasses
 import hashlib
+import math
 
 import pytest
 
 from permsym import catalog
+from permsym.analysis import run_analysis
 from permsym.catalog import (
     build_instance,
     build_sym_on_pairs,
@@ -10,7 +13,7 @@ from permsym.catalog import (
 )
 from permsym.coherent import two_orbits
 from permsym.errors import InputError
-from permsym.perm import classify_action
+from permsym.perm import PermutationGroup, classify_action
 
 
 def classify(G):
@@ -20,6 +23,27 @@ def classify(G):
 def test_sym_alt_orders():
     assert build_instance("sym:5").group.order() == 120
     assert build_instance("alt:6").group.order() == 360
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_alt_is_built_from_two_generators(n):
+    G = build_instance(f"alt:{n}").group
+    assert len(G.generators) == (1 if n == 3 else 2)
+    assert G.order() == math.factorial(n) // 2
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_alt_reports_match_the_three_cycle_generators(n):
+    # the reports of A_n read nothing of its generating set: those from the
+    # two generators equal those from the n - 2 three-cycles (0 1 k)
+    two = build_instance(f"alt:{n}")
+    cycles = dataclasses.replace(two, group=PermutationGroup(n, catalog._alt_gens(n)))
+    for p in (2, 3, 5, 7):
+        for oracle in (False, True):
+            a = run_analysis(two.spec, p, oracle=oracle, instance=dataclasses.replace(two))
+            b = run_analysis(two.spec, p, oracle=oracle, instance=dataclasses.replace(cycles))
+            a.timings_ms = b.timings_ms = {}
+            assert (a.to_json(), a.to_text()) == (b.to_json(), b.to_text()), (n, p, oracle)
 
 
 def test_sign_twist_family_subdegrees():

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import random
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from permsym.coherent import (
     two_orbits,
     verify_cc_axioms,
 )
+from permsym.endo import centralizer_oracle
 from permsym.errors import InputError
-from permsym.perm import PermutationGroup, parse_permutation
+from permsym.perm import Permutation, PermutationGroup, action_on_cosets, parse_permutation
 
 CATALOG_SAMPLE = [
     "sym:5",
@@ -298,15 +301,236 @@ def test_trace_identity_links_form_to_trace():
 
 
 def test_intransitive_configuration():
+    # two_orbits refuses an intransitive group; the union-find oracle still
+    # partitions its pairs, into 5 orbits, 2 of them on the diagonal
     H = PermutationGroup(3, [parse_permutation("(1 2)", 3)])
-    cc = two_orbits(H)
-    assert cc.m == 5
-    assert int(cc.reflexive.sum()) == 2
-    C = intersection_tensor(cc)
-    assert verify_cc_axioms(cc, C).passed
-    # valencies of the orbitals supported on orbit(0) match the stabilizer orbits
-    orbit0 = int(cc.point_orbit_of[0])
-    supported = sorted(int(cc.valency[s]) for s in range(cc.m)
-                       if cc.support_orbit[s] == orbit0)
+    with pytest.raises(InputError, match="analysis requires a transitive action"):
+        two_orbits(H)
+    labels = centralizer_oracle(H)
+    assert np.count_nonzero(labels.ravel() == np.arange(9)) == 5
+    assert len(set(np.diag(labels).tolist())) == 2
+    # the orbits of the pairs (0, c) have the lengths of the stabilizer orbits
+    _, row0 = np.unique(labels[0], return_counts=True)
     stab = H.point_stabilizer(0)
-    assert supported == sorted(len(o) for o in stab.orbits())
+    assert sorted(row0.tolist()) == sorted(len(o) for o in stab.orbits())
+
+
+def test_trivial_group_of_degree_two_is_refused():
+    # no chain levels, as at degree 1, but two orbits
+    with pytest.raises(InputError, match="analysis requires a transitive action"):
+        two_orbits(PermutationGroup(2, []))
+
+
+# ---------------------------------------------------------------------------
+# two_orbits against the label propagation and the union-find oracle
+# ---------------------------------------------------------------------------
+
+def pair_orbit_labels(gen_images: np.ndarray) -> np.ndarray:
+    """Minimum pair index per orbit of the diagonal action on ordered pairs.
+
+    Iterate min-label propagation along each generator's pair permutation
+    (both directions) until a fixpoint.  Stability under the generator maps
+    alone makes the labels constant on orbits (and equal to the orbit
+    minimum); squared copies of the maps are propagated as well so that long
+    single-generator cycles converge in logarithmic rounds rather than linear
+    ones.
+    """
+    gen_images = np.asarray(gen_images, dtype=np.int64)
+    k, n = gen_images.shape
+    size = n * n
+    labels = np.arange(size, dtype=np.int64)
+    maps = []
+    for g in gen_images:
+        maps.append((g[:, None] * n + g[None, :]).reshape(size))
+        inv = np.empty(n, dtype=np.int64)
+        inv[g] = np.arange(n, dtype=np.int64)
+        maps.append((inv[:, None] * n + inv[None, :]).reshape(size))
+    accel = [mp.copy() for mp in maps]
+    changed = True
+    while changed:
+        changed = False
+        for mp in maps:
+            new = np.minimum(labels, labels[mp])
+            if not np.array_equal(new, labels):
+                labels = new
+                changed = True
+        for i, mp in enumerate(accel):
+            new = np.minimum(labels, labels[mp])
+            if not np.array_equal(new, labels):
+                labels = new
+                changed = True
+            accel[i] = mp[mp]
+    return labels
+
+
+def _random_perms(rng, k, n):
+    out = []
+    for _ in range(k):
+        imgs = list(range(n))
+        rng.shuffle(imgs)
+        out.append(imgs)
+    return np.array(out, dtype=np.int64)
+
+
+def _assert_labels_are_orbit_minima(gens, n):
+    labels = pair_orbit_labels(gens)
+    # closure by explicit BFS
+    size = n * n
+    seen = [False] * size
+    for start in range(size):
+        if seen[start]:
+            continue
+        comp = [start]
+        seen[start] = True
+        qpos = 0
+        while qpos < len(comp):
+            e = comp[qpos]
+            qpos += 1
+            i, j = divmod(e, n)
+            for g in gens:
+                e2 = g[i] * n + g[j]
+                if not seen[e2]:
+                    seen[e2] = True
+                    comp.append(e2)
+        lo = min(comp)
+        assert all(labels[e] == lo for e in comp)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pair_orbit_labels_paths_agree(seed):
+    # the min-label propagation agrees with a breadth-first closure
+    rng = random.Random(seed)
+    n = rng.randrange(3, 25)
+    _assert_labels_are_orbit_minima(_random_perms(rng, rng.randrange(1, 4), n), n)
+
+
+def test_pair_orbit_labels_are_orbit_minima():
+    rng = random.Random(7)
+    _assert_labels_are_orbit_minima(_random_perms(rng, 2, 8), 8)
+
+
+def test_pair_orbit_labels_without_generators():
+    labels = pair_orbit_labels(np.zeros((0, 4), dtype=np.int64))
+    assert np.array_equal(labels, np.arange(16))
+
+
+def reference_two_orbits(G):
+    """The configuration as two_orbits built it from pair_orbit_labels: the
+    orbits of the generators on the pairs, sorted reflexive first, then by
+    valency, then by least pair."""
+    n = G.degree
+    gen_images = np.array([g.images for g in G.generators], dtype=np.int64).reshape(-1, n)
+    uniq, inverse = np.unique(pair_orbit_labels(gen_images), return_inverse=True)
+    m = len(uniq)
+    table = inverse.reshape(n, n)
+    reps = np.stack([uniq // n, uniq % n], axis=1)
+    valency = np.array([np.count_nonzero(table[reps[s, 0]] == s) for s in range(m)],
+                       dtype=np.int64)
+    reflexive = np.zeros(m, dtype=bool)
+    reflexive[np.unique(np.diag(table))] = True
+    order = sorted(range(m), key=lambda s: (not reflexive[s], int(valency[s]), int(uniq[s])))
+    renumber = np.empty(m, dtype=np.int64)
+    renumber[order] = np.arange(m)
+    table = renumber[table].astype(np.int32)
+    reps = reps[order]
+    return {
+        "n": n,
+        "m": m,
+        "orbital_of": table,
+        "valency": valency[order],
+        "star": table[reps[:, 1], reps[:, 0]].astype(np.int64),
+        "reflexive": reflexive[order],
+        "rep": reps,
+    }
+
+
+def assert_matches_references(G, name):
+    cc = two_orbits(G)
+    want = reference_two_orbits(G)
+    assert [f.name for f in dataclasses.fields(cc)] == list(want), name
+    for key, value in want.items():
+        got = getattr(cc, key)
+        if isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype and np.array_equal(got, value), (name, key)
+        else:
+            assert got == value, (name, key)
+    # the oracle labels each pair with the least pair of its orbit
+    n = G.degree
+    assert np.array_equal(centralizer_oracle(G), (cc.rep[:, 0] * n + cc.rep[:, 1])[cc.orbital_of]), name
+
+
+WORKLOAD_SPECS = [
+    "psl2cosets:32", "frobenius:73,2", "frobenius:53,2", "example3_2", "sym:5", "alt:5",
+    "altpairs:7", "signtwist:3", "signtwist:4", "signtwist:5", "frobenius:7,3",
+    "frobenius:7,6", "frobenius:5,2", "psl2line:4", "psl2line:8", "psl2line:32",
+    "psl2cosets:8",
+]
+
+
+@pytest.mark.parametrize("spec", WORKLOAD_SPECS)
+def test_two_orbits_matches_the_references_on_the_workload_specs(spec):
+    assert_matches_references(build_instance(spec).group, spec)
+
+
+@pytest.mark.parametrize("spec", ["psl2cosets:8", "psl2cosets:32", "altpairs:9", "signtwist:5"])
+def test_two_orbits_matches_the_references_on_chains_stopped_at_the_bound(spec):
+    G = build_instance(spec).group
+    assert G.chain.stopped_at_bound
+    assert_matches_references(G, spec)
+
+
+def test_two_orbits_matches_the_references_on_degree_one_and_two(tmp_path):
+    for text, table in (("degree 1\n", [[0]]), ("degree 2\n(1 2)\n", [[0, 1], [1, 0]])):
+        path = tmp_path / f"{len(table)}.txt"
+        path.write_text(text)
+        G = build_instance(f"file:{path}").group
+        assert two_orbits(G).orbital_of.tolist() == table
+        assert_matches_references(G, text)
+
+
+def random_transitive_groups(seed, count):
+    """Seeded transitive groups of degree 2 to 30 with their points relabelled
+    at random: regular cyclic groups, cyclic groups extended by a multiplier
+    x -> ax mod n or by a random permutation, and the actions of random
+    subgroups of S_k, k <= 6, on the cosets of random subgroups."""
+    rng = random.Random(seed)
+
+    def perm(images):
+        return Permutation(images)
+
+    out = []
+    while len(out) < count:
+        kind = rng.randrange(4)
+        if kind < 3:
+            n = rng.randrange(2, 31)
+            gens = [perm([(x + 1) % n for x in range(n)])]
+            if kind == 1:
+                units = [a for a in range(2, n) if math.gcd(a, n) == 1]
+                if units:
+                    a = rng.choice(units)
+                    gens.append(perm([a * x % n for x in range(n)]))
+            elif kind == 2:
+                gens.append(perm(rng.sample(range(n), n)))
+            G = PermutationGroup(n, gens)
+        else:
+            k = rng.randrange(2, 7)
+            top = PermutationGroup(k, [perm(rng.sample(range(k), k))
+                                       for _ in range(rng.randrange(1, 3))])
+            if top.is_trivial():
+                continue
+            elements = top.chain.elements()
+            H = PermutationGroup(k, [perm(elements[rng.randrange(len(elements))].tolist())
+                                     for _ in range(rng.randrange(0, 3))])
+            if not 2 <= top.order() // H.order() <= 30:
+                continue
+            G = action_on_cosets(top, H)
+        n = G.degree
+        relabel = perm(rng.sample(range(n), n))
+        out.append(PermutationGroup(n, [g.conjugate(relabel) for g in G.generators]))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_two_orbits_matches_the_references_on_random_transitive_groups(seed):
+    for i, G in enumerate(random_transitive_groups(seed, 50)):
+        assert_matches_references(G, (seed, i, G.degree))

@@ -227,12 +227,15 @@ def test_form_nondegenerate_iff_valencies_invertible():
 
 
 def test_form_requires_transitivity():
+    # the form reads the one reflexive orbital of a transitive configuration;
+    # an intransitive group gets no configuration
     H = PermutationGroup(3, [parse_permutation("(1 2)", 3)])
-    cc = two_orbits(H)
-    tensor = intersection_tensor(cc)
-    alg = centralizer_algebra(cc, tensor, prime_field(3))
-    with pytest.raises(InputError, match="transitivity"):
-        natural_form(alg, cc)
+    with pytest.raises(InputError, match="analysis requires a transitive action"):
+        two_orbits(H)
+    cc = two_orbits(PermutationGroup(3, [parse_permutation("(1 2 3)", 3)]))
+    alg = centralizer_algebra(cc, intersection_tensor(cc), prime_field(3))
+    assert cc.reflexive.tolist() == [True, False, False]
+    assert natural_form(alg, cc).functional.tolist() == [1, 0, 0]
 
 
 # ---------------------------------------------------------------------------

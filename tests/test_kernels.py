@@ -1,8 +1,5 @@
-"""The numpy kernels against exact references: a breadth-first closure for the
-pair-orbit labels, and a Python-int Gauss-Jordan elimination for rank, rref
-and nullspace."""
-
-import random
+"""The numpy kernels against exact references: a Python-int Gauss-Jordan
+elimination for rank, rref and nullspace."""
 
 import numpy as np
 import pytest
@@ -11,57 +8,6 @@ from permsym import _kernels
 
 #: primes from F_2 up to just below the characteristic bound 2^28
 PRIMES = (2, 3, 7, 73, 268435399)
-
-
-def _random_perms(rng, k, n):
-    out = []
-    for _ in range(k):
-        imgs = list(range(n))
-        rng.shuffle(imgs)
-        out.append(imgs)
-    return np.array(out, dtype=np.int64)
-
-
-def _assert_labels_are_orbit_minima(gens, n):
-    labels = _kernels.pair_orbit_labels(gens)
-    # closure by explicit BFS
-    size = n * n
-    seen = [False] * size
-    for start in range(size):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        qpos = 0
-        while qpos < len(comp):
-            e = comp[qpos]
-            qpos += 1
-            i, j = divmod(e, n)
-            for g in gens:
-                e2 = g[i] * n + g[j]
-                if not seen[e2]:
-                    seen[e2] = True
-                    comp.append(e2)
-        lo = min(comp)
-        assert all(labels[e] == lo for e in comp)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_pair_orbit_labels_paths_agree(seed):
-    # the min-label propagation agrees with a breadth-first closure
-    rng = random.Random(seed)
-    n = rng.randrange(3, 25)
-    _assert_labels_are_orbit_minima(_random_perms(rng, rng.randrange(1, 4), n), n)
-
-
-def test_pair_orbit_labels_are_orbit_minima():
-    rng = random.Random(7)
-    _assert_labels_are_orbit_minima(_random_perms(rng, 2, 8), 8)
-
-
-def test_pair_orbit_labels_without_generators():
-    labels = _kernels.pair_orbit_labels(np.zeros((0, 4), dtype=np.int64))
-    assert np.array_equal(labels, np.arange(16))
 
 
 # ---------------------------------------------------------------------------

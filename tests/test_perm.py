@@ -431,12 +431,13 @@ def test_classify_regular_and_intransitive():
     C3 = PermutationGroup(3, [parse_permutation("(1 2 3)", 3)])
     cls = classify(C3)
     assert cls.transitive and cls.half_transitive and not cls.three_halves_transitive
+    assert cls.orbit_sizes == (3,) and cls.subdegrees == (1, 1, 1)
     assert cls.rank == 3
+    # an intransitive action has no configuration to classify
     H = PermutationGroup(3, [parse_permutation("(1 2)", 3)])
-    cls = classify(H)
-    assert not cls.transitive and cls.subdegrees is None
-    assert cls.orbit_sizes == (1, 2) and not cls.half_transitive
-    assert cls.rank == 5  # orbital count of the intransitive action
+    assert sorted(len(o) for o in H.orbits()) == [1, 2]
+    with pytest.raises(InputError, match="analysis requires a transitive action"):
+        classify(H)
 
 
 def test_three_halves_flags_across_catalog():
@@ -470,14 +471,18 @@ def test_primitivity_matches_exhaustive_block_scan():
         PermutationGroup(4, [parse_permutation(c, 4) for c in ("(1 2 3 4)", "(1 3)")]),  # D8
         PermutationGroup(6, [parse_permutation(c, 6)  # S2 wr S3, blocks {1,2},{3,4},{5,6}
                              for c in ("(1 2)", "(1 3)(2 4)", "(1 3 5)(2 4 6)")]),
-        PermutationGroup(3, [parse_permutation("(1 2)", 3)]),  # intransitive
     ]
     for G in groups:
         n = G.degree
         # reference: no block through point 0 other than the whole domain
         want = G.is_transitive() and all(len(minimal_block(G, 0, b)) == n for b in range(1, n))
         assert classify(G).primitive == want, G
-    assert [classify(G).primitive for G in groups[-4:]] == [False] * 4
+    assert [classify(G).primitive for G in groups[-3:]] == [False] * 3
+    # an intransitive group, imprimitive by the reference, is refused
+    H = PermutationGroup(3, [parse_permutation("(1 2)", 3)])
+    assert not H.is_transitive()
+    with pytest.raises(InputError, match="analysis requires a transitive action"):
+        classify(H)
 
 
 def test_minimal_block_prime_regular():
@@ -514,6 +519,14 @@ def test_coset_action_self_is_trivial():
     G = build_sym(3).group
     Q = action_on_cosets(G, G)
     assert Q.degree == 1 and Q.order() == 1
+
+
+def test_coset_action_on_the_trivial_subgroup_is_regular():
+    # with no chain levels, H passes the gathered rows through unchanged
+    G = build_sym(3).group
+    Q = action_on_cosets(G, PermutationGroup(3, []))
+    assert Q.degree == 6 and Q.order() == 6
+    assert classify(Q).subdegrees == (1,) * 6
 
 
 def test_coset_action_not_subgroup():
