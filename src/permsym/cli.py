@@ -5,9 +5,9 @@
     permsym suite [--seed 0] [--verbose] [--only KEY ...] [--negative-control]
     permsym catalog
 
-Exit codes: 0 success, 2 user error (bad spec, intransitive action, composite
-characteristic or one not below 2^28, negative seed), 3 internal verification
-failure.
+Exit codes: 0 success, 2 user error (bad spec, unreadable file, intransitive
+action, composite characteristic or one not below 2^28, negative seed), 3
+internal verification failure.
 """
 
 import argparse
@@ -33,8 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("--format", choices=("text", "json"), default="text")
     an.add_argument("--seed", type=int, default=0)
     an.add_argument("--oracle", action="store_true",
-                    help="cross-check the orbitals by union-find, and run the Hecke "
-                         "check where its caps allow")
+                    help="cross-check the orbitals by union-find, and report the "
+                         "Hecke dimension where p does not divide |H|")
 
     su = sub.add_parser("suite", help="run the verification suite")
     su.add_argument("--seed", type=int, default=0)

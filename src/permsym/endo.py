@@ -736,6 +736,8 @@ def hecke_check(G: PermutationGroup, alpha: int) -> int:
     """The number of double cosets HgH of the stabilizer H of alpha, each
     built from explicit products, independently of H.orbits().  It needs a
     full element list, so it refuses a group of order above HECKE_ORDER_CAP.
+    The analysis reads the count off its configuration instead (see
+    ``run_analysis``); the scan is the reference of the tests and the suite.
 
     The count is the dimension of span{e g e : g in G} in F_pG at every p
     not dividing |H|, where e is the averaged stabilizer sum

@@ -600,30 +600,33 @@ def minimal_block(G: PermutationGroup, alpha: int, beta: int):
     return sorted(x for x in range(n) if find(x) == root)
 
 
-def classify_action(G: PermutationGroup, cc, faithful: bool = True) -> ActionClassification:
-    """Read the classification off the orbital configuration ``cc`` of G (see
-    ``coherent.two_orbits``, which refuses an intransitive G): the rank is the
-    orbital count, the subdegrees are the valencies, and by Higman's criterion
-    the group is primitive iff every non-reflexive orbital graph is connected,
-    which one ``minimal_block`` per orbital representative decides."""
-    n = G.degree
+def classify_action(cc, tensor: np.ndarray, faithful: bool = True) -> ActionClassification:
+    """Read the classification off the orbital configuration ``cc`` of a
+    transitive group (``coherent.two_orbits`` refuses any other) and its
+    proven intersection tensor C: the rank is the orbital count and the
+    subdegrees are the valencies.  By Higman's criterion the group is
+    primitive iff every non-reflexive orbital graph Gamma_s is connected, that
+    is (G finite), iff s-steps from the point 0 reach every point; the reached
+    set is G_0-invariant, a union of suborbits.  By axiom (3), C[t, r, s] > 0
+    iff an s-step from some point of suborbit r lands in suborbit t, so one
+    closure decides every s: reached[s, t] grows from the reflexive suborbit
+    until it is stable."""
     subdegrees = tuple(sorted(int(v) for v in cc.valency))
     rest = list(subdegrees)
     rest.remove(1)  # the fixed point {alpha}
     # a regular group (every subdegree 1) is not 3/2-transitive
     three_halves = len(set(rest)) == 1 and rest[0] > 1
-    primitive = all(
-        len(minimal_block(G, int(a), int(b))) == n
-        for (a, b), refl in zip(cc.rep, cc.reflexive) if not refl
-    )
+    steps, reached, last = tensor > 0, np.broadcast_to(cc.reflexive, (cc.m, cc.m)), None
+    while not np.array_equal(reached, last):
+        last, reached = reached, reached | np.einsum("trs,sr->st", steps, reached)
     return ActionClassification(
         transitive=True,
-        orbit_sizes=(n,),
+        orbit_sizes=(cc.n,),
         subdegrees=subdegrees,
         rank=cc.m,
         half_transitive=True,
         three_halves_transitive=three_halves,
-        primitive=primitive,
+        primitive=bool(reached[~cc.reflexive].all()),
         faithful=faithful,
     )
 

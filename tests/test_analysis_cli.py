@@ -177,18 +177,29 @@ def counting(monkeypatch, module, name):
 
 def test_cross_checks_run_once_per_instance(monkeypatch):
     calls = [counting(monkeypatch, analysis, name)
-             for name in ("centralizer_oracle", "schur_vs_centralizer", "hecke_check")]
+             for name in ("centralizer_oracle", "schur_vs_centralizer")]
+    # the Hecke dimension is read off the configuration: no scan runs
+    assert not hasattr(analysis, "hecke_check")
+    hecke_calls = counting(monkeypatch, endo, "hecke_check")
     inst = fresh_instance("frobenius:7,3")
     timed = []
     for p in (2, 3, 5, 7):
         rep = run_analysis("frobenius:7,3", p, oracle=True, instance=inst)
         timed.append({"schur", "oracle", "hecke"} & set(rep.timings_ms))
         assert rep.checks["oracle_dim"] == 3 and rep.schur["iso_pass"]
-        # |H| = 3, so p = 3 has no Hecke check
+        # |H| = 3, so p = 3 has no Hecke dimension
         assert rep.checks.get("hecke", {}).get("hecke_dim") == (None if p == 3 else 3)
-    assert [len(c) for c in calls] == [1, 1, 1]
+    assert [len(c) for c in calls] == [1, 1] and hecke_calls == []
     # each cross-check is timed on the one run that computes it
-    assert timed == [{"schur", "oracle", "hecke"}, set(), set(), set()]
+    assert timed == [{"schur", "oracle"}, set(), set(), set()]
+
+
+def test_hecke_dimension_is_reported_above_the_scan_cap():
+    # |PSL(2,32)| = 32736 is above the scan's cap, and |H| = 992 is prime to 3
+    rep = run_analysis("psl2line:32", 3, oracle=True)
+    assert rep.checks["hecke"] == {"hecke_dim": 2, "rank": 2, "matches_rank": True}
+    with pytest.raises(InputError, match="group order 32736 exceeds cap 5000"):
+        endo.hecke_check(build_instance("psl2line:32").group, 0)
 
 
 def test_a_failing_oracle_comparison_keeps_no_result(monkeypatch):
@@ -314,6 +325,18 @@ def test_cli_refuses_an_oversized_catalog_parameter(capsys):
     # own cap were missing; the message tells which check refused it
     assert cli.main(["analyze", "--group", "sym:20000", "--char", "2"]) == 2
     assert "sym:20000 acts on 20000 points, above the cap 10000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+def test_cli_refuses_an_unreadable_file(kind, tmp_path, capsys):
+    path = tmp_path / "gens.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "undecodable":
+        path.write_bytes(b"\xff\xfe")
+    assert cli.main(["analyze", "--file", str(path), "--char", "2"]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read generator file {path}" in err and "Traceback" not in err
 
 
 def test_cli_refuses_a_negative_seed(capsys):

@@ -11,13 +11,14 @@ from permsym.catalog import (
     build_sym_on_pairs,
     catalog_entries,
 )
-from permsym.coherent import two_orbits
+from permsym.coherent import intersection_tensor, two_orbits
 from permsym.errors import InputError
 from permsym.perm import PermutationGroup, classify_action
 
 
 def classify(G):
-    return classify_action(G, two_orbits(G))
+    cc = two_orbits(G)
+    return classify_action(cc, intersection_tensor(cc))
 
 
 def test_sym_alt_orders():

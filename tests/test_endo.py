@@ -7,6 +7,7 @@ import pytest
 
 from permsym import endo
 from permsym._kernels import rank_mod_p, rref_mod_p
+from permsym.analysis import run_analysis
 from permsym.catalog import build_instance
 from permsym.coherent import (
     adjacency_matrices,
@@ -847,6 +848,8 @@ def test_hecke_dims_match_double_coset_loop(spec):
     assert count == len(G.point_stabilizer(0).orbits())
     for p in primes:
         assert count == reference_hecke_dim(G, 0, p), p
+        # the analysis reports this count without running the scan
+        assert run_analysis(spec, p, oracle=True).checks["hecke"]["hecke_dim"] == count, p
 
 
 def test_hecke_count_comes_from_the_double_coset_scan(monkeypatch):

@@ -12,7 +12,7 @@ from permsym.catalog import (
     build_psl2_line,
     build_sym,
 )
-from permsym.coherent import two_orbits
+from permsym.coherent import intersection_tensor, two_orbits
 from permsym.errors import InputError, VerificationError
 from permsym.perm import (
     ENUMERATION_ORDER_CAP,
@@ -389,7 +389,8 @@ def test_orbit_stabilizer_invariant_degree_496_spot():
 # ---------------------------------------------------------------------------
 
 def classify(G):
-    return classify_action(G, two_orbits(G))
+    cc = two_orbits(G)
+    return classify_action(cc, intersection_tensor(cc))
 
 
 def test_classify_alt7_on_pairs():
@@ -461,7 +462,7 @@ PRIMITIVITY_SPECS = [
     "sym:3", "sym:4", "sym:5", "alt:4", "alt:5", "alt:6", "altpairs:5", "altpairs:7",
     "signtwist:3", "signtwist:4", "signtwist:5", "frobenius:5,2", "frobenius:7,3",
     "frobenius:7,6", "frobenius:13,3", "frobenius:73,2", "example3_2", "psl2line:4",
-    "psl2line:8", "psl2line:32", "psl2cosets:8",
+    "psl2line:8", "psl2line:32", "psl2cosets:8", "psl2cosets:32",
 ]
 
 
@@ -471,13 +472,21 @@ def test_primitivity_matches_exhaustive_block_scan():
         PermutationGroup(4, [parse_permutation(c, 4) for c in ("(1 2 3 4)", "(1 3)")]),  # D8
         PermutationGroup(6, [parse_permutation(c, 6)  # S2 wr S3, blocks {1,2},{3,4},{5,6}
                              for c in ("(1 2)", "(1 3)(2 4)", "(1 3 5)(2 4 6)")]),
+        # C12 and D24 on 12 points, and C2 wr C4 on 8 points with blocks
+        # {1,2},{3,4},{5,6},{7,8}: some orbital graph takes several steps
+        # to show it is disconnected
+        PermutationGroup(12, [parse_permutation("(1 2 3 4 5 6 7 8 9 10 11 12)", 12)]),
+        PermutationGroup(12, [parse_permutation(c, 12) for c in
+                              ("(1 2 3 4 5 6 7 8 9 10 11 12)", "(2 12)(3 11)(4 10)(5 9)(6 8)")]),
+        PermutationGroup(8, [parse_permutation(c, 8) for c in ("(1 2)", "(1 3 5 7)(2 4 6 8)")]),
+        PermutationGroup(13, [parse_permutation("(1 2 3 4 5 6 7 8 9 10 11 12 13)", 13)]),  # C13
     ]
     for G in groups:
         n = G.degree
         # reference: no block through point 0 other than the whole domain
         want = G.is_transitive() and all(len(minimal_block(G, 0, b)) == n for b in range(1, n))
         assert classify(G).primitive == want, G
-    assert [classify(G).primitive for G in groups[-3:]] == [False] * 3
+    assert [classify(G).primitive for G in groups[-7:]] == [False] * 6 + [True]
     # an intransitive group, imprimitive by the reference, is refused
     H = PermutationGroup(3, [parse_permutation("(1 2)", 3)])
     assert not H.is_transitive()
