@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-import numpy as np
-
 from .errors import InputError, VerificationError
 from .exactlin import binary_field, is_prime
 from .perm import (
@@ -318,32 +316,52 @@ def build_psl2_line(q: int) -> CatalogInstance:
     )
 
 
+def _matrix_mul(field, a, b):
+    """Product of two 2x2 matrices over ``field``, as nested tuples."""
+    return tuple(
+        tuple(field.add(field.mul(a[i][0], b[0][j]), field.mul(a[i][1], b[1][j])) for j in (0, 1))
+        for i in (0, 1)
+    )
+
+
+def _matrix_order(field, mat, cap: int) -> int | None:
+    """The order of ``mat`` if it is at most ``cap``, else None."""
+    identity = ((1, 0), (0, 1))
+    power = mat
+    for k in range(1, cap + 1):
+        if power == identity:
+            return k
+        power = _matrix_mul(field, power, mat)
+    return None
+
+
+def _dihedral_generators(field, q: int):
+    """The matrices C = ((0, 1), (1, t)), with t the least field element for
+    which C has order exactly q+1, and S = ((0, 1), (1, 0))."""
+    for t in range(q):
+        c = ((0, 1), (1, t))
+        if _matrix_order(field, c, q + 1) == q + 1:
+            return c, ((0, 1), (1, 0))
+    raise VerificationError(f"no companion matrix of order {q + 1} in PSL(2,{q})")
+
+
 @lru_cache(maxsize=None)
 def _dihedral_subgroup(q: int) -> PermutationGroup:
-    """Dihedral subgroup of order 2(q+1) of PSL(2,q): the normalizer of the
-    cyclic group generated by the first element of order q+1 found in the
-    deterministic element enumeration."""
+    """Dihedral subgroup H = <C, S> of order 2(q+1) of PSL(2,q), q even,
+    built from two matrices (see ``_dihedral_generators``): the normalizer
+    of a non-split torus (Dickson; Huppert, Endliche Gruppen I, II.8).
+
+    C has determinant 1 and order q+1, and S has order 2.  In characteristic
+    2, S C S = ((t, 1), (1, 0)) = C^-1, so S normalizes <C> and inverts it.
+    q+1 is odd, so <C> holds no involution and S lies outside it; hence
+    <C, S> is dihedral of order 2(q+1).  PSL(2,q) = SL(2,q) acts faithfully
+    on the projective line, so the permutation group has that order too,
+    which the order check below confirms."""
     G = build_psl2_line(q).group
-    elements = G.chain.elements()
-    base = G.chain.base()
-    # an element of G is determined by its base images; cur holds those of g^k
-    # for k = 1..q+1 in turn, and g has order q+1 iff g^(q+1) is the first power
-    # to fix the base
-    cur = elements[:, base]
-    early = np.zeros(len(elements), dtype=bool)
-    for _ in range(q):
-        early |= (cur == base).all(axis=1)
-        cur = np.take_along_axis(elements, cur, axis=1)
-    hits = np.flatnonzero(~early & (cur == base).all(axis=1))
-    if not len(hits):
-        raise VerificationError(f"no element of order {q + 1} found in PSL(2,{q})")
-    c = Permutation(elements[hits[0]].tolist())
-    # g normalizes <c> iff c * g = g * c^k for some k
-    cg = elements[:, [c.images[b] for b in base]]
-    normal = np.zeros(len(elements), dtype=bool)
-    for k in range(q + 1):
-        normal |= (np.array((c ** k).images)[elements[:, base]] == cg).all(axis=1)
-    H = PermutationGroup(G.degree, [Permutation(row) for row in elements[normal].tolist()])
+    field = binary_field(PSL_LINE_FIELDS[q])
+    H = PermutationGroup(
+        G.degree, [_psl2_matrix_perm(field, m) for m in _dihedral_generators(field, q)]
+    )
     if H.order() != 2 * (q + 1):
         raise VerificationError(
             f"normalizer order {H.order()} differs from 2(q+1) = {2 * (q + 1)}"

@@ -176,25 +176,33 @@ def adjacency_product_check(cc: CoherentConfiguration, tensor: np.ndarray, gener
     A label that some generator does not preserve fails first.  Each
     checked row is a bincount over (b, r, s), in column blocks of at most
     PRODUCT_BLOCK_CELLS cells; a failure names the first (r, s) in r-major
-    order."""
+    order.
+
+    Both steps gather on the int32 table itself, with no wider copy.  The
+    keys are laid out b-major, from the rows of table.T, so that consecutive
+    keys fall into the same b's m*m counters, which stay in cache however
+    the points are numbered."""
     n, m = cc.n, cc.m
-    table = cc.orbital_of.astype(np.int64)
+    table = cc.orbital_of
     for i, g in enumerate(generators):
-        images = np.asarray(g.images, dtype=np.int64)
-        bad = np.argwhere(table[images][:, images] != table)
-        if len(bad):
-            a, b = map(int, bad[0])
+        images = np.asarray(g.images, dtype=np.intp)
+        moved = table[images][:, images] != table
+        if moved.any():
+            a, b = map(int, np.argwhere(moved)[0])
             return False, f"generator {i} does not preserve the orbital of pair ({a}, {b})"
     rhs_rows = tensor.reshape(m, m * m)
     block = max(1, PRODUCT_BLOCK_CELLS // (m * m))
+    # every key is below block * m * m
+    key_type = np.int32 if block * m * m <= np.iinfo(np.int32).max else np.int64
     failed = np.zeros(m * m, dtype=bool)
     for orbit in orbits(generators, n):
         a = orbit[0]
+        row_a = table[a].astype(key_type) * m
         for lo in range(0, n, block):
-            cols = table[:, lo:lo + block]
-            width = cols.shape[1]
-            # keys[c, b] = (b, r = orbital of (a, c), s = orbital of (c, b))
-            keys = table[a][:, None] * m + cols + np.arange(width) * (m * m)
+            rows = table.T[lo:lo + block]
+            width = len(rows)
+            # keys[b, c] = (b, r = orbital of (a, c), s = orbital of (c, b))
+            keys = rows + row_a + np.arange(width, dtype=key_type)[:, None] * (m * m)
             lhs = np.bincount(keys.ravel(), minlength=width * m * m).reshape(width, m * m)
             failed |= (lhs != rhs_rows[table[a, lo:lo + block]]).any(axis=0)
     if failed.any():

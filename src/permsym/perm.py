@@ -610,15 +610,18 @@ def classify_action(cc, tensor: np.ndarray, faithful: bool = True) -> ActionClas
     set is G_0-invariant, a union of suborbits.  By axiom (3), C[t, r, s] > 0
     iff an s-step from some point of suborbit r lands in suborbit t, so one
     closure decides every s: reached[s, t] grows from the reflexive suborbit
-    until it is stable."""
+    until it is stable.  Each step is one batched float64 matmul over s,
+    exact because its entries are 0 or 1 and every sum is at most m."""
     subdegrees = tuple(sorted(int(v) for v in cc.valency))
     rest = list(subdegrees)
     rest.remove(1)  # the fixed point {alpha}
     # a regular group (every subdegree 1) is not 3/2-transitive
     three_halves = len(set(rest)) == 1 and rest[0] > 1
-    steps, reached, last = tensor > 0, np.broadcast_to(cc.reflexive, (cc.m, cc.m)), None
+    # steps[s, r, t] = 1.0 iff C[t, r, s] > 0
+    steps = (tensor > 0).transpose(2, 1, 0).astype(np.float64, order="C")
+    reached, last = np.broadcast_to(cc.reflexive, (cc.m, cc.m)), None
     while not np.array_equal(reached, last):
-        last, reached = reached, reached | np.einsum("trs,sr->st", steps, reached)
+        last, reached = reached, reached | (reached[:, None, :] @ steps > 0)[:, 0, :]
     return ActionClassification(
         transitive=True,
         orbit_sizes=(cc.n,),

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from permsym import catalog
@@ -12,8 +13,9 @@ from permsym.catalog import (
     catalog_entries,
 )
 from permsym.coherent import intersection_tensor, two_orbits
-from permsym.errors import InputError
-from permsym.perm import PermutationGroup, classify_action
+from permsym.errors import InputError, VerificationError
+from permsym.exactlin import binary_field
+from permsym.perm import Permutation, PermutationGroup, action_on_cosets, classify_action
 
 
 def classify(G):
@@ -121,17 +123,115 @@ def test_psl2_dihedral_cosets_q32():
 
 
 def test_psl2_dihedral_coset_generators_are_unchanged():
-    # generator images as first built by element-by-element enumeration; they
-    # fix the coset numbering, hence every orbital label of these groups
+    # generator images of the action on the cosets of the matrix-built
+    # dihedral subgroup; they fix the coset numbering, hence every orbital
+    # label of these groups
     gens = build_instance("psl2cosets:8").group.generators
     assert [g.cycle_string() for g in gens] == [
-        "(2 4)(3 7)(5 9)(6 12)(8 14)(10 15)(11 17)(16 21)(18 25)(19 27)(20 28)(22 24)",
-        "(1 2 5 10 11 6 3)(4 8 15 22 28 25 23)(7 13 19 9 16 24 20)(12 18 26 27 14 21 17)",
-        "(1 3)(2 6)(4 8)(5 11)(9 16)(12 14)(13 20)(15 23)(17 21)(18 27)(19 24)(22 25)",
+        "(1 2)(3 6)(4 9)(7 13)(8 17)(10 18)(11 20)(12 16)(14 23)(15 24)(19 27)(21 22)",
+        "(1 3 7 15 25 16 8)(2 4 10 11 5 12 21)(6 13 20 28 27 22 14)(9 18 24 26 19 17 23)",
+        "(2 5)(3 8)(4 11)(6 14)(7 16)(9 19)(12 21)(13 22)(15 25)(17 23)(18 26)(20 27)",
     ]
     gens = build_instance("psl2cosets:32").group.generators
     digest = hashlib.sha256(repr([g.images for g in gens]).encode()).hexdigest()
-    assert digest == "727c5a6e52b8333e593525865e6ed6341f22fabbafc229057e4014b02f382462"
+    assert digest == "1a4a8cf5938f6d2bf60d8d9ae17c228c96223e1aef5009edfc0ea1c154f481e3"
+
+
+def dihedral_subgroup_by_scan(q):
+    """The reference dihedral subgroup of PSL(2,q) that the catalog built
+    before its matrix construction: the normalizer of the cyclic group
+    generated by the first element of order q+1 in the deterministic
+    element enumeration."""
+    G = catalog.build_psl2_line(q).group
+    elements = G.chain.elements()
+    base = G.chain.base()
+    # an element of G is determined by its base images; cur holds those of g^k
+    # for k = 1..q+1 in turn, and g has order q+1 iff g^(q+1) is the first power
+    # to fix the base
+    cur = elements[:, base]
+    early = np.zeros(len(elements), dtype=bool)
+    for _ in range(q):
+        early |= (cur == base).all(axis=1)
+        cur = np.take_along_axis(elements, cur, axis=1)
+    c = Permutation(elements[np.flatnonzero(~early & (cur == base).all(axis=1))[0]].tolist())
+    # g normalizes <c> iff c * g = g * c^k for some k
+    cg = elements[:, [c.images[b] for b in base]]
+    normal = np.zeros(len(elements), dtype=bool)
+    for k in range(q + 1):
+        normal |= (np.array((c ** k).images)[elements[:, base]] == cg).all(axis=1)
+    return PermutationGroup(G.degree, [Permutation(row) for row in elements[normal].tolist()])
+
+
+def element_set(H):
+    return {h.images for h in H.elements()}
+
+
+@pytest.mark.parametrize("q", [8, 32])
+def test_matrix_dihedral_subgroup_is_conjugate_to_the_scanned_one(q):
+    G = catalog.build_psl2_line(q).group
+    scanned, built = dihedral_subgroup_by_scan(q), catalog._dihedral_subgroup(q)
+    assert scanned.order() == built.order() == 2 * (q + 1)
+    # some g in G conjugates every scanned generator h into the built
+    # subgroup, which has the same order, so it conjugates the one onto the
+    # other; conj[i] maps elements[i](x) to elements[i](h(x)), the conjugate
+    # of h by elements[i]
+    elements = G.chain.elements()
+    target = {bytes(np.array(h, dtype=np.int32)) for h in element_set(built)}
+    conjugating = np.ones(len(elements), dtype=bool)
+    for h in scanned.generators:
+        conj = np.empty_like(elements)
+        np.put_along_axis(conj, elements, elements[:, h.images], axis=1)
+        conjugating &= [row.tobytes() in target for row in conj]
+    assert conjugating.any()
+
+    # conjugate subgroups give equivalent coset actions, so every report is
+    # the same under either coset numbering
+    matrix = build_instance(f"psl2cosets:{q}")
+    scan = dataclasses.replace(matrix, group=action_on_cosets(G, scanned))
+    assert scan.group.generators != matrix.group.generators
+    for p in (2, 3, 5, 7, 11, 13, 31):
+        for oracle in (False, True):
+            a = run_analysis(matrix.spec, p, oracle=oracle, instance=matrix)
+            b = run_analysis(matrix.spec, p, oracle=oracle, instance=scan)
+            da, db = a.to_dict(), b.to_dict()
+            del da["timings_ms"], db["timings_ms"]
+            assert (da, a.to_text()) == (db, b.to_text()), (q, p, oracle)
+
+
+@pytest.mark.parametrize("q,t", [(8, 2), (32, 6)])
+def test_dihedral_matrices(q, t):
+    field = binary_field(catalog.PSL_LINE_FIELDS[q])
+    c, s = catalog._dihedral_generators(field, q)
+    assert c == ((0, 1), (1, t)) and s == ((0, 1), (1, 0))
+    identity = ((1, 0), (0, 1))
+    # C has order exactly q+1, and no smaller t gives that order
+    powers = [c]
+    for _ in range(q):
+        powers.append(catalog._matrix_mul(field, powers[-1], c))
+    assert powers[q] == identity and identity not in powers[:q]
+    for smaller in range(t):
+        assert catalog._matrix_order(field, ((0, 1), (1, smaller)), q + 1) != q + 1
+    # S C S = C^-1 in characteristic 2, and S is an involution
+    scs = catalog._matrix_mul(field, catalog._matrix_mul(field, s, c), s)
+    assert scs == powers[q - 1] == ((t, 1), (1, 0))
+    assert catalog._matrix_mul(field, c, scs) == catalog._matrix_mul(field, s, s) == identity
+    H = catalog._dihedral_subgroup(q)
+    assert H.order() == len(element_set(H)) == 2 * (q + 1)
+
+
+@pytest.mark.parametrize("q", [8, 32])
+@pytest.mark.parametrize("corrupt", ["wrong t", "no swap"])
+def test_dihedral_order_check_catches_a_corrupted_generator(monkeypatch, q, corrupt):
+    right = catalog._dihedral_generators
+
+    def corrupted(field, q):
+        c, s = right(field, q)
+        # t = 1 gives C order 3, so <C, S> is dihedral of order 6
+        return (((0, 1), (1, 1)), s) if corrupt == "wrong t" else (c,)
+
+    monkeypatch.setattr(catalog, "_dihedral_generators", corrupted)
+    with pytest.raises(VerificationError, match=f"differs from 2\\(q\\+1\\) = {2 * (q + 1)}"):
+        catalog._dihedral_subgroup.__wrapped__(q)
 
 
 def test_psl2_unsupported_q():

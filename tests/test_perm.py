@@ -5,7 +5,10 @@ import pytest
 
 from permsym import perm
 from permsym.catalog import (
+    PSL_LINE_FIELDS,
+    _dihedral_generators,
     _dihedral_subgroup,
+    _psl2_matrix_perm,
     build_alt,
     build_alt_on_pairs,
     build_instance,
@@ -14,6 +17,7 @@ from permsym.catalog import (
 )
 from permsym.coherent import intersection_tensor, two_orbits
 from permsym.errors import InputError, VerificationError
+from permsym.exactlin import binary_field
 from permsym.perm import (
     ENUMERATION_ORDER_CAP,
     GroupChecks,
@@ -272,17 +276,20 @@ def test_element_order_matches_tuple_reference(spec):
 
 @pytest.mark.parametrize("q", [8, 32])
 def test_dihedral_subgroup_generators_match_tuple_reference(q):
+    # the built subgroup is the normalizer of <c>, c the permutation of the
+    # matrix C, found in the tuple enumeration of G
     G = build_psl2_line(q).group
     elements = tuple_elements(G.degree, [g.images for g in G.generators])
-    c = next(e for e in elements if Permutation(e).order() == q + 1)
+    field = binary_field(PSL_LINE_FIELDS[q])
+    c = _psl2_matrix_perm(field, _dihedral_generators(field, q)[0]).images
     powers = set()
     power = tuple(range(G.degree))
     for _ in range(q + 1):
         powers.add(power)
         power = tuple_mul(power, c)
-    normalizer = [g for g in elements if tuple_mul(tuple_mul(tuple_inv(g), c), g) in powers]
-    expected = PermutationGroup(G.degree, normalizer).generators
-    assert [h.images for h in _dihedral_subgroup(q).generators] == [h.images for h in expected]
+    assert len(powers) == q + 1
+    normalizer = {g for g in elements if tuple_mul(tuple_mul(tuple_inv(g), c), g) in powers}
+    assert {h.images for h in _dihedral_subgroup(q).elements()} == normalizer
     assert len(normalizer) == 2 * (q + 1)
 
 
