@@ -31,7 +31,6 @@ from .perm import (
 from .coherent import (
     AxiomReport,
     CoherentConfiguration,
-    adjacency_matrices,
     adjacency_product_check,
     intersection_tensor,
     two_orbits,
@@ -86,7 +85,6 @@ __all__ = [
     "VerificationError",
     "action_on_cosets",
     "action_on_ksubsets",
-    "adjacency_matrices",
     "adjacency_product_check",
     "binary_field",
     "build_instance",

@@ -1,8 +1,8 @@
 """Orbital (2-orbit) configurations of transitive permutation groups: the
 partition of the pair set, read off the stabilizer chain, per-orbital
-metadata, adjacency matrices, and the full intersection-number tensor,
-together with the axiom and identity checks that every configuration built
-from a group must satisfy.
+metadata, and the full intersection-number tensor, together with the axiom
+and identity checks that every configuration built from a group must
+satisfy.
 """
 
 from dataclasses import dataclass
@@ -26,11 +26,6 @@ class CoherentConfiguration:
     star: np.ndarray              # (m,) int64, index of the transposed orbital
     reflexive: np.ndarray         # (m,) bool
     rep: np.ndarray               # (m, 2) int64, least pair of each orbital
-
-    def pairs_of(self, s: int) -> np.ndarray:
-        """All pairs of an orbital, as an (k, 2) array in row-major order."""
-        rows, cols = np.nonzero(self.orbital_of == s)
-        return np.stack([rows, cols], axis=1)
 
 
 def two_orbits(G: PermutationGroup, cap: int = TWO_ORBIT_DEGREE_CAP) -> CoherentConfiguration:
@@ -152,11 +147,6 @@ def verify_cc_axioms(cc: CoherentConfiguration, tensor: np.ndarray) -> AxiomRepo
             f"{int(lhs[t, r, s])}, {int(mid[t, r, s])}, {int(rhs[t, r, s])}"
         )
     return AxiomReport(passed=not failures, failures=tuple(failures))
-
-
-def adjacency_matrices(cc: CoherentConfiguration) -> list[np.ndarray]:
-    """0/1 adjacency matrix per orbital (encodings are field-independent)."""
-    return [(cc.orbital_of == s).astype(np.int64) for s in range(cc.m)]
 
 
 def adjacency_product_check(cc: CoherentConfiguration, tensor: np.ndarray, generators):

@@ -121,21 +121,14 @@ def _orbital_constants(cc: CoherentConfiguration, tensor: np.ndarray):
     return tensor.transpose(1, 2, 0), cc.reflexive.astype(np.int64)
 
 
-def verify_orbital_constants(cc: CoherentConfiguration, tensor: np.ndarray):
-    """Prove associativity and the unit of the orbital basis once, over Z.
-    Reduction Z -> F_p is a ring map, so this proof holds for every p.  The
-    entries are intersection numbers, at most n, so every sum is at most
-    dim * n^2, far below 2^53: the exact product runs on float64 BLAS."""
-    if cc.m <= ALGEBRA_DIM_CAP:
-        _verify_algebra(*_orbital_constants(cc, tensor))
-
-
 def centralizer_algebra(cc: CoherentConfiguration, tensor: np.ndarray,
                         field: PrimeField, verify: bool = True) -> SCAlgebra:
     """Span of the orbital adjacency matrices with the intersection numbers as
     structure constants, reduced mod p; the unit is the sum of the reflexive
-    basis elements.  verify=False skips the proof mod p, for callers that
-    have run verify_orbital_constants on the same tensor."""
+    basis elements.  verify=False skips the proof mod p, for callers whose
+    tensor has passed ``adjacency_product_check`` and ``verify_cc_axioms``:
+    those prove the constants associative with the unit over Z (see
+    ``analysis.configuration``), and reduction Z -> F_p is a ring map."""
     sc, unit = _orbital_constants(cc, tensor)
     labels = [f"s{t}" for t in range(cc.m)]
     return make_algebra(field, labels, sc, unit, verify=verify)
@@ -534,13 +527,21 @@ class SchurRing:
 
 
 def schur_ring_from_action(T_elements: list[Permutation], H: PermutationGroup,
-                           element_names=None, verify: bool = True) -> SchurRing:
+                           element_names=None) -> SchurRing:
     """Schur ring spanned by the sums over the H-conjugation orbits on a regular
     subgroup T, with its integer structure constants.  Verifies regularity of
     T, that H normalizes T, and the basic-set axioms (identity is a singleton,
-    partition, closure under inversion); with verify, also associativity and
-    the unit of the constants, over Z.  Reduction Z -> F_p is a ring map, so
-    the ring mod p is that of F_p[T] at every p."""
+    partition, closure under inversion).  Reduction Z -> F_p is a ring map, so
+    the ring mod p is that of F_p[T] at every p.
+
+    The constants need no associativity proof.  The Cayley table is checked
+    against the compositions themselves, so the element list is a group and
+    its sums multiply as in Z[T], which is associative with unit e.  The
+    basic-set sums have disjoint non-empty supports, so they are linearly
+    independent, and the bincount check proves that each product of two of
+    them is the combination of basic-set sums given by the constants.  So
+    the constants are those of a subring of Z[T], associative, with the
+    singleton {e} as unit."""
     n = T_elements[0].degree
     order = len(T_elements)
     if len({t.images for t in T_elements}) != order:
@@ -615,11 +616,6 @@ def schur_ring_from_action(T_elements: list[Permutation], H: PermutationGroup,
             raise VerificationError("product of basic-set sums is not constant on a basic set")
         sc[si] = counts[:, first]
     labels = tuple("+".join(element_names[i] for i in s) for s in sets)
-    unit = np.zeros(m, dtype=np.int64)
-    unit[set_of[e_idx]] = 1
-    if verify and m <= ALGEBRA_DIM_CAP:
-        # every constant is at most |T|, so the proof over Z runs on BLAS
-        _verify_algebra(sc, unit)
     return SchurRing(
         group_order=order,
         basic_sets=tuple(tuple(s) for s in sets),
@@ -659,12 +655,12 @@ def schur_vs_centralizer(G: PermutationGroup, T: PermutationGroup,
         point_names = [str(x) for x in range(G.degree)]
     element_names = [point_names[t.images[alpha]] for t in T_elements]
     H = G.point_stabilizer(alpha)
-    # No proof of associativity or the unit here.  Below, the constants are
-    # compared entry by entry with the orbital constants, which the caller
-    # proves over Z (verify_orbital_constants), and the map sends their unit
-    # (the reflexive orbital) to the ring's ({e}).  Constants equal to those of
-    # an associative unital algebra make the ring associative and unital too.
-    ring = schur_ring_from_action(T_elements, H, element_names, verify=False)
+    # No associativity proof on either side: the ring's constants are those
+    # of a subring of Z[T] (see schur_ring_from_action), and the orbital
+    # constants those of the span of the adjacency matrices, once the
+    # configuration stage's adjacency check has passed.  Below they are
+    # compared entry by entry over Z.
+    ring = schur_ring_from_action(T_elements, H, element_names)
 
     def report(detail=None):
         return SchurIsoReport(detail is None, detail, cc.m, len(ring.basic_sets), ring.labels)

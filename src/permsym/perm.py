@@ -106,9 +106,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
 
-    def first_moved(self) -> int | None:
-        return None if self.is_identity() else next(i for i, j in enumerate(self.images) if i != j)
-
     def cycles(self):
         """Nontrivial cycles, each rotated to start at its least point."""
         seen = [False] * self.degree
@@ -524,12 +521,6 @@ class PermutationGroup:
 
     def orbits(self):
         return orbits(self.generators, self.degree)
-
-    def is_transitive(self) -> bool:
-        return len(self.orbits()) == 1
-
-    def is_trivial(self) -> bool:
-        return not self.generators
 
     def point_stabilizer(self, alpha: int) -> "PermutationGroup":
         """Stabilizer of a point, generated by the Schreier generators

@@ -1,16 +1,17 @@
 import dataclasses
 import functools
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from permsym import endo
+from permsym import analysis, endo
 from permsym._kernels import rank_mod_p, rref_mod_p
-from permsym.analysis import run_analysis
+from permsym.analysis import configuration, run_analysis
 from permsym.catalog import build_instance
 from permsym.coherent import (
-    adjacency_matrices,
     adjacency_product_check,
     intersection_tensor,
     two_orbits,
@@ -28,7 +29,6 @@ from permsym.endo import (
     schur_ring_from_action,
     schur_vs_centralizer,
     structure_report,
-    verify_orbital_constants,
     HECKE_ORDER_CAP,
     WITNESS_ENUM_CAP,
 )
@@ -36,6 +36,16 @@ from permsym.errors import InputError, VerificationError
 from permsym.exactlin import prime_field
 from permsym.perm import PermutationGroup, parse_permutation
 from permsym.suite import AXIOM_SUITE_SPECS
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def workload_groups():
+    # load the benchmark's workload module alone, as a plain file
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return tuple(workloads.GROUPS)
 
 
 @functools.lru_cache(maxsize=None)
@@ -276,7 +286,8 @@ def test_shear_radical_series_verified_value():
             break
     assert tuple(dims) == series.dims
 
-    mats = np.stack(adjacency_matrices(two_orbits(build_instance("example3_2").group)))
+    table = two_orbits(build_instance("example3_2").group).orbital_of
+    mats = (np.arange(5)[:, None, None] == table).astype(np.int64)  # adjacency matrices
     assert mats.shape == (5, 9, 9)
     raw_nilpotents = []
     for coeffs in itertools.product(range(3), repeat=5):
@@ -636,7 +647,27 @@ def test_schur_check_catches_a_corrupted_schur_constant(monkeypatch):
     assert report.detail.startswith("structure constants differ")
 
 
-def test_only_a_standalone_schur_ring_proves_associativity(monkeypatch):
+def schur_ring_of(spec):
+    """The Schur ring of a catalog instance's regular normal subgroup, and the
+    coordinates of its unit, the singleton {e}."""
+    inst = build_instance(spec)
+    T_elements = enumerate_regular_subgroup(inst.regular.gens, inst.group.degree)
+    ring = schur_ring_from_action(T_elements, inst.group.point_stabilizer(inst.base_point))
+    e = next(i for i, t in enumerate(T_elements) if t.is_identity())
+    unit = np.array([s == (e,) for s in ring.basic_sets], dtype=np.int64)
+    return ring, unit
+
+
+@pytest.mark.parametrize("spec", ["example3_2", "frobenius:7,3", "frobenius:5,2", "frobenius:73,2"])
+def test_schur_ring_constants_pass_the_reference_proof(spec):
+    # schur_ring_from_action runs no proof: its checked Cayley table makes
+    # the constants those of a subring of Z[T].  The m^4 proof over Z agrees.
+    ring, unit = schur_ring_of(spec)
+    assert unit.sum() == 1
+    endo._verify_algebra(ring.sc, unit)
+
+
+def test_no_schur_path_runs_an_associativity_proof(monkeypatch):
     proofs = []
     verify = endo._verify_algebra
 
@@ -649,10 +680,20 @@ def test_only_a_standalone_schur_ring_proves_associativity(monkeypatch):
     cc, tensor = configuration_of("frobenius:7,3")
     T = PermutationGroup(7, inst.regular.gens)
     assert schur_vs_centralizer(inst.group, T, cc, tensor).passed
+    schur_ring_of("frobenius:7,3")
     assert proofs == []
-    T_elements = enumerate_regular_subgroup(inst.regular.gens, 7)
-    schur_ring_from_action(T_elements, inst.group.point_stabilizer(0))
-    assert len(proofs) == 1
+
+
+def verify_orbital_constants(cc, tensor):
+    """Reference: the m^4 proof over Z that the orbital constants are
+    associative with the unit, which the configuration stage reads off the
+    adjacency identity and axiom (1) instead of running."""
+    endo._verify_algebra(*endo._orbital_constants(cc, tensor))
+
+
+@pytest.mark.parametrize("spec", workload_groups())
+def test_orbital_constants_pass_the_reference_proof(spec):
+    verify_orbital_constants(*configuration_of(spec))
 
 
 @pytest.mark.parametrize("spec", ["frobenius:7,3", "psl2cosets:32"])
@@ -667,7 +708,7 @@ def test_integer_proof_catches_a_corrupted_tensor(spec):
     for p in (2, 3, 5):
         centralizer_algebra(cc, bad, prime_field(p), verify=False)
     # the adjacency identity, exhaustive at every degree, catches it with no
-    # associativity proof, and so does the proof on its own
+    # associativity proof, and so does the reference proof on its own
     assert adjacency_product_check(cc, bad, generators) == (
         False, f"product identity fails at (r={last}, s={last})"
     )
@@ -675,6 +716,41 @@ def test_integer_proof_catches_a_corrupted_tensor(spec):
     with pytest.raises(VerificationError, match="not associative"):
         verify_orbital_constants(cc, bad)
 
+
+def break_associativity(tensor):
+    last = len(tensor) - 1  # a non-reflexive entry: sc[last, last, last]
+    tensor[last, last, last] += 1
+
+
+def break_unit(tensor):
+    last = len(tensor) - 1  # unit * b_last = 2 b_last: sc[0, last, last]
+    tensor[last, 0, last] += 1
+
+
+@pytest.mark.parametrize("spec", ["frobenius:7,3", "psl2cosets:32"])
+@pytest.mark.parametrize("corrupt", [break_associativity, break_unit])
+def test_configuration_refuses_constants_the_reference_rejects(spec, corrupt, monkeypatch):
+    # the configuration stage runs no associativity proof; the checks it
+    # does run refuse a tensor that breaks associativity or the unit
+    cc, tensor = configuration_of(spec)
+    generators = build_instance(spec).group.generators
+    bad = tensor.copy()
+    corrupt(bad)
+    with pytest.raises(VerificationError):
+        verify_orbital_constants(cc, bad)
+    passed, detail = adjacency_product_check(cc, bad, generators)
+    assert not passed and detail.startswith("product identity fails")
+
+    def corrupted(cc):
+        out = intersection_tensor(cc)
+        corrupt(out)
+        return out
+
+    monkeypatch.setattr(analysis, "intersection_tensor", corrupted)
+    inst = dataclasses.replace(build_instance(spec))
+    with pytest.raises(VerificationError):
+        configuration(inst)
+    assert inst.configuration is None
 
 
 def test_standalone_proof_near_the_characteristic_bound_catches_a_corrupted_constant():
