@@ -1,20 +1,14 @@
 """Constructors for the built-in group actions, keyed by spec strings.
 
-Grammar (1-indexed parameters where applicable):
-
-    sym:n           symmetric group S_n, natural action
-    alt:n           alternating group A_n, natural action
-    altpairs:n      A_n acting on 2-subsets of {1..n}
-    signtwist:n     A_{n+2} on the cosets of a sign-twisted copy of S_n
-    frobenius:q,d   {x -> ax+b : a in C_d <= F_q*, b in F_q} on F_q (q prime)
-    example3_2      order-27 affine shear group on the 9 vectors of F_3^2
-    psl2line:q      PSL(2,q) on the projective line, q in {4,8,32}
-    psl2cosets:q    PSL(2,q) on the cosets of a dihedral subgroup of order
-                    2(q+1), q in {8,32}
-    file:<path>     generator file (see perm.parse_generator_text)
+A spec is ``head:a,b,...`` with natural-number parameters, or the bare head
+of a family that takes none.  ``FAMILIES`` is the grammar, one row per
+family, and ``permsym catalog`` prints it; ``file:<path>`` reads a generator
+file (see perm.parse_generator_text).
 """
 
 import dataclasses
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -45,8 +39,7 @@ class RegularSubgroup:
 class CatalogInstance:
     spec: str
     group: PermutationGroup
-    description: str
-    faithful: bool
+    faithful: bool = True
     base_point: int = 0
     regular: RegularSubgroup | None = None
     # the p-independent stage of the analysis (analysis.configuration), None
@@ -54,15 +47,6 @@ class CatalogInstance:
     configuration: object = dataclasses.field(
         default=None, init=False, compare=False, repr=False
     )
-
-
-def _check_degree(spec: str, degree: int):
-    """Refuse a spec whose action would exceed DEGREE_CAP points.  The
-    constructors call it before they build any generator: the n - 2
-    generators that altpairs:n and signtwist:n induce take memory that grows
-    as n times the degree."""
-    if degree > DEGREE_CAP:
-        raise InputError(f"{spec} acts on {degree} points, above the cap {DEGREE_CAP}")
 
 
 def _cycle(n, points):
@@ -99,72 +83,42 @@ def _alt_two_gens(n):
     return [_cycle(n, [0, 1, 2]), _cycle(n, list(range(n % 2 == 0, n)))]
 
 
-@lru_cache(maxsize=None)
-def build_sym(n: int) -> CatalogInstance:
+def _sym(spec, n):
     if n < 1:
         raise InputError("sym:n requires n >= 1")
-    _check_degree(f"sym:{n}", n)
-    return CatalogInstance(
-        spec=f"sym:{n}",
-        group=PermutationGroup(n, _sym_gens(n)),
-        description=f"symmetric group on {n} points, natural action",
-        faithful=True,
-    )
+    return CatalogInstance(spec, PermutationGroup(n, _sym_gens(n)))
 
 
-@lru_cache(maxsize=None)
-def build_alt(n: int) -> CatalogInstance:
+def _alt(spec, n):
     if n < 1:
         raise InputError("alt:n requires n >= 1")
-    _check_degree(f"alt:{n}", n)
-    return CatalogInstance(
-        spec=f"alt:{n}",
-        group=PermutationGroup(n, _alt_two_gens(n)),
-        description=f"alternating group on {n} points, natural action",
-        faithful=True,
-    )
+    return CatalogInstance(spec, PermutationGroup(n, _alt_two_gens(n)))
 
 
-@lru_cache(maxsize=None)
-def build_alt_on_pairs(n: int) -> CatalogInstance:
+def _on_pairs(spec, base):
+    group = action_on_ksubsets(base, 2)
+    return CatalogInstance(spec, group, faithful=group.order() == base.order())
+
+
+def _altpairs(spec, n):
     if n < 4:
         raise InputError("altpairs:n requires n >= 4")
-    _check_degree(f"altpairs:{n}", n * (n - 1) // 2)
-    base = PermutationGroup(n, _alt_gens(n))
-    group = action_on_ksubsets(base, 2)
-    return CatalogInstance(
-        spec=f"altpairs:{n}",
-        group=group,
-        description=f"alternating group A_{n} acting on the {n * (n - 1) // 2} unordered pairs",
-        faithful=group.order() == base.order(),
-    )
+    return _on_pairs(spec, PermutationGroup(n, _alt_gens(n)))
 
 
-@lru_cache(maxsize=None)
-def build_sym_on_pairs(n: int) -> CatalogInstance:
-    """Overgroup of altpairs:n obtained by adding a transposition upstairs.
-    Not part of the CLI grammar; used by the library and test suite."""
+def _sympairs(spec, n):
+    """Overgroup of altpairs:n obtained by adding a transposition upstairs."""
     if n < 4:
-        raise InputError("sym-on-pairs requires n >= 4")
-    _check_degree(f"sympairs:{n}", n * (n - 1) // 2)
-    base = PermutationGroup(n, _alt_gens(n) + [_cycle(n, [0, 1])])
-    group = action_on_ksubsets(base, 2)
-    return CatalogInstance(
-        spec=f"sympairs:{n}",
-        group=group,
-        description=f"symmetric group S_{n} acting on unordered pairs",
-        faithful=group.order() == base.order(),
-    )
+        raise InputError("sympairs:n requires n >= 4")
+    return _on_pairs(spec, PermutationGroup(n, _alt_gens(n) + [_cycle(n, [0, 1])]))
 
 
-@lru_cache(maxsize=None)
-def build_sign_twist(n: int) -> CatalogInstance:
+def _signtwist(spec, n):
     """A_{n+2} acting on the right cosets of the sign-twisted embedding of S_n:
     even permutations map to themselves, odd ones pick up the transposition of
     the two extra points."""
     if n < 3:
         raise InputError("signtwist:n requires n >= 3")
-    _check_degree(f"signtwist:{n}", (n + 1) * (n + 2) // 2)
     m = n + 2
     big = PermutationGroup(m, _alt_gens(m))
     extra = _cycle(m, [n, n + 1])  # the two added points
@@ -172,24 +126,10 @@ def build_sign_twist(n: int) -> CatalogInstance:
     ncyc = _cycle(m, list(range(n)))
     h2 = ncyc if n % 2 == 1 else ncyc * extra  # n-cycle is even iff n is odd
     sub = PermutationGroup(m, [h1, h2])
-    if sub.order() != fact(n):
+    if sub.order() != math.factorial(n):
         raise VerificationError("twisted subgroup has unexpected order")
     group = action_on_cosets(big, sub)
-    return CatalogInstance(
-        spec=f"signtwist:{n}",
-        group=group,
-        description=(
-            f"A_{m} on the {(n + 1) * (n + 2) // 2} cosets of a sign-twisted S_{n}"
-        ),
-        faithful=group.order() == big.order(),
-    )
-
-
-def fact(n: int) -> int:
-    r = 1
-    for k in range(2, n + 1):
-        r *= k
-    return r
+    return CatalogInstance(spec, group, faithful=group.order() == big.order())
 
 
 def _primitive_root(q: int) -> int:
@@ -204,11 +144,9 @@ def _primitive_root(q: int) -> int:
     raise VerificationError(f"no primitive root mod {q}")
 
 
-@lru_cache(maxsize=None)
-def build_frobenius(q: int, d: int) -> CatalogInstance:
+def _frobenius(spec, q, d):
     """One-dimensional affine maps x -> ax + b with a restricted to the order-d
     subgroup of F_q*; Frobenius for 2 <= d < q-1, two-transitive for d = q-1."""
-    _check_degree(f"frobenius:{q},{d}", q)
     if not is_prime(q):
         raise InputError(f"frobenius requires prime q, got {q}")
     if d < 2 or (q - 1) % d != 0:
@@ -216,12 +154,9 @@ def build_frobenius(q: int, d: int) -> CatalogInstance:
     mult = pow(_primitive_root(q), (q - 1) // d, q)
     translation = Permutation([(x + 1) % q for x in range(q)])
     multiplier = Permutation([x * mult % q for x in range(q)])
-    group = PermutationGroup(q, [translation, multiplier])
     return CatalogInstance(
-        spec=f"frobenius:{q},{d}",
-        group=group,
-        description=f"affine maps of F_{q} with multipliers in the order-{d} subgroup",
-        faithful=True,
+        spec,
+        PermutationGroup(q, [translation, multiplier]),
         regular=RegularSubgroup(
             gens=(translation,),
             point_names=tuple(str(k) for k in range(q)),
@@ -242,8 +177,7 @@ def _shear_point_names():
     return tuple(names)
 
 
-@lru_cache(maxsize=None)
-def build_affine_shear() -> CatalogInstance:
+def _affine_shear(spec):
     """Order-27 subgroup of AGL(2,3) on the 9 vectors of F_3^2: the translation
     group extended by the unipotent shear fixing the first basis vector.
     Points are indexed 3*v1 + v2; the distinguished translation generators are
@@ -256,12 +190,9 @@ def build_affine_shear() -> CatalogInstance:
     # shear (v1, v2) -> (v1 + v2, v2); conjugation sends the translation by v
     # to the translation by the sheared v, fixing the powers of a
     x = Permutation([idx(v1 + v2, v2) for v1 in range(3) for v2 in range(3)])
-    group = PermutationGroup(9, [a, b, x])
     return CatalogInstance(
-        spec="example3_2",
-        group=group,
-        description="order-27 affine shear group on the 9 vectors of F_3^2",
-        faithful=True,
+        spec,
+        PermutationGroup(9, [a, b, x]),
         regular=RegularSubgroup(gens=(a, b), point_names=_shear_point_names()),
     )
 
@@ -288,8 +219,7 @@ def _psl2_matrix_perm(field, mat):
     return Permutation(images)
 
 
-@lru_cache(maxsize=None)
-def build_psl2_line(q: int) -> CatalogInstance:
+def _psl2_line(spec, q):
     """PSL(2,q) = SL(2,q) for even q, acting on the q+1 points of the projective
     line over GF(q).  Generated by the unit transvection, the diagonal torus
     element for a multiplicative generator, and the coordinate swap."""
@@ -306,14 +236,9 @@ def build_psl2_line(q: int) -> CatalogInstance:
     expected = q * (q * q - 1)
     if group.order() != expected:
         raise VerificationError(
-            f"psl2line:{q} order {group.order()} differs from q(q^2-1) = {expected}"
+            f"{spec} order {group.order()} differs from q(q^2-1) = {expected}"
         )
-    return CatalogInstance(
-        spec=f"psl2line:{q}",
-        group=group,
-        description=f"PSL(2,{q}) on the {q + 1} points of the projective line",
-        faithful=True,
-    )
+    return CatalogInstance(spec, group)
 
 
 def _matrix_mul(field, a, b):
@@ -347,9 +272,10 @@ def _dihedral_generators(field, q: int):
 
 @lru_cache(maxsize=None)
 def _dihedral_subgroup(q: int) -> PermutationGroup:
-    """Dihedral subgroup H = <C, S> of order 2(q+1) of PSL(2,q), q even,
-    built from two matrices (see ``_dihedral_generators``): the normalizer
-    of a non-split torus (Dickson; Huppert, Endliche Gruppen I, II.8).
+    """Dihedral subgroup H = <C, S> of order 2(q+1) of PSL(2,q), q even, on
+    the q+1 points of the projective line, built from two matrices (see
+    ``_dihedral_generators``): the normalizer of a non-split torus (Dickson;
+    Huppert, Endliche Gruppen I, II.8).
 
     C has determinant 1 and order q+1, and S has order 2.  In characteristic
     2, S C S = ((t, 1), (1, 0)) = C^-1, so S normalizes <C> and inverts it.
@@ -357,10 +283,9 @@ def _dihedral_subgroup(q: int) -> PermutationGroup:
     <C, S> is dihedral of order 2(q+1).  PSL(2,q) = SL(2,q) acts faithfully
     on the projective line, so the permutation group has that order too,
     which the order check below confirms."""
-    G = build_psl2_line(q).group
     field = binary_field(PSL_LINE_FIELDS[q])
     H = PermutationGroup(
-        G.degree, [_psl2_matrix_perm(field, m) for m in _dihedral_generators(field, q)]
+        q + 1, [_psl2_matrix_perm(field, m) for m in _dihedral_generators(field, q)]
     )
     if H.order() != 2 * (q + 1):
         raise VerificationError(
@@ -369,22 +294,12 @@ def _dihedral_subgroup(q: int) -> PermutationGroup:
     return H
 
 
-@lru_cache(maxsize=None)
-def build_psl2_dihedral_cosets(q: int) -> CatalogInstance:
+def _psl2_cosets(spec, q):
     if q not in (8, 32):
         raise InputError(f"psl2cosets supports q in (8, 32), got {q}")
-    G = build_psl2_line(q).group
-    H = _dihedral_subgroup(q)
-    group = action_on_cosets(G, H)
-    return CatalogInstance(
-        spec=f"psl2cosets:{q}",
-        group=group,
-        description=(
-            f"PSL(2,{q}) on the {q * (q - 1) // 2} cosets of a dihedral subgroup "
-            f"of order {2 * (q + 1)}"
-        ),
-        faithful=group.order() == G.order(),
-    )
+    G = _build("psl2line", (q,)).group
+    group = action_on_cosets(G, _dihedral_subgroup(q))
+    return CatalogInstance(spec, group, faithful=group.order() == G.order())
 
 
 def build_from_file(path: str) -> CatalogInstance:
@@ -395,66 +310,91 @@ def build_from_file(path: str) -> CatalogInstance:
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read generator file {path}: {exc}") from None
     degree, gens = parse_generator_text(text)
-    return CatalogInstance(
-        spec=f"file:{path}",
-        group=PermutationGroup(degree, gens),
-        description=f"group read from {path}",
-        faithful=True,
-    )
+    return CatalogInstance(f"file:{path}", PermutationGroup(degree, gens))
 
 
 # ---------------------------------------------------------------------------
-# spec-string dispatch
+# the family table and spec-string dispatch
 # ---------------------------------------------------------------------------
 
-def _int_params(body: str, count: int, spec: str):
-    parts = body.split(",")
-    if len(parts) != count or not all(p.strip().lstrip("-").isdigit() for p in parts):
-        raise InputError(f"bad parameters in group spec {spec!r}")
-    return [int(p) for p in parts]
+@dataclass(frozen=True)
+class Family:
+    """One catalog family: its parameter names, the example, degree formula
+    and summary that ``permsym catalog`` lists, ``points(*params)``, the
+    number of points it acts on, and ``build(spec, *params)``."""
+
+    params: tuple[str, ...]
+    example: str
+    degree: str
+    summary: str
+    points: Callable[..., int]
+    build: Callable[..., CatalogInstance]
+
+
+FAMILIES = {
+    "sym": Family(("n",), "sym:5", "n", "symmetric group, natural action",
+                  lambda n: n, _sym),
+    "alt": Family(("n",), "alt:5", "n", "alternating group, natural action",
+                  lambda n: n, _alt),
+    "altpairs": Family(("n",), "altpairs:7", "n(n-1)/2",
+                       "alternating group on unordered pairs",
+                       lambda n: n * (n - 1) // 2, _altpairs),
+    "sympairs": Family(("n",), "sympairs:7", "n(n-1)/2",
+                       "symmetric group on unordered pairs",
+                       lambda n: n * (n - 1) // 2, _sympairs),
+    "signtwist": Family(("n",), "signtwist:3", "(n+1)(n+2)/2",
+                        "A_{n+2} on cosets of a sign-twisted S_n",
+                        lambda n: (n + 1) * (n + 2) // 2, _signtwist),
+    "frobenius": Family(("q", "d"), "frobenius:7,3", "q",
+                        "affine maps of F_q with multipliers in the order-d subgroup",
+                        lambda q, d: q, _frobenius),
+    "example3_2": Family((), "example3_2", "9",
+                         "order-27 affine shear group on the vectors of F_3^2",
+                         lambda: 9, _affine_shear),
+    "psl2line": Family(("q",), "psl2line:8", "q+1",
+                       "PSL(2,q) on the projective line, q in {4,8,32}",
+                       lambda q: q + 1, _psl2_line),
+    "psl2cosets": Family(("q",), "psl2cosets:8", "q(q-1)/2",
+                         "PSL(2,q) on cosets of a dihedral subgroup of order 2(q+1), q in {8,32}",
+                         lambda q: q * (q - 1) // 2, _psl2_cosets),
+}
+
+
+def _spec(head, params):
+    return f"{head}:{','.join(map(str, params))}" if params else head
+
+
+@lru_cache(maxsize=None)
+def _build(head: str, params: tuple[int, ...]) -> CatalogInstance:
+    """The instance of a family for parsed parameters, built once per process.
+    The degree cap is checked before any generator is built: the n - 2
+    generators that altpairs:n and signtwist:n induce take memory that grows
+    as n times the degree."""
+    family = FAMILIES[head]
+    spec = _spec(head, params)
+    points = family.points(*params)
+    if points > DEGREE_CAP:
+        raise InputError(f"{spec} acts on {points} points, above the cap {DEGREE_CAP}")
+    return family.build(spec, *params)
 
 
 def build_instance(spec: str) -> CatalogInstance:
     spec = spec.strip()
-    if spec == "example3_2":
-        return build_affine_shear()
-    if ":" not in spec:
-        raise InputError(f"unknown group spec {spec!r}")
-    head, body = spec.split(":", 1)
-    if head == "file":
+    head, colon, body = spec.partition(":")
+    if head == "file" and colon:
         return build_from_file(body)
-    if head == "sym":
-        return build_sym(*_int_params(body, 1, spec))
-    if head == "alt":
-        return build_alt(*_int_params(body, 1, spec))
-    if head == "altpairs":
-        return build_alt_on_pairs(*_int_params(body, 1, spec))
-    if head == "signtwist":
-        return build_sign_twist(*_int_params(body, 1, spec))
-    if head == "frobenius":
-        return build_frobenius(*_int_params(body, 2, spec))
-    if head == "psl2line":
-        return build_psl2_line(*_int_params(body, 1, spec))
-    if head == "psl2cosets":
-        return build_psl2_dihedral_cosets(*_int_params(body, 1, spec))
-    raise InputError(f"unknown group spec {spec!r}")
+    family = FAMILIES.get(head)
+    if family is None:
+        raise InputError(f"unknown group spec {spec!r}")
+    parts = [p.strip() for p in body.split(",")] if colon else []
+    if len(parts) != len(family.params) or not all(p.isdecimal() for p in parts):
+        raise InputError(f"bad parameters in group spec {spec!r}")
+    return _build(head, tuple(int(p) for p in parts))
 
 
 def catalog_entries():
-    """Rows for the CLI catalog table: (pattern, example, degree, description)."""
+    """Rows for the CLI catalog table: (pattern, example, degree, summary)."""
     return [
-        ("sym:n", "sym:5", "n", "symmetric group, natural action"),
-        ("alt:n", "alt:5", "n", "alternating group, natural action"),
-        ("altpairs:n", "altpairs:7", "n(n-1)/2", "alternating group on unordered pairs"),
-        ("signtwist:n", "signtwist:3", "(n+1)(n+2)/2",
-         "A_{n+2} on cosets of a sign-twisted S_n"),
-        ("frobenius:q,d", "frobenius:7,3", "q",
-         "affine maps of F_q with multipliers in the order-d subgroup"),
-        ("example3_2", "example3_2", "9",
-         "order-27 affine shear group on the vectors of F_3^2"),
-        ("psl2line:q", "psl2line:8", "q+1",
-         "PSL(2,q) on the projective line, q in {4,8,32}"),
-        ("psl2cosets:q", "psl2cosets:8", "q(q-1)/2",
-         "PSL(2,q) on cosets of a dihedral subgroup of order 2(q+1), q in {8,32}"),
-        ("file:<path>", "file:gens.txt", "from file", "generator file, one cycle-form generator per line"),
-    ]
+        (_spec(head, f.params), f.example, f.degree, f.summary) for head, f in FAMILIES.items()
+    ] + [("file:<path>", "file:gens.txt", "from file",
+          "generator file, one cycle-form generator per line")]

@@ -28,7 +28,7 @@ class CoherentConfiguration:
     rep: np.ndarray               # (m, 2) int64, least pair of each orbital
 
 
-def two_orbits(G: PermutationGroup, cap: int = TWO_ORBIT_DEGREE_CAP) -> CoherentConfiguration:
+def two_orbits(G: PermutationGroup) -> CoherentConfiguration:
     """The orbitals of a transitive G, read off its stabilizer chain; an
     intransitive G is refused.  Orbitals are sorted reflexive first, then by
     valency, then by least pair, and renumbered.
@@ -51,8 +51,8 @@ def two_orbits(G: PermutationGroup, cap: int = TWO_ORBIT_DEGREE_CAP) -> Coherent
     many orbits as G_0, the number of orbitals.  Together these force every
     label class to be exactly one orbital."""
     n = G.degree
-    if n > cap:
-        raise InputError(f"degree {n} exceeds the pair-table cap {cap}")
+    if n > TWO_ORBIT_DEGREE_CAP:
+        raise InputError(f"degree {n} exceeds the pair-table cap {TWO_ORBIT_DEGREE_CAP}")
     levels = G.chain.levels
     if n == 1:  # the trivial group, with no chain levels
         inverse_rows = np.zeros((1, 1), dtype=np.int32)

@@ -85,7 +85,12 @@ def make_algebra(field: PrimeField, labels, sc: np.ndarray, unit: np.ndarray,
     unit = np.asarray(unit, dtype=np.int64) % field.p
     if sc.shape != (m, m, m) or unit.shape != (m,):
         raise InputError("structure constant shapes do not match the basis size")
-    if verify and m <= ALGEBRA_DIM_CAP:
+    if verify:
+        if m > ALGEBRA_DIM_CAP:
+            raise InputError(
+                f"algebra dimension {m} exceeds the verification cap {ALGEBRA_DIM_CAP}; "
+                "pass verify=False for structure constants proven elsewhere"
+            )
         _verify_algebra(sc, unit, field.p)
     return SCAlgebra(field=field, dim=m, labels=tuple(labels), sc=sc, unit=unit)
 

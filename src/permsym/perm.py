@@ -629,14 +629,14 @@ def classify_action(cc, tensor: np.ndarray, faithful: bool = True) -> ActionClas
 # derived actions
 # ---------------------------------------------------------------------------
 
-def action_on_ksubsets(G: PermutationGroup, k: int, cap: int = KSUBSET_DEGREE_CAP) -> PermutationGroup:
+def action_on_ksubsets(G: PermutationGroup, k: int) -> PermutationGroup:
     """Induced action on k-subsets of the domain, ordered lexicographically.
     It is a homomorphic image of G, so |G| bounds its order."""
     n = G.degree
     if k > n:
         raise InputError("k exceeds the degree")
-    if math.comb(n, k) > cap:
-        raise InputError(f"induced degree {math.comb(n, k)} exceeds cap {cap}")
+    if math.comb(n, k) > KSUBSET_DEGREE_CAP:
+        raise InputError(f"induced degree {math.comb(n, k)} exceeds cap {KSUBSET_DEGREE_CAP}")
     subsets = list(combinations(range(n), k))
     index = {s: i for i, s in enumerate(subsets)}
     gens = []
@@ -645,7 +645,7 @@ def action_on_ksubsets(G: PermutationGroup, k: int, cap: int = KSUBSET_DEGREE_CA
     return PermutationGroup(len(subsets), gens, order_bound=G.order())
 
 
-def action_on_cosets(G: PermutationGroup, H: PermutationGroup, cap: int = COSET_INDEX_CAP) -> PermutationGroup:
+def action_on_cosets(G: PermutationGroup, H: PermutationGroup) -> PermutationGroup:
     """Transitive action of G on the right cosets of H by right multiplication.
 
     Coset 0 is H itself.  Cosets are discovered breadth-first; each coset is
@@ -674,8 +674,8 @@ def action_on_cosets(G: PermutationGroup, H: PermutationGroup, cap: int = COSET_
             j = index.get(key)
             if j is None:
                 j = len(index)
-                if j >= cap:
-                    raise InputError(f"coset index exceeds cap {cap}")
+                if j >= COSET_INDEX_CAP:
+                    raise InputError(f"coset index exceeds cap {COSET_INDEX_CAP}")
                 index[key] = j
                 new.append(k)
             targets.append(j)

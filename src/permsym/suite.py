@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import configuration, run_analysis
-from .catalog import build_instance, build_sym_on_pairs
+from .catalog import build_instance
 from .coherent import (
     adjacency_product_check,
     intersection_tensor,
@@ -274,14 +274,13 @@ def crit_schur_correspondence(ctx: SuiteContext) -> CriterionResult:
 
 def crit_overgroup_equal_rank(ctx: SuiteContext) -> CriterionResult:
     c = _Checker("overgroup-equal-rank")
-    sym = build_sym_on_pairs(7)
     cfg_a = ctx.configuration("altpairs:7")
-    cfg_s = configuration(sym)
+    cfg_s = ctx.configuration("sympairs:7")
     c.expect(np.array_equal(cfg_a.cc.orbital_of, cfg_s.cc.orbital_of), "identical orbital tables")
     c.expect(np.array_equal(cfg_a.tensor, cfg_s.tensor), "identical intersection tensors")
     for p in (2, 5):
         rep_a = ctx.analyze("altpairs:7", p)
-        rep_s = run_analysis("sympairs:7", p, seed=ctx.seed, instance=sym)
+        rep_s = ctx.analyze("sympairs:7", p)
         same = (
             rep_a.verdict.status == rep_s.verdict.status
             and rep_a.verdict.method == rep_s.verdict.method
@@ -310,9 +309,8 @@ def crit_three_halves_sweep(ctx: SuiteContext) -> CriterionResult:
                 rep.verdict.is_positive(),
                 f"certified positive for {spec} at p={p} ({rep.verdict.status})",
             )
-    sym = build_sym_on_pairs(7)
     for p in SWEEP_PRIMES:
-        rep = run_analysis("sympairs:7", p, seed=ctx.seed, instance=sym)
+        rep = ctx.analyze("sympairs:7", p)
         c.expect(rep.verdict.is_positive(), f"certified positive for sympairs:7 at p={p}")
     dt = time.perf_counter() - t0
     c.expect_within(dt, 300.0, "sweep runtime")

@@ -127,7 +127,7 @@ def test_configuration_stage_catches_the_orbitals_of_a_smaller_stabilizer():
     finer = two_orbits(G)
     assert finer.m == 6
     assert verify_cc_axioms(finer, intersection_tensor(finer)).passed
-    inst = CatalogInstance("agl", G, "F_2^3 : S_3 with a truncated chain", faithful=True)
+    inst = CatalogInstance("agl", G)
     with pytest.raises(VerificationError, match="adjacency product identity failed: "
                        "generator 4 does not preserve the orbital of pair"):
         configuration(inst)

@@ -1,17 +1,14 @@
 import dataclasses
 import hashlib
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from permsym import catalog
 from permsym.analysis import run_analysis
-from permsym.catalog import (
-    build_instance,
-    build_sym_on_pairs,
-    catalog_entries,
-)
+from permsym.catalog import build_instance, catalog_entries
 from permsym.coherent import intersection_tensor, two_orbits
 from permsym.errors import InputError, VerificationError
 from permsym.exactlin import binary_field
@@ -142,7 +139,7 @@ def dihedral_subgroup_by_scan(q):
     before its matrix construction: the normalizer of the cyclic group
     generated by the first element of order q+1 in the deterministic
     element enumeration."""
-    G = catalog.build_psl2_line(q).group
+    G = build_instance(f"psl2line:{q}").group
     elements = G.chain.elements()
     base = G.chain.base()
     # an element of G is determined by its base images; cur holds those of g^k
@@ -168,7 +165,7 @@ def element_set(H):
 
 @pytest.mark.parametrize("q", [8, 32])
 def test_matrix_dihedral_subgroup_is_conjugate_to_the_scanned_one(q):
-    G = catalog.build_psl2_line(q).group
+    G = build_instance(f"psl2line:{q}").group
     scanned, built = dihedral_subgroup_by_scan(q), catalog._dihedral_subgroup(q)
     assert scanned.order() == built.order() == 2 * (q + 1)
     # some g in G conjugates every scanned generator h into the built
@@ -242,7 +239,7 @@ def test_psl2_unsupported_q():
 
 
 def test_sym_on_pairs_overgroup():
-    inst = build_sym_on_pairs(7)
+    inst = build_instance("sympairs:7")
     assert inst.group.degree == 21
     assert inst.group.order() == 5040
     assert sorted(classify(inst.group).subdegrees) == [1, 10, 10]
@@ -256,7 +253,8 @@ def test_catalog_faithfulness_flags():
 
 @pytest.mark.parametrize("spec,degree", [
     ("sym:10001", 10001), ("alt:10001", 10001), ("altpairs:142", 10011),
-    ("signtwist:140", 10011), ("frobenius:10007,2", 10007),
+    ("sympairs:142", 10011), ("signtwist:140", 10011), ("frobenius:10007,2", 10007),
+    ("psl2line:10000", 10001), ("psl2cosets:143", 10153),
 ])
 def test_oversized_parameters_are_refused_before_any_generator(monkeypatch, spec, degree):
     def refuse(*args):
@@ -279,7 +277,9 @@ def test_largest_degree_under_the_cap_is_accepted(monkeypatch):
 
 
 def test_unknown_specs_rejected():
-    for bad in ("nope", "sym", "sym:x", "altpairs:", "frobenius:7"):
+    # "sym:\u00b2" is a superscript two: str.isdigit accepts it and int refuses it
+    for bad in ("nope", "sym", "sym:x", "altpairs:", "frobenius:7", "altpairs:-141",
+                "example3_2:", "sym:5,", "sym:\u00b2"):
         with pytest.raises(InputError):
             build_instance(bad)
 
@@ -295,3 +295,42 @@ def test_catalog_entries_table():
     rows = catalog_entries()
     specs = [r[0] for r in rows]
     assert "example3_2" in specs and "psl2cosets:q" in specs and "signtwist:n" in specs
+
+
+def test_catalog_entries_list_the_family_table():
+    rows = catalog_entries()
+    assert [r[0].partition(":")[0] for r in rows] == [*catalog.FAMILIES, "file"]
+    assert rows[-1][0] == "file:<path>"
+
+
+@pytest.mark.parametrize("head", list(catalog.FAMILIES))
+def test_family_example_builds_with_its_spec_and_degree(head):
+    family = catalog.FAMILIES[head]
+    assert family.example.partition(":")[0] == head
+    inst = build_instance(family.example)
+    assert inst.spec == family.example
+    _, _, body = family.example.partition(":")
+    params = [int(p) for p in body.split(",")] if body else []
+    assert family.points(*params) == inst.group.degree
+
+
+@pytest.mark.parametrize("q", [8, 32])
+def test_psl2_cosets_builds_the_line_group_once(monkeypatch, q):
+    # from an empty cache, psl2cosets:q takes PSL(2,q) on the line from the
+    # cached psl2line:q instance, and the dihedral subgroup builds no second
+    # copy
+    line = catalog.FAMILIES["psl2line"]
+    built = []
+
+    def counted(spec, q):
+        built.append(spec)
+        return line.build(spec, q)
+
+    monkeypatch.setitem(catalog.FAMILIES, "psl2line", dataclasses.replace(line, build=counted))
+    monkeypatch.setattr(catalog, "_build", lru_cache(maxsize=None)(catalog._build.__wrapped__))
+    monkeypatch.setattr(catalog, "_dihedral_subgroup",
+                        lru_cache(maxsize=None)(catalog._dihedral_subgroup.__wrapped__))
+    cosets = build_instance(f"psl2cosets:{q}")
+    assert cosets.group.degree == q * (q - 1) // 2
+    assert build_instance(f"psl2line:{q}").group.order() == q * (q * q - 1)
+    assert built == [f"psl2line:{q}"]

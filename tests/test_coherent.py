@@ -67,9 +67,10 @@ def test_reflexive_structure_transitive():
         assert cc.star[0] == 0
 
 
-def test_degree_cap():
-    with pytest.raises(InputError):
-        two_orbits(build_instance("sym:5").group, cap=3)
+def test_degree_cap(monkeypatch):
+    monkeypatch.setattr(coherent, "TWO_ORBIT_DEGREE_CAP", 3)
+    with pytest.raises(InputError, match="degree 5 exceeds the pair-table cap 3"):
+        two_orbits(build_instance("sym:5").group)
 
 
 def test_valencies_match_subdegrees():

@@ -29,6 +29,7 @@ from permsym.endo import (
     schur_ring_from_action,
     schur_vs_centralizer,
     structure_report,
+    ALGEBRA_DIM_CAP,
     HECKE_ORDER_CAP,
     WITNESS_ENUM_CAP,
 )
@@ -142,6 +143,19 @@ def test_unit_is_identity_and_associativity_guard():
     bad[1, 1, 0] = (bad[1, 1, 0] + 1) % 3
     with pytest.raises(VerificationError):
         make_algebra(alg.field, alg.labels, bad, alg.unit)
+
+
+def test_verification_above_the_dimension_cap_is_refused():
+    # m = 61 with one non-zero constant and a zero unit: neither associative
+    # with that unit nor checkable under the cap, so verify=True must refuse
+    m = ALGEBRA_DIM_CAP + 1
+    sc = np.zeros((m, m, m), dtype=np.int64)
+    sc[1, 1, 0] = 1
+    labels = [f"b{i}" for i in range(m)]
+    with pytest.raises(InputError, match="dimension 61 exceeds the verification cap 60; "
+                       "pass verify=False"):
+        make_algebra(prime_field(5), labels, sc, np.zeros(m))
+    assert make_algebra(prime_field(5), labels, sc, np.zeros(m), verify=False).dim == m
 
 
 def dense_centralizer_oracle(G, field, cap=40):

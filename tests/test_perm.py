@@ -9,11 +9,7 @@ from permsym.catalog import (
     _dihedral_generators,
     _dihedral_subgroup,
     _psl2_matrix_perm,
-    build_alt,
-    build_alt_on_pairs,
     build_instance,
-    build_psl2_line,
-    build_sym,
 )
 from permsym.coherent import intersection_tensor, two_orbits
 from permsym.errors import InputError, VerificationError
@@ -227,7 +223,7 @@ def test_order_s4():
 
 
 def test_order_a7():
-    assert build_alt(7).group.order() == 2520
+    assert build_instance("alt:7").group.order() == 2520
 
 
 def test_order_shear_group_against_bfs_oracle():
@@ -236,7 +232,7 @@ def test_order_shear_group_against_bfs_oracle():
 
 
 def test_membership():
-    A3 = build_alt(3).group
+    A3 = build_instance("alt:3").group
     assert parse_permutation("(1 2)", 3) not in A3
     assert Permutation.identity(3) in A3
     C5 = PermutationGroup(5, [parse_permutation("(1 2 3 4 5)", 5)])
@@ -278,7 +274,7 @@ def test_element_order_matches_tuple_reference(spec):
 def test_dihedral_subgroup_generators_match_tuple_reference(q):
     # the built subgroup is the normalizer of <c>, c the permutation of the
     # matrix C, found in the tuple enumeration of G
-    G = build_psl2_line(q).group
+    G = build_instance(f"psl2line:{q}").group
     elements = tuple_elements(G.degree, [g.images for g in G.generators])
     field = binary_field(PSL_LINE_FIELDS[q])
     c = _psl2_matrix_perm(field, _dihedral_generators(field, q)[0]).images
@@ -333,7 +329,7 @@ def test_bound_stops_psl2cosets_32_early():
 def test_unfaithful_coset_action_completes_in_full():
     # S4 on the cosets of D8: the kernel is the Klein four-group, so the image
     # is S3 of order 6 and never reaches the bound |S4| = 24
-    S4 = build_sym(4).group
+    S4 = build_instance("sym:4").group
     D8 = PermutationGroup(4, [parse_permutation(c, 4) for c in ("(1 2 3 4)", "(1 3)")])
     Q = action_on_cosets(S4, D8)
     assert Q.degree == 3 and Q.order() == 6
@@ -342,7 +338,7 @@ def test_unfaithful_coset_action_completes_in_full():
 
 
 def test_bound_below_the_first_orbit_is_refused():
-    gens = build_sym(5).group.generators
+    gens = build_instance("sym:5").group.generators
     with pytest.raises(VerificationError, match="above the bound 4"):
         PermutationGroup(5, gens, order_bound=4).order()
 
@@ -366,9 +362,9 @@ def test_orbits_of_shear_stabilizer():
 
 
 def test_point_stabilizer_orders():
-    S3 = build_sym(3).group
+    S3 = build_instance("sym:3").group
     assert S3.point_stabilizer(0).order() == 2
-    pairs = build_alt_on_pairs(7).group
+    pairs = build_instance("altpairs:7").group
     for alpha in (0, 7, 20):
         assert pairs.point_stabilizer(alpha).order() == 120  # 2520 / 21
     C3 = PermutationGroup(3, [parse_permutation("(1 2 3)", 3)])
@@ -401,7 +397,7 @@ def classify(G):
 
 
 def test_classify_alt7_on_pairs():
-    cls = classify(build_alt_on_pairs(7).group)
+    cls = classify(build_instance("altpairs:7").group)
     assert cls.transitive and cls.rank == 3
     assert sorted(cls.subdegrees) == [1, 10, 10]
     assert cls.three_halves_transitive and cls.primitive
@@ -512,14 +508,15 @@ def test_minimal_block_prime_regular():
 # derived actions
 # ---------------------------------------------------------------------------
 
-def test_ksubsets_degrees():
-    assert build_alt_on_pairs(7).group.degree == 21
-    S4 = build_sym(4).group
+def test_ksubsets_degrees(monkeypatch):
+    assert build_instance("altpairs:7").group.degree == 21
+    S4 = build_instance("sym:4").group
     assert action_on_ksubsets(S4, 2).degree == 6
-    S3 = build_sym(3).group
+    S3 = build_instance("sym:3").group
     assert action_on_ksubsets(S3, 3).degree == 1
-    with pytest.raises(InputError):
-        action_on_ksubsets(S4, 2, cap=3)
+    monkeypatch.setattr(perm, "KSUBSET_DEGREE_CAP", 3)
+    with pytest.raises(InputError, match="induced degree 6 exceeds cap 3"):
+        action_on_ksubsets(S4, 2)
 
 
 def test_ksubsets_cap_is_checked_before_the_subsets_are_listed(monkeypatch):
@@ -529,25 +526,25 @@ def test_ksubsets_cap_is_checked_before_the_subsets_are_listed(monkeypatch):
     monkeypatch.setattr(perm, "combinations", refuse)
     # C(200, 3) = 1,313,400 subsets
     with pytest.raises(InputError, match="induced degree 1313400 exceeds cap 10000"):
-        action_on_ksubsets(build_sym(200).group, 3)
+        action_on_ksubsets(build_instance("sym:200").group, 3)
 
 
 def test_coset_action_self_is_trivial():
-    G = build_sym(3).group
+    G = build_instance("sym:3").group
     Q = action_on_cosets(G, G)
     assert Q.degree == 1 and Q.order() == 1
 
 
 def test_coset_action_on_the_trivial_subgroup_is_regular():
     # with no chain levels, H passes the gathered rows through unchanged
-    G = build_sym(3).group
+    G = build_instance("sym:3").group
     Q = action_on_cosets(G, PermutationGroup(3, []))
     assert Q.degree == 6 and Q.order() == 6
     assert classify(Q).subdegrees == (1,) * 6
 
 
 def test_coset_action_not_subgroup():
-    G = build_alt(4).group
+    G = build_instance("alt:4").group
     H = PermutationGroup(4, [parse_permutation("(1 2)", 4)])
     with pytest.raises(InputError, match="subgroup"):
         action_on_cosets(G, H)
