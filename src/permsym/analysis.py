@@ -18,7 +18,6 @@ from .coherent import (
     adjacency_product_check,
     intersection_tensor,
     two_orbits,
-    verify_cc_axioms,
 )
 from .endo import (
     SchurIsoReport,
@@ -170,14 +169,14 @@ def _clock(timings: dict | None, name: str, fn):
 def configuration(instance: CatalogInstance, timings: dict | None = None) -> Configuration:
     """The configuration stage of the analysis: the group order, the orbital
     configuration, the count of the point stabilizer's orbits against the
-    orbitals, the integer intersection tensor, the axiom checks and the
-    adjacency product identity on every pair, the classification read off
-    the proven tensor, and, for an instance with a regular normal subgroup,
-    the Schur ring correspondence over Z.  The adjacency identity and axiom
-    (1) imply that the constants are associative with the unit over Z, so
-    no separate proof runs (see below).  It is built once per instance and
-    kept on it; a failure raises and is not kept.  Only a build records its
-    stage timings into ``timings``."""
+    orbitals, the row-0 facts of the table, the integer intersection tensor,
+    the adjacency product identity on every pair, the classification read
+    off the proven tensor, and, for an instance with a regular normal
+    subgroup, the Schur ring correspondence over Z.  These checks imply the
+    configuration axioms and that the constants are associative with the
+    unit over Z, so neither is checked again (see below).  It is built once
+    per instance and kept on it; a failure raises and is not kept.  Only a
+    build records its stage timings into ``timings``."""
     if instance.configuration is not None:
         return instance.configuration
     G = instance.group
@@ -185,38 +184,44 @@ def configuration(instance: CatalogInstance, timings: dict | None = None) -> Con
     # group, before G.order() does work that grows with the degree
     cc = _clock(timings, "two_orbits", lambda: two_orbits(G))
     order = _clock(timings, "order", G.order)
-    # In a transitive group the orbitals correspond to the orbits of a point
-    # stabilizer.  The strong generators stored at chain levels >= 1 generate
-    # a subgroup K of the stabilizer of the first base point, so K has at
-    # least as many orbits as there are orbitals; with the adjacency check
-    # below, this count proves the labels of two_orbits are the orbitals.
+    # The strong generators stored at chain levels >= 1 generate a subgroup
+    # K of the stabilizer G_0 of the first base point, so K has at least as
+    # many orbits as G_0, whose orbits correspond to the orbitals of G.
     stabilizer_gens = [g for lv in G.chain.levels[1:] for g in lv.gens]
     suborbits = len(orbits(stabilizer_gens, G.degree))
     if suborbits != cc.m:
         raise VerificationError(
             f"the point stabilizer has {suborbits} orbits, but there are {cc.m} orbitals"
         )
+    table = cc.orbital_of
+    if table[0, 0] != 0 or not np.array_equal(np.bincount(table[0], minlength=cc.m), cc.valency):
+        raise VerificationError("row 0 of the orbital table does not match the valencies")
 
     tensor = _clock(timings, "tensor", lambda: intersection_tensor(cc))
-    axioms = _clock(timings, "axioms", lambda: verify_cc_axioms(cc, tensor))
-    if not axioms.passed:
-        raise VerificationError(f"configuration axioms failed: {axioms.failures[0]}")
     adj_passed, adj_detail = _clock(
         timings, "adjacency_identity",
         lambda: adjacency_product_check(cc, tensor, G.generators),
     )
     if not adj_passed:
         raise VerificationError(f"adjacency product identity failed: {adj_detail}")
-    # The two checks above prove that the constants are associative with the
-    # unit over Z, at every m (Higman, Coherent configurations I, 1975):
+    # These checks prove that the labels are the orbitals, so the axioms of
+    # verify_cc_axioms hold and it does not run:
+    # - every generator preserves the labels (adjacency_product_check), so
+    #   each label class is a union of orbitals;
+    # - row 0 holds all m labels, so there are m classes;
+    # - K <= G_0 has m orbits, so there are at most m orbitals;
+    # - so each class is one orbital: orbital 0, holding (0, 0), is the
+    #   diagonal (axiom (1)), the transpose of an orbital is an orbital
+    #   (axiom (2)), and each side of the triangle identity counts the
+    #   triangles whose sides lie in orbitals r, s and t.
+    # They also prove that the constants are associative with the unit over
+    # Z, at every m (Higman, Coherent configurations I, 1975):
     # - the A_t are 0/1 matrices with disjoint supports, and every label
-    #   occurs in row 0 (two_orbits), so no A_t is zero and they are linearly
-    #   independent;
+    #   occurs in row 0, so no A_t is zero and they are linearly independent;
     # - matrix multiplication is associative, so expanding (A_r A_s) A_u and
     #   A_r (A_s A_u) through the proven identity A_r A_s = sum_t C[t,r,s] A_t
     #   and comparing coefficients gives the associativity of C;
-    # - by axiom (1) the reflexive A_t sum to I, and I A_s = A_s = A_s I gives
-    #   the unit on both sides.
+    # - A_0 = I, and I A_s = A_s = A_s I gives the unit on both sides.
     classification = _clock(timings, "classify",
                             lambda: classify_action(cc, tensor, instance.faithful))
 
@@ -225,7 +230,7 @@ def configuration(instance: CatalogInstance, timings: dict | None = None) -> Con
         T = PermutationGroup(G.degree, instance.regular.gens)
         schur = _clock(
             timings, "schur",
-            lambda: schur_vs_centralizer(G, T, cc, tensor, alpha=instance.base_point,
+            lambda: schur_vs_centralizer(G, T, cc, tensor,
                                          point_names=instance.regular.point_names),
         )
         if not schur.passed:
@@ -290,13 +295,13 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
     # configuration stage's checks imply associativity and the unit over Z,
     # and reduction Z -> F_p is a ring map, so they hold mod p.
     alg = clock("algebra", lambda: centralizer_algebra(cc, config.tensor, fieldp, verify=False))
-    form = clock("natural_form", lambda: natural_form(alg, cc))
+    form = clock("natural_form", lambda: natural_form(alg))
     series = clock("radical", lambda: radical_chain(alg))
     structure = clock("structure", lambda: structure_report(alg, series))
     verdict = clock("verdict", lambda: is_symmetric(alg, hint=form, series=series, seed=seed))
 
-    # the configuration stage raises unless the axioms and the adjacency
-    # identity hold, and those imply associativity and the unit
+    # the configuration stage raises unless its checks hold, and those imply
+    # the axioms, associativity and the unit
     checks = {
         "cc_axioms": True,
         "adjacency_product_identity": True,

@@ -29,7 +29,7 @@ PSL_LINE_FIELDS = {4: 2, 8: 3, 32: 5}  # q -> extension degree m
 @dataclass(frozen=True)
 class RegularSubgroup:
     """A regular normal subgroup of the instance's group, with display names
-    for its elements keyed by the point they carry the base point to."""
+    for its elements keyed by the point that each carries 0 to."""
 
     gens: tuple[Permutation, ...]
     point_names: tuple[str, ...]
@@ -40,7 +40,6 @@ class CatalogInstance:
     spec: str
     group: PermutationGroup
     faithful: bool = True
-    base_point: int = 0
     regular: RegularSubgroup | None = None
     # the p-independent stage of the analysis (analysis.configuration), None
     # until built; dataclasses.replace gives the copy None

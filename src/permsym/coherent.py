@@ -19,37 +19,35 @@ PRODUCT_BLOCK_CELLS = 1 << 22
 
 @dataclass(frozen=True)
 class CoherentConfiguration:
+    """The orbitals of a transitive group on n points, numbered 0..m-1 with
+    orbital 0 the diagonal, so A_0 = I is the unit of the orbital algebra."""
+
     n: int
     m: int
     orbital_of: np.ndarray        # (n, n) int32, entry = orbital index of the pair
     valency: np.ndarray           # (m,) int64
-    star: np.ndarray              # (m,) int64, index of the transposed orbital
-    reflexive: np.ndarray         # (m,) bool
     rep: np.ndarray               # (m, 2) int64, least pair of each orbital
 
 
 def two_orbits(G: PermutationGroup) -> CoherentConfiguration:
     """The orbitals of a transitive G, read off its stabilizer chain; an
-    intransitive G is refused.  Orbitals are sorted reflexive first, then by
-    valency, then by least pair, and renumbered.
+    intransitive G is refused.  Orbitals are sorted by valency, then by least
+    pair, and renumbered, so orbital 0 is the diagonal.
 
     G is transitive, so its chain's first base point is 0 (a group that fixes
     0 is not transitive for n > 1), and u_a, the first level's transversal
     row carrying 0 to a, runs over every point a.  The strong generators at
     the deeper levels generate a group K, and the pair (a, c) is labelled by
     the K-orbit of c.u_a^-1: one (n, n) gather through the inverse rows.
-    Row 0 is the identity, so every label occurs in row 0, the least pair of
-    each label is (0, least point of its K-orbit), and its valency is the
-    length of that K-orbit.
+    Row 0 is the identity, so every label occurs in row 0, (0, 0) has label
+    0, the least pair of each label is (0, least point of its K-orbit), and
+    its valency is the length of that K-orbit.
 
     A complete chain has K = G_0, and then the labels are the orbitals.  The
-    checks of the configuration stage prove it for the table they are given,
-    without trusting the chain: ``adjacency_product_check`` proves that every
-    generator preserves the labels, so each label class is a union of
-    orbitals and there are at most as many labels as orbitals; and the stage
-    counts the K-orbits against the m labels, where K <= G_0 has at least as
-    many orbits as G_0, the number of orbitals.  Together these force every
-    label class to be exactly one orbital."""
+    configuration stage (``analysis.configuration``) proves it for the table
+    it is given, without trusting the chain: it checks the row-0 facts above,
+    counts the K-orbits against the m labels, and runs
+    ``adjacency_product_check``; see there for the argument."""
     n = G.degree
     if n > TWO_ORBIT_DEGREE_CAP:
         raise InputError(f"degree {n} exceeds the pair-table cap {TWO_ORBIT_DEGREE_CAP}")
@@ -70,15 +68,11 @@ def two_orbits(G: PermutationGroup) -> CoherentConfiguration:
     m = len(suborbits)
     rep = np.zeros((m, 2), dtype=np.int64)
     rep[:, 1] = [orb[0] for orb in suborbits]
-    reflexive = np.zeros(m, dtype=bool)
-    reflexive[0] = True
     return CoherentConfiguration(
         n=n,
         m=m,
         orbital_of=table,
         valency=np.array([len(orb) for orb in suborbits], dtype=np.int64),
-        star=table[rep[:, 1], 0].astype(np.int64),
-        reflexive=reflexive,
         rep=rep,
     )
 
@@ -104,7 +98,9 @@ def verify_cc_axioms(cc: CoherentConfiguration, tensor: np.ndarray) -> AxiomRepo
     """Check the defining axioms (1) and (2) of the configuration on every
     pair, plus the valency-weighted triangle identity
     |t| C[t*,r,s] = |r| C[r*,s,t] = |s| C[s*,t,r], where |s| is the pair-set
-    cardinality valency(s) * n of a transitive configuration.
+    cardinality valency(s) * n of a transitive configuration and t* is the
+    label of the transpose of t's least pair.  The analysis does not run it:
+    the checks of ``analysis.configuration`` imply it.
 
     Axiom (3), that the intersection numbers do not depend on the
     representative pair, is the adjacency identity on every pair; see
@@ -114,28 +110,26 @@ def verify_cc_axioms(cc: CoherentConfiguration, tensor: np.ndarray) -> AxiomRepo
     failures = []
     n = cc.n
 
-    # (1) the diagonal is exactly the union of the reflexive orbitals
-    bad = np.argwhere(cc.reflexive[cc.orbital_of] != np.eye(n, dtype=bool))
+    # (1) the diagonal is exactly orbital 0
+    bad = np.argwhere((cc.orbital_of == 0) != np.eye(n, dtype=bool))
     if len(bad):
         a, b = map(int, bad[0])
         if a == b:
-            failures.append("diagonal pair assigned to a non-reflexive orbital")
+            failures.append(f"diagonal pair ({a}, {a}) assigned to orbital {cc.orbital_of[a, a]}")
         else:
-            failures.append(
-                f"reflexive orbital {cc.orbital_of[a, b]} contains off-diagonal pair ({a}, {b})"
-            )
+            failures.append(f"orbital 0 contains off-diagonal pair ({a}, {b})")
 
     # (2) closure under transposition
-    bad = np.argwhere(cc.orbital_of.T != cc.star[cc.orbital_of])
+    star = cc.orbital_of[cc.rep[:, 1], cc.rep[:, 0]]
+    bad = np.argwhere(cc.orbital_of.T != star[cc.orbital_of])
     if len(bad):
         a, b = map(int, bad[0])
         failures.append(
-            f"transpose of pair ({a}, {b}) leaves orbital {cc.star[cc.orbital_of[a, b]]}"
+            f"transpose of pair ({a}, {b}) leaves orbital {star[cc.orbital_of[a, b]]}"
         )
 
     # triangle identity
     size = cc.valency * n
-    star = cc.star
     lhs = size[:, None, None] * tensor[star, :, :]  # |t| C[t*, r, s] with axes (t, r, s)
     mid = np.einsum("r,rst->trs", size, tensor[star, :, :])
     rhs = np.einsum("s,str->trs", size, tensor[star, :, :])

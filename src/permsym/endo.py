@@ -121,19 +121,17 @@ def _verify_algebra(sc: np.ndarray, unit: np.ndarray, p: int | None = None):
 
 def _orbital_constants(cc: CoherentConfiguration, tensor: np.ndarray):
     """Integer structure constants and unit of the orbital basis: A_r A_s =
-    sum_t C[t,r,s] A_t, so sc[r,s,t] = C[t,r,s]; the unit is the sum of the
-    reflexive basis elements."""
-    return tensor.transpose(1, 2, 0), cc.reflexive.astype(np.int64)
+    sum_t C[t,r,s] A_t, so sc[r,s,t] = C[t,r,s]; the unit is A_0 = I."""
+    return tensor.transpose(1, 2, 0), np.eye(cc.m, dtype=np.int64)[0]
 
 
 def centralizer_algebra(cc: CoherentConfiguration, tensor: np.ndarray,
                         field: PrimeField, verify: bool = True) -> SCAlgebra:
     """Span of the orbital adjacency matrices with the intersection numbers as
-    structure constants, reduced mod p; the unit is the sum of the reflexive
-    basis elements.  verify=False skips the proof mod p, for callers whose
-    tensor has passed ``adjacency_product_check`` and ``verify_cc_axioms``:
-    those prove the constants associative with the unit over Z (see
-    ``analysis.configuration``), and reduction Z -> F_p is a ring map."""
+    structure constants, reduced mod p; the unit is A_0 = I.  verify=False
+    skips the proof mod p, for callers whose configuration has passed the
+    checks of ``analysis.configuration``: those prove the constants
+    associative with the unit over Z, and reduction Z -> F_p is a ring map."""
     sc, unit = _orbital_constants(cc, tensor)
     labels = [f"s{t}" for t in range(cc.m)]
     return make_algebra(field, labels, sc, unit, verify=verify)
@@ -197,15 +195,14 @@ class PairingForm:
     nondegenerate: bool
 
 
-def natural_form(alg: SCAlgebra, cc: CoherentConfiguration) -> PairingForm:
-    """The form (x, y) -> coefficient of the reflexive basis element in x*y.
-    The configuration is transitive, so it has one reflexive orbital (see
-    ``coherent.two_orbits``); the Gram matrix is supported on the pairs
-    (r, star r) with entries the valencies."""
-    refl = int(np.nonzero(cc.reflexive)[0][0])
-    lam = np.zeros(alg.dim, dtype=np.int64)
-    lam[refl] = 1
-    gram = alg.sc[:, :, refl] % alg.field.p
+def natural_form(alg: SCAlgebra) -> PairingForm:
+    """The form (x, y) -> coefficient of the basis element b_0 in x*y.  On
+    the orbital basis b_0 = A_0 = I, the diagonal orbital of a transitive
+    configuration (see ``coherent.two_orbits``), and the Gram matrix is
+    supported on the pairs (r, r*), r* the transposed orbital, with entries
+    the valencies."""
+    lam = np.eye(alg.dim, dtype=np.int64)[0]
+    gram = alg.sc[:, :, 0] % alg.field.p
     symmetric = np.array_equal(gram, gram.T)
     nondegenerate = _kernels.rank_mod_p(gram, alg.field.p) == alg.dim
     return PairingForm(lam, gram, symmetric, nondegenerate)
@@ -217,8 +214,8 @@ def natural_form(alg: SCAlgebra, cc: CoherentConfiguration) -> PairingForm:
 
 @dataclass(frozen=True)
 class RadicalSeries:
-    dims: tuple[int, ...]               # [dim A, dim J, dim J^2, ..., 0]
-    power_bases: tuple[np.ndarray, ...]  # row-space bases of J, J^2, ...
+    dims: tuple[int, ...]   # [dim A, dim J, dim J^2, ..., 0]
+    radical: np.ndarray     # (dim J, dim A) rref basis of J
 
 
 def _rowspace(mat: np.ndarray, p: int) -> np.ndarray:
@@ -261,18 +258,14 @@ def radical_chain(alg: SCAlgebra) -> RadicalSeries:
 
     Plain trace-form radicals are wrong in small characteristic, so the chain
     descends through the subspaces cut out by tr(lift(x*y)^(p^i))/p^i = 0 for
-    i = 0..floor(log_p dim).  The result is verified a posteriori: the output
-    must be a nilpotent two-sided ideal whose quotient has zero radical.
+    i = 0..floor(log_p dim).  ``_proven_series`` proves the result.
     """
     m = alg.dim
     if m > ALGEBRA_DIM_CAP:
         raise InputError(f"algebra dimension {m} exceeds cap {ALGEBRA_DIM_CAP}")
     p = alg.field.p
-    level_count = 1
-    while p ** level_count <= m:
-        level_count += 1
     cur = np.eye(m, dtype=np.int64)
-    for i in range(level_count):
+    for i in range(_frobenius_exponent(p, m + 1)):  # while p^i <= m
         k = cur.shape[0]
         if k == 0:
             break
@@ -281,30 +274,37 @@ def radical_chain(alg: SCAlgebra) -> RadicalSeries:
         T = np.stack([_divided_traces(alg, prods[a], i) for a in range(k)], axis=1)
         kern = _kernels.nullspace_mod_p(T, p)
         cur = _rowspace(_kernels._contract(kern, cur, p), p)
-    radical = cur
+    return _proven_series(alg, cur)
 
-    powers = [radical]
-    dims = [m, radical.shape[0]]
-    while powers[-1].shape[0] > 0:
-        prods = alg.products(powers[-1], radical).reshape(-1, m)
-        nxt = _rowspace(prods, p)
-        if nxt.shape[0] >= powers[-1].shape[0]:
+
+def _proven_series(alg: SCAlgebra, radical: np.ndarray) -> RadicalSeries:
+    """The power series of a radical candidate R, given by an rref basis,
+    with the proof that R = J: the series must reach 0, and then R = J by
+    the Frobenius kernel on a commutative algebra, or else R must be a
+    two-sided ideal whose quotient has zero radical."""
+    p, m = alg.field.p, alg.dim
+    # power spans every product of k elements of R, so reaching 0 proves
+    # that x^k = 0 for every x in R
+    dims, power = [m, radical.shape[0]], radical
+    while power.shape[0] > 0:
+        nxt = _rowspace(alg.products(power, radical).reshape(-1, m), p)
+        if nxt.shape[0] >= power.shape[0]:
             raise VerificationError("radical candidate is not nilpotent")
-        powers.append(nxt)
+        power = nxt
         dims.append(nxt.shape[0])
-    if radical.shape[0] > 0:
-        _verify_radical(alg, radical)
     if alg.is_commutative():
-        # independent route: over F_p the nilradical of a commutative algebra
-        # is the kernel of the iterated Frobenius map
+        # R lies in the nilradical, which for a commutative algebra over F_p
+        # is J and the kernel of x -> x^(p^e); equal dimensions prove R = J,
+        # so the ideal and quotient checks of _verify_radical are implied
         frob_nullity = m - _kernels.rank_mod_p(_iterated_frobenius(alg), p)
         if frob_nullity != radical.shape[0]:
             raise VerificationError(
                 f"divided-trace radical dimension {radical.shape[0]} disagrees with "
                 f"the Frobenius-kernel dimension {frob_nullity}"
             )
-    series = RadicalSeries(dims=tuple(dims), power_bases=tuple(powers[:-1]))
-    return series
+    elif radical.shape[0] > 0:
+        _verify_radical(alg, radical)
+    return RadicalSeries(dims=tuple(dims), radical=radical)
 
 
 def _verify_radical(alg: SCAlgebra, radical: np.ndarray):
@@ -360,26 +360,26 @@ class StructureReport:
 def structure_report(alg: SCAlgebra, series: RadicalSeries | None = None) -> StructureReport:
     if series is None:
         series = radical_chain(alg)
-    radical = series.power_bases[0] if series.power_bases else np.zeros((0, alg.dim), np.int64)
-    p = alg.field.p
-    m = alg.dim
+    radical, p, m = series.radical, alg.field.p, alg.dim
+    commutative = alg.is_commutative()
     if radical.shape[0] == 0:
         left = right = m
     else:
         # the matrices of x -> u x and x -> x u for every radical row u,
-        # stacked: rows (u, t), columns the basis element x
+        # stacked: rows (u, t), columns the basis element x; they are equal
+        # in a commutative algebra
         eye = np.eye(m, dtype=np.int64)
         left_mats = alg.products(radical, eye).transpose(0, 2, 1).reshape(-1, m)
-        right_mats = alg.products(eye, radical).transpose(1, 2, 0).reshape(-1, m)
         left = m - _kernels.rank_mod_p(left_mats, p)
-        right = m - _kernels.rank_mod_p(right_mats, p)
+        right = left if commutative else m - _kernels.rank_mod_p(
+            alg.products(eye, radical).transpose(1, 2, 0).reshape(-1, m), p)
     top = m - radical.shape[0]
     return StructureReport(
         top_dim=top,
         left_socle_dim=left,
         right_socle_dim=right,
         is_local=top == 1,
-        commutative=alg.is_commutative(),
+        commutative=commutative,
     )
 
 

@@ -596,13 +596,14 @@ def classify_action(cc, tensor: np.ndarray, faithful: bool = True) -> ActionClas
     transitive group (``coherent.two_orbits`` refuses any other) and its
     proven intersection tensor C: the rank is the orbital count and the
     subdegrees are the valencies.  By Higman's criterion the group is
-    primitive iff every non-reflexive orbital graph Gamma_s is connected, that
+    primitive iff every non-diagonal orbital graph Gamma_s is connected, that
     is (G finite), iff s-steps from the point 0 reach every point; the reached
     set is G_0-invariant, a union of suborbits.  By axiom (3), C[t, r, s] > 0
     iff an s-step from some point of suborbit r lands in suborbit t, so one
-    closure decides every s: reached[s, t] grows from the reflexive suborbit
-    until it is stable.  Each step is one batched float64 matmul over s,
-    exact because its entries are 0 or 1 and every sum is at most m."""
+    closure decides every s: reached[s, t] grows from the suborbit {0}, of
+    the diagonal orbital 0, until it is stable.  Each step is one batched
+    float64 matmul over s, exact because its entries are 0 or 1 and every sum
+    is at most m."""
     subdegrees = tuple(sorted(int(v) for v in cc.valency))
     rest = list(subdegrees)
     rest.remove(1)  # the fixed point {alpha}
@@ -610,7 +611,7 @@ def classify_action(cc, tensor: np.ndarray, faithful: bool = True) -> ActionClas
     three_halves = len(set(rest)) == 1 and rest[0] > 1
     # steps[s, r, t] = 1.0 iff C[t, r, s] > 0
     steps = (tensor > 0).transpose(2, 1, 0).astype(np.float64, order="C")
-    reached, last = np.broadcast_to(cc.reflexive, (cc.m, cc.m)), None
+    reached, last = np.broadcast_to(np.arange(cc.m) == 0, (cc.m, cc.m)), None
     while not np.array_equal(reached, last):
         last, reached = reached, reached | (reached[:, None, :] @ steps > 0)[:, 0, :]
     return ActionClassification(
@@ -620,7 +621,7 @@ def classify_action(cc, tensor: np.ndarray, faithful: bool = True) -> ActionClas
         rank=cc.m,
         half_transitive=True,
         three_halves_transitive=three_halves,
-        primitive=bool(reached[~cc.reflexive].all()),
+        primitive=bool(reached[1:].all()),
         faithful=faithful,
     )
 

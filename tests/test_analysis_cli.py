@@ -5,13 +5,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import permsym
-from permsym import analysis, cli, endo
+from permsym import analysis, cli, coherent, endo
 from permsym.analysis import configuration, run_analysis
 from permsym.catalog import CatalogInstance, build_instance
-from permsym.coherent import intersection_tensor, two_orbits, verify_cc_axioms
+from permsym.coherent import (
+    adjacency_product_check,
+    intersection_tensor,
+    two_orbits,
+    verify_cc_axioms,
+)
 from permsym.errors import InputError, VerificationError
 from permsym.perm import PermutationGroup
 from permsym.suite import run_all
@@ -134,9 +140,10 @@ def test_configuration_stage_catches_the_orbitals_of_a_smaller_stabilizer():
     assert inst.configuration is None
 
 
-# no associativity proof runs, so none is timed (see analysis.configuration)
+# neither an associativity proof nor the axiom checks run, so neither is
+# timed (see analysis.configuration)
 CONFIGURATION_TIMINGS = {
-    "two_orbits", "order", "classify", "tensor", "axioms", "adjacency_identity",
+    "two_orbits", "order", "classify", "tensor", "adjacency_identity",
 }
 
 
@@ -159,7 +166,7 @@ def test_shared_configuration_gives_the_reports_of_fresh_instances(spec, primes,
         )
         assert reused.to_text() == fresh.to_text()
         assert CONFIGURATION_TIMINGS <= set(fresh.timings_ms)
-        assert "associativity" not in fresh.timings_ms
+        assert not {"associativity", "axioms"} & set(fresh.timings_ms)
         # only the run that builds the configuration times its stages
         stage_keys = CONFIGURATION_TIMINGS & set(reused.timings_ms)
         assert stage_keys == (CONFIGURATION_TIMINGS if i == 0 else set())
@@ -175,6 +182,74 @@ def counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+F21_GENERATORS = "degree 7\n(1 2 3 4 5 6 7)\n(2 3 5)(4 7 6)\n"  # frobenius:7,3
+
+
+def test_configuration_refuses_a_table_fused_with_its_transpose(tmp_path, monkeypatch):
+    # F21 from a file, so no Schur check runs.  Labelling each pair by the
+    # smaller of its orbital and its transpose's fuses orbitals 1 and 2: the
+    # fused table is itself a configuration, every generator preserves it,
+    # the K-orbit count reads the unchanged m = 3 and the adjacency identity
+    # holds.  Only row 0, which lacks label 2, refuses it.
+    path = tmp_path / "f21.txt"
+    path.write_text(F21_GENERATORS)
+    inst = build_instance(f"file:{path}")
+    assert inst.group.order() == 21
+    cc = two_orbits(inst.group)
+    fused = dataclasses.replace(cc, orbital_of=np.minimum(cc.orbital_of, cc.orbital_of.T))
+    tensor = intersection_tensor(fused)
+    assert fused.m == 3 and adjacency_product_check(fused, tensor, inst.group.generators)[0]
+    monkeypatch.setattr(analysis, "two_orbits", lambda G: fused)
+    with pytest.raises(VerificationError, match="row 0 of the orbital table"):
+        configuration(inst)
+    assert inst.configuration is None
+
+
+def test_configuration_refuses_a_table_without_the_diagonal_as_label_0(monkeypatch):
+    # Swapping labels 0 and 1 of example3_2, whose orbitals 0 and 1 both have
+    # valency 1, with their least pairs, gives a relabelled configuration
+    # that passes every other check; its A_0 is not the unit
+    inst = dataclasses.replace(build_instance("example3_2"), regular=None)
+    cc = two_orbits(inst.group)
+    swap = np.array([1, 0, 2, 3, 4], dtype=np.int32)
+    swapped = dataclasses.replace(cc, orbital_of=swap[cc.orbital_of], rep=cc.rep[swap])
+    assert np.array_equal(np.bincount(swapped.orbital_of[0]), swapped.valency)
+    tensor = intersection_tensor(swapped)
+    assert adjacency_product_check(swapped, tensor, inst.group.generators) == (True, None)
+    monkeypatch.setattr(analysis, "two_orbits", lambda G: swapped)
+    with pytest.raises(VerificationError, match="row 0 of the orbital table"):
+        configuration(inst)
+    assert inst.configuration is None
+
+
+def test_configuration_runs_no_axiom_check(monkeypatch):
+    # the checks that run imply the axioms; the report still records them
+    assert not hasattr(analysis, "verify_cc_axioms")
+    calls = counting(monkeypatch, coherent, "verify_cc_axioms")
+    for spec in ("frobenius:7,3", "example3_2", "psl2cosets:8"):
+        rep = run_analysis(spec, 3, instance=fresh_instance(spec))
+        assert rep.checks["cc_axioms"] is True
+    assert calls == []
+
+
+S3_GENERATORS = "degree 6\n(1 2 3)(4 5 6)\n(1 4)(2 6)(3 5)\n"  # S3, regular
+
+
+@pytest.mark.parametrize("p,dims", [(2, [6, 1, 0]), (3, [6, 4, 2, 0]), (5, [6, 0])])
+def test_regular_s3_is_analyzed_through_the_noncommutative_radical_proof(
+        tmp_path, monkeypatch, p, dims):
+    # the algebra is F_p[S3]: F_2[S3] = F_2[C2] x M_2(F_2); over F_3,
+    # J^k = F_3[S3](x - 1)^k for a 3-cycle x; F_5[S3] is semisimple
+    path = tmp_path / "s3.txt"
+    path.write_text(S3_GENERATORS)
+    calls = counting(monkeypatch, endo, "_verify_radical")
+    doc = run_analysis(f"file:{path}", p).to_dict()
+    assert doc["valencies"] == [1] * 6 and doc["radical_dims"] == dims
+    assert doc["structure"]["commutative"] is False
+    assert doc["symmetric_verdict"]["method"] == "natural_form"
+    assert len(calls) == (1 if dims[1] else 0)
 
 
 def test_cross_checks_run_once_per_instance(monkeypatch):

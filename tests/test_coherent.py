@@ -34,6 +34,11 @@ def adjacency_matrices(cc):
     return [(cc.orbital_of == s).astype(np.int64) for s in range(cc.m)]
 
 
+def transposed(cc):
+    """The label of the transpose of each orbital's least pair."""
+    return cc.orbital_of[cc.rep[:, 1], cc.rep[:, 0]]
+
+
 def regular_c3():
     return PermutationGroup(3, [parse_permutation("(1 2 3)", 3)])
 
@@ -59,12 +64,13 @@ def test_alt7_pairs_orbitals():
 def test_reflexive_structure_transitive():
     for spec in CATALOG_SAMPLE:
         cc = two_orbits(build_instance(spec).group)
-        assert int(cc.reflexive.sum()) == 1
-        assert cc.reflexive[0]
+        # orbital 0 is exactly the diagonal
+        assert np.array_equal(cc.orbital_of == 0, np.eye(cc.n, dtype=bool))
         assert int(cc.valency.sum()) == cc.n
-        # star is an involution fixing reflexive orbitals
-        assert np.array_equal(cc.star[cc.star], np.arange(cc.m))
-        assert cc.star[0] == 0
+        # transposition is an involution fixing the diagonal orbital
+        star = transposed(cc)
+        assert np.array_equal(star[star], np.arange(cc.m))
+        assert star[0] == 0
 
 
 def test_degree_cap(monkeypatch):
@@ -87,7 +93,7 @@ def test_tensor_diagonal_counts_sym_n():
     for n in (3, 4, 5):
         cc = two_orbits(build_instance(f"sym:{n}").group)
         C = intersection_tensor(cc)
-        assert C[0, 1, cc.star[1]] == n - 1
+        assert C[0, 1, transposed(cc)[1]] == n - 1
 
 
 def test_tensor_regular_c3_is_group_table():
@@ -147,10 +153,9 @@ def test_adjacency_matrices_identities():
         mats = adjacency_matrices(cc)
         total = sum(mats)
         assert np.array_equal(total, np.ones((cc.n, cc.n), dtype=np.int64))
-        refl = sum(m for m, is_refl in zip(mats, cc.reflexive) if is_refl)
-        assert np.array_equal(refl, np.eye(cc.n, dtype=np.int64))
+        assert np.array_equal(mats[0], np.eye(cc.n, dtype=np.int64))
         for s in range(cc.m):
-            assert np.array_equal(mats[s].T, mats[cc.star[s]])
+            assert np.array_equal(mats[s].T, mats[transposed(cc)[s]])
 
 
 def test_sym3_offdiagonal_is_ones_minus_identity():
@@ -285,12 +290,13 @@ def test_triangle_identity_explicit():
     cc = two_orbits(build_instance("example3_2").group)
     C = intersection_tensor(cc)
     size = cc.valency * cc.n  # transitive: |s| = valency * n
+    star = transposed(cc)
     for r in range(cc.m):
         for s in range(cc.m):
             for t in range(cc.m):
-                a = size[t] * C[cc.star[t], r, s]
-                b = size[r] * C[cc.star[r], s, t]
-                c = size[s] * C[cc.star[s], t, r]
+                a = size[t] * C[star[t], r, s]
+                b = size[r] * C[star[r], s, t]
+                c = size[s] * C[star[s], t, r]
                 assert a == b == c
 
 
@@ -443,8 +449,6 @@ def reference_two_orbits(G):
         "m": m,
         "orbital_of": table,
         "valency": valency[order],
-        "star": table[reps[:, 1], reps[:, 0]].astype(np.int64),
-        "reflexive": reflexive[order],
         "rep": reps,
     }
 

@@ -15,6 +15,7 @@ from permsym.coherent import (
     adjacency_product_check,
     intersection_tensor,
     two_orbits,
+    verify_cc_axioms,
 )
 from permsym.endo import (
     centralizer_algebra,
@@ -41,12 +42,26 @@ from permsym.suite import AXIOM_SUITE_SPECS
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
-def workload_groups():
+def load_workloads():
     # load the benchmark's workload module alone, as a plain file
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return tuple(workloads.GROUPS)
+    return workloads
+
+
+def workload_groups():
+    return tuple(load_workloads().GROUPS)
+
+
+def commutative_radical_jobs():
+    """The (spec, p) of every analysis job of the benchmark whose algebra the
+    benchmark records as commutative with a non-zero radical."""
+    workloads = load_workloads()
+    jobs = {(j.spec, j.p) for w in workloads.WORKLOADS.values() for j in w.jobs
+            if j.kind == "analysis"}
+    return sorted(job for job in jobs
+                  if workloads.ALGEBRAS[job][1][4] and workloads.ALGEBRAS[job][0][1] > 0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -226,19 +241,20 @@ def test_oracle_degree_cap():
 def test_form_support_and_valency_entries():
     for spec, p in (("altpairs:7", 3), ("frobenius:7,3", 2), ("psl2cosets:8", 5)):
         alg, cc = algebra_of(spec, p)
-        form = natural_form(alg, cc)
+        form = natural_form(alg)
         assert form.symmetric
+        star = cc.orbital_of[cc.rep[:, 1], cc.rep[:, 0]]  # the transposed orbitals
         for r in range(alg.dim):
             for s in range(alg.dim):
-                if s == cc.star[r]:
+                if s == star[r]:
                     assert form.gram[r, s] == cc.valency[r] % p
                 else:
                     assert form.gram[r, s] == 0
 
 
 def test_form_degenerate_for_shear_group_char3():
-    alg, cc = algebra_of("example3_2", 3)
-    form = natural_form(alg, cc)
+    alg, _ = algebra_of("example3_2", 3)
+    form = natural_form(alg)
     assert form.symmetric and not form.nondegenerate
 
 
@@ -246,21 +262,21 @@ def test_form_nondegenerate_iff_valencies_invertible():
     for spec in ("sym:5", "altpairs:7", "frobenius:7,3", "psl2cosets:8"):
         for p in (2, 3, 5, 7, 11, 13):
             alg, cc = algebra_of(spec, p)
-            form = natural_form(alg, cc)
+            form = natural_form(alg)
             want = all(int(v) % p for v in cc.valency)
             assert form.nondegenerate == want, (spec, p)
 
 
 def test_form_requires_transitivity():
-    # the form reads the one reflexive orbital of a transitive configuration;
+    # the form reads orbital 0, the diagonal of a transitive configuration;
     # an intransitive group gets no configuration
     H = PermutationGroup(3, [parse_permutation("(1 2)", 3)])
     with pytest.raises(InputError, match="analysis requires a transitive action"):
         two_orbits(H)
     cc = two_orbits(PermutationGroup(3, [parse_permutation("(1 2 3)", 3)]))
     alg = centralizer_algebra(cc, intersection_tensor(cc), prime_field(3))
-    assert cc.reflexive.tolist() == [True, False, False]
-    assert natural_form(alg, cc).functional.tolist() == [1, 0, 0]
+    assert np.diag(cc.orbital_of).tolist() == [0, 0, 0]
+    assert natural_form(alg).functional.tolist() == [1, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +287,8 @@ def test_shear_radical_series_verified_value():
     """The radical powers of the 9-point shear algebra over F_3.
 
     Three independent routes agree on (5, 4, 1, 0): the divided-trace chain
-    (verified a posteriori against nilpotency, ideal closure, semisimple
-    quotient, and the Frobenius kernel), the brute-force oracle below that
+    (verified a posteriori against nilpotency and the Frobenius kernel, and
+    the ideal and quotient checks below), the brute-force oracle below that
     enumerates all 243 elements and spans the nilpotent ones, and the same
     enumeration on the raw 9x9 adjacency matrices mod 3, which uses no
     structure constants.
@@ -280,6 +296,7 @@ def test_shear_radical_series_verified_value():
     alg, _ = algebra_of("example3_2", 3)
     series = radical_chain(alg)
     assert series.dims == (5, 4, 1, 0)
+    endo._verify_radical(alg, series.radical)
 
     nilpotents = []
     for coeffs in itertools.product(range(3), repeat=5):
@@ -420,6 +437,77 @@ def test_structure_report_cases():
 
 
 # ---------------------------------------------------------------------------
+# the radical proof: the Frobenius kernel, or the ideal and quotient checks
+# ---------------------------------------------------------------------------
+
+def regular_s3(p):
+    """The centralizer algebra of S3 acting regularly on 6 points: F_p[S3]."""
+    G = PermutationGroup(6, [parse_permutation("(1 2 3)(4 5 6)", 6),
+                             parse_permutation("(1 4)(2 6)(3 5)", 6)])
+    cc = two_orbits(G)
+    return centralizer_algebra(cc, intersection_tensor(cc), prime_field(p))
+
+
+def spy(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("spec,p", commutative_radical_jobs())
+def test_frobenius_kernel_alone_proves_the_commutative_workload_radicals(spec, p, monkeypatch):
+    alg, _ = algebra_of(spec, p)
+    verify_radical = endo._verify_radical
+    calls = spy(monkeypatch, endo, "_verify_radical")
+    series = radical_chain(alg)
+    assert alg.is_commutative() and series.dims[1] > 0
+    assert calls == []
+    # reference: the ideal and quotient checks that the Frobenius kernel implies
+    verify_radical(alg, series.radical)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_noncommutative_radicals_reach_the_ideal_and_quotient_checks(p, monkeypatch):
+    # F_2[S3] = F_2[C2] x M_2(F_2); over F_3, J^k = F_3[S3](x - 1)^k for a
+    # 3-cycle x; F_5[S3] and F_7[S3] are semisimple by Maschke
+    s3_dims = {2: (6, 1, 0), 3: (6, 4, 2, 0)}.get(p, (6, 0))
+    for alg, dims in ((upper_triangular_2x2(p), (3, 1, 0)), (regular_s3(p), s3_dims)):
+        calls = spy(monkeypatch, endo, "_verify_radical")
+        assert not alg.is_commutative()
+        series = radical_chain(alg)
+        assert series.dims == dims
+        # a zero radical has no ideal to check
+        assert [len(args[1]) for args in calls] == ([dims[1]] if dims[1] else [])
+
+
+@pytest.mark.parametrize("case", ["example3_2", "s3", "upper_triangular"])
+def test_a_corrupted_radical_candidate_is_refused(case):
+    alg = {"example3_2": lambda: algebra_of("example3_2", 3)[0],
+           "s3": lambda: regular_s3(3), "upper_triangular": lambda: upper_triangular_2x2(3)}[case]()
+    p = alg.field.p
+    radical = radical_chain(alg).radical
+    with_unit = rref_mod_p(np.vstack([radical, alg.unit]), p)[0][:len(radical) + 1]
+    # the unit is not nilpotent, so the power series refuses it on either path
+    with pytest.raises(VerificationError, match="not nilpotent"):
+        endo._proven_series(alg, with_unit)
+    if len(radical) > 1:
+        # a row short: the Frobenius kernel, or the ideal checks, refuse it
+        refusal = "Frobenius-kernel" if alg.is_commutative() else "not a left ideal"
+        with pytest.raises(VerificationError, match=refusal):
+            endo._proven_series(alg, radical[1:])
+    if not alg.is_commutative():
+        for bad in (with_unit, radical[1:]) if len(radical) > 1 else (with_unit,):
+            with pytest.raises(VerificationError, match="not a left ideal"):
+                endo._verify_radical(alg, bad)
+
+
+# ---------------------------------------------------------------------------
 # symmetric-algebra decision
 # ---------------------------------------------------------------------------
 
@@ -434,8 +522,8 @@ def assert_valid_witness(alg, verdict):
 
 
 def test_shear_group_not_symmetric():
-    alg, cc = algebra_of("example3_2", 3)
-    verdict = is_symmetric(alg, hint=natural_form(alg, cc))
+    alg, _ = algebra_of("example3_2", 3)
+    verdict = is_symmetric(alg, hint=natural_form(alg))
     assert verdict.status == "not_symmetric"
     cert = verdict.certificate
     assert cert["exhausted_search"]["search_space"] == 243
@@ -444,24 +532,24 @@ def test_shear_group_not_symmetric():
 
 def test_alt7_pairs_symmetric_all_small_primes():
     for p in (2, 3, 5, 7):
-        alg, cc = algebra_of("altpairs:7", p)
-        verdict = is_symmetric(alg, hint=natural_form(alg, cc))
+        alg, _ = algebra_of("altpairs:7", p)
+        verdict = is_symmetric(alg, hint=natural_form(alg))
         assert verdict.is_positive(), (p, verdict.status)
         if verdict.witness is not None:
             assert_valid_witness(alg, verdict)
 
 
 def test_hint_short_circuit():
-    alg, cc = algebra_of("altpairs:7", 3)
-    verdict = is_symmetric(alg, hint=natural_form(alg, cc))
+    alg, _ = algebra_of("altpairs:7", 3)
+    verdict = is_symmetric(alg, hint=natural_form(alg))
     assert verdict.status == "symmetric_with_witness"
     assert verdict.method == "natural_form"
     assert_valid_witness(alg, verdict)
 
 
 def test_sym4_char2_symmetric_with_witness():
-    alg, cc = algebra_of("sym:4", 2)
-    verdict = is_symmetric(alg, hint=natural_form(alg, cc))
+    alg, _ = algebra_of("sym:4", 2)
+    verdict = is_symmetric(alg, hint=natural_form(alg))
     assert verdict.status == "symmetric_with_witness"
     assert_valid_witness(alg, verdict)
 
@@ -530,7 +618,7 @@ def loop_quotient_algebra(alg, ideal):
 ])
 def test_quotient_algebra_matches_the_pivot_loop(spec, p):
     alg, _ = algebra_of(spec, p)
-    radical = radical_chain(alg).power_bases[0]
+    radical = radical_chain(alg).radical
     assert 0 < radical.shape[0] < alg.dim
     quotient = endo._quotient_algebra(alg, radical)
     sc, unit = loop_quotient_algebra(alg, radical)
@@ -666,7 +754,7 @@ def schur_ring_of(spec):
     coordinates of its unit, the singleton {e}."""
     inst = build_instance(spec)
     T_elements = enumerate_regular_subgroup(inst.regular.gens, inst.group.degree)
-    ring = schur_ring_from_action(T_elements, inst.group.point_stabilizer(inst.base_point))
+    ring = schur_ring_from_action(T_elements, inst.group.point_stabilizer(0))
     e = next(i for i, t in enumerate(T_elements) if t.is_identity())
     unit = np.array([s == (e,) for s in ring.basic_sets], dtype=np.int64)
     return ring, unit
@@ -701,13 +789,20 @@ def test_no_schur_path_runs_an_associativity_proof(monkeypatch):
 def verify_orbital_constants(cc, tensor):
     """Reference: the m^4 proof over Z that the orbital constants are
     associative with the unit, which the configuration stage reads off the
-    adjacency identity and axiom (1) instead of running."""
+    adjacency identity and A_0 = I instead of running."""
     endo._verify_algebra(*endo._orbital_constants(cc, tensor))
 
 
 @pytest.mark.parametrize("spec", workload_groups())
 def test_orbital_constants_pass_the_reference_proof(spec):
     verify_orbital_constants(*configuration_of(spec))
+
+
+@pytest.mark.parametrize("spec", workload_groups())
+def test_configurations_pass_the_reference_axiom_check(spec):
+    # the configuration stage reads the axioms off its own checks instead
+    report = verify_cc_axioms(*configuration_of(spec))
+    assert report.passed, report.failures
 
 
 @pytest.mark.parametrize("spec", ["frobenius:7,3", "psl2cosets:32"])
