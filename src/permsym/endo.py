@@ -281,17 +281,49 @@ def _proven_series(alg: SCAlgebra, radical: np.ndarray) -> RadicalSeries:
     """The power series of a radical candidate R, given by an rref basis,
     with the proof that R = J: the series must reach 0, and then R = J by
     the Frobenius kernel on a commutative algebra, or else R must be a
-    two-sided ideal whose quotient has zero radical."""
+    two-sided ideal whose quotient has zero radical.
+
+    The powers come from R's top.  R^2 = R R is formed once; it must lie in
+    R, so its rref pivots are among R's, and the rows V of R's rref at the
+    other pivots span R modulo R^2.  R R = R V is then checked by one rank
+    (R V lies in R R, as V lies in R), and it gives R^(i+1) = R^(i-1) R R =
+    R^(i-1) R V = R^i V for every i >= 1 with no nilpotency assumed.  So each
+    later power is the span of the previous one times V's d rows, and
+    reaching 0 proves that every product of k elements of R is 0, so x^k = 0
+    for every x in R.  A nilpotent R passes: R = V + R^2 gives R^2 = R V +
+    R^3 = ... = R V + R^k = R V.  Closure alone does not give R^3 = R^2 V:
+    on span{v, e} with e^2 = e and v^2 = ve = ev = 0, R^2 V = 0 but R^3 =
+    span{e}."""
     p, m = alg.field.p, alg.dim
-    # power spans every product of k elements of R, so reaching 0 proves
-    # that x^k = 0 for every x in R
-    dims, power = [m, radical.shape[0]], radical
-    while power.shape[0] > 0:
-        nxt = _rowspace(alg.products(power, radical).reshape(-1, m), p)
-        if nxt.shape[0] >= power.shape[0]:
+    dims = [m, radical.shape[0]]
+    if radical.shape[0]:
+        power = _rowspace(alg.products(radical, radical).reshape(-1, m), p)
+        # R's rref rows carry the identity on its pivot columns, so a row of
+        # R^2 lies in R iff this clears it
+        pivots = (radical != 0).argmax(axis=1)
+        if _kernels._mod(power - _kernels._contract(power[:, pivots], radical, p), p).any():
+            raise VerificationError("radical candidate is not closed under products")
+        if power.shape[0] >= radical.shape[0]:
             raise VerificationError("radical candidate is not nilpotent")
-        power = nxt
-        dims.append(nxt.shape[0])
+        dims.append(power.shape[0])
+        if power.shape[0]:
+            top = np.ones(m, dtype=bool)
+            top[(power != 0).argmax(axis=1)] = False
+            # x -> x V as one matrix: times_top[b, (j, t)] is the coefficient
+            # of b_t in b_b V[j]
+            times_top = alg.products(np.eye(m, dtype=np.int64), radical[top[pivots]]).reshape(m, -1)
+            if _kernels.rank_mod_p(_kernels._contract(radical, times_top, p).reshape(-1, m), p) \
+                    != power.shape[0]:
+                raise VerificationError("radical candidate is not nilpotent: R R is not R V")
+            # a rank and a spanning set are all a level needs, so its
+            # echelon form is left unreduced
+            while power.shape[0]:
+                nxt, rank = _kernels._eliminate(
+                    _kernels._contract(power, times_top, p).reshape(-1, m), p, reduced=False)
+                if rank >= power.shape[0]:
+                    raise VerificationError("radical candidate is not nilpotent")
+                power = nxt[:rank]
+                dims.append(rank)
     if alg.is_commutative():
         # R lies in the nilradical, which for a commutative algebra over F_p
         # is J and the kernel of x -> x^(p^e); equal dimensions prove R = J,
@@ -552,7 +584,7 @@ def schur_ring_from_action(T_elements: list[Permutation], H: PermutationGroup,
     if len({t.images for t in T_elements}) != order:
         raise InputError("regular subgroup list contains duplicates")
     img = np.array([t.images for t in T_elements], dtype=np.int64)
-    if order != n or len(np.unique(img[:, 0])) != n:
+    if order != n or np.bincount(img[:, 0], minlength=n).max() != 1:
         raise InputError("subgroup is not regular on the domain")
     # T is regular, so an element of T is determined by its image of 0
     pos = np.empty(n, dtype=np.int64)

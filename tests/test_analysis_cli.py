@@ -365,6 +365,43 @@ def run_cli(*args):
     return proc
 
 
+# Runs every job of two benchmark workloads in a fresh process and reports
+# whether numpy.ma was loaded by numpy's own import, and after the jobs
+NUMPY_MA_PROBE = """
+import importlib.util, sys
+import numpy
+on_import = "numpy.ma" in sys.modules
+spec = importlib.util.spec_from_file_location("perfbench_workloads", sys.argv[1])
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+import permsym
+for name in ("frobenius-modular", "crosscheck"):
+    for job in workloads.WORKLOADS[name].jobs:
+        if job.kind == "analysis":
+            permsym.run_analysis(job.spec, job.p, oracle=job.oracle)
+        else:
+            permsym.group_theoretic_checks(permsym.build_instance(job.spec).group, 0, job.p)
+print(on_import, "numpy.ma" in sys.modules)
+"""
+
+
+def test_the_analysis_path_does_not_import_numpy_ma():
+    """Under numpy 2, np.unique and np.isin call np.ma.is_masked, and its
+    lazy import of numpy.ma costs 15-24 ms once per process.  The analysis
+    path calls neither; numpy 1.x imports numpy.ma with numpy itself."""
+    src = str(Path(permsym.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    workloads = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    proc = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE, str(workloads)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    on_import, after = proc.stdout.split()
+    if on_import == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert after == "False"
+
+
 def test_cli_analyze_json():
     proc = run_cli("analyze", "--group", "altpairs:7", "--char", "5", "--format", "json")
     assert proc.returncode == 0, proc.stderr

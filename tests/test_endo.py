@@ -486,6 +486,11 @@ def test_noncommutative_radicals_reach_the_ideal_and_quotient_checks(p, monkeypa
         assert [len(args[1]) for args in calls] == ([dims[1]] if dims[1] else [])
 
 
+def product_space(alg, xs, ys):
+    """The rref basis of the span of every product x y, x in xs, y in ys."""
+    return endo._rowspace(alg.products(xs, ys).reshape(-1, alg.dim), alg.field.p)
+
+
 @pytest.mark.parametrize("case", ["example3_2", "s3", "upper_triangular"])
 def test_a_corrupted_radical_candidate_is_refused(case):
     alg = {"example3_2": lambda: algebra_of("example3_2", 3)[0],
@@ -497,14 +502,101 @@ def test_a_corrupted_radical_candidate_is_refused(case):
     with pytest.raises(VerificationError, match="not nilpotent"):
         endo._proven_series(alg, with_unit)
     if len(radical) > 1:
-        # a row short: the Frobenius kernel, or the ideal checks, refuse it
-        refusal = "Frobenius-kernel" if alg.is_commutative() else "not a left ideal"
+        # J^2 is closed under products and nilpotent, so the power series
+        # passes it: the Frobenius kernel, or the quotient check, refuse it
+        square = product_space(alg, radical, radical)
+        refusal = "Frobenius-kernel" if alg.is_commutative() else "quotient .* not semisimple"
         with pytest.raises(VerificationError, match=refusal):
-            endo._proven_series(alg, radical[1:])
+            endo._proven_series(alg, square)
+        if not alg.is_commutative():
+            # a line of J^2 = F_3[S3](x - 1)^2 is closed too, and no left ideal
+            with pytest.raises(VerificationError, match="not a left ideal"):
+                endo._proven_series(alg, square[1:])
     if not alg.is_commutative():
         for bad in (with_unit, radical[1:]) if len(radical) > 1 else (with_unit,):
             with pytest.raises(VerificationError, match="not a left ideal"):
                 endo._verify_radical(alg, bad)
+
+
+@pytest.mark.parametrize("case", ["example3_2", "s3", "frobenius"])
+def test_a_candidate_not_closed_under_products_is_refused(case):
+    """The power series reads V off the pivots of R^2 only once R^2 lies in
+    R.  A row short of J is not closed in either algebra.  Nor is span{u^18,
+    u^19} in F_73[u]/(u^37) (frobenius:73,2 at 73): its square is the line
+    of u^36, and every later power is 0, so the closure check is the one
+    check of the power series that refuses it."""
+    if case == "frobenius":
+        alg, _ = algebra_of("frobenius:73,2", 73)
+        radical = radical_chain(alg).radical
+        square = product_space(alg, radical, radical)
+        u = next(row for row in radical
+                 if rank_mod_p(np.vstack([square, row]), 73) > len(square))  # u generates J
+        candidate = np.vstack([alg.power(u, 18), alg.power(u, 19)])
+    else:
+        alg = algebra_of("example3_2", 3)[0] if case == "example3_2" else regular_s3(3)
+        candidate = radical_chain(alg).radical[1:]
+    candidate = rref_mod_p(candidate, alg.field.p)[0]
+    with pytest.raises(VerificationError, match="not closed under products"):
+        endo._proven_series(alg, candidate)
+
+
+def idempotent_beside_a_nilpotent(p):
+    """F_p[v]/(v^2) x F_p x M_2(F_p) on the basis f, v, e, E11, E12, E21,
+    E22, where f and e are the units of the first two factors.  R = span{v,
+    e} is a two-sided ideal with quotient F_p x M_2(F_p), which is
+    semisimple, and R R = span{e} lies in R; but e is idempotent, so R is
+    not nilpotent, and J = span{v}."""
+    sc = np.zeros((7, 7, 7), dtype=np.int64)
+    f, v, e = 0, 1, 2
+    sc[f, f, f] = sc[e, e, e] = 1
+    sc[f, v, v] = sc[v, f, v] = 1
+    for i, j in itertools.product(range(2), repeat=2):
+        for k in range(2):
+            sc[3 + 2 * i + j, 3 + 2 * j + k, 3 + 2 * i + k] = 1  # E_ij E_jk = E_ik
+    return make_algebra(prime_field(p), ["f", "v", "e", "E11", "E12", "E21", "E22"], sc,
+                        np.array([1, 0, 1, 1, 0, 0, 1]))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_closed_candidate_with_an_idempotent_is_refused(p):
+    alg = idempotent_beside_a_nilpotent(p)
+    assert radical_chain(alg).dims == (7, 1, 0)
+    candidate = np.eye(7, dtype=np.int64)[[1, 2]]
+    # the candidate passes closure, strict decrease, and the ideal and
+    # quotient checks; R^2 V = e v = 0 though R^3 = span{e}, so only the
+    # check R R = R V tells it from a nilpotent ideal
+    endo._verify_radical(alg, candidate)
+    with pytest.raises(VerificationError, match="R R is not R V"):
+        endo._proven_series(alg, candidate)
+
+
+def reference_power_dims(alg, radical):
+    """The radical power dimensions by the full product loop: each power is
+    the row space of every product of the previous power with all of R."""
+    dims, power = [alg.dim, radical.shape[0]], radical
+    while power.shape[0] > 0:
+        power = product_space(alg, power, radical)
+        dims.append(power.shape[0])
+        assert dims[-1] < dims[-2]
+    return tuple(dims)
+
+
+def power_series_cases():
+    workloads = load_workloads()
+    jobs = sorted({(j.spec, j.p) for w in workloads.WORKLOADS.values() for j in w.jobs
+                   if j.kind == "analysis"})
+    return ([pytest.param(lambda s=s, p=p: algebra_of(s, p)[0], id=f"{s}-{p}") for s, p in jobs]
+            + [pytest.param(lambda p=p: algebra_of("frobenius:113,2", p)[0],
+                            id=f"frobenius:113,2-{p}") for p in (2, 113)]
+            + [pytest.param(lambda p=p: regular_s3(p), id=f"s3-{p}") for p in (2, 3, 5, 7)]
+            + [pytest.param(lambda: upper_triangular_2x2(3), id="upper_triangular-3")])
+
+
+@pytest.mark.parametrize("make", power_series_cases())
+def test_power_series_from_the_top_matches_the_full_product_loop(make):
+    alg = make()
+    series = radical_chain(alg)
+    assert series.dims == reference_power_dims(alg, series.radical)
 
 
 # ---------------------------------------------------------------------------
