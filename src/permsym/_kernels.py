@@ -21,6 +21,23 @@ against that rref by one exact product, and the rows that reduce to zero
 are dropped.  Elementary row operations keep the row space, and a row space
 has exactly one reduced row-echelon form, so the result equals the row
 loop's on the whole input.
+
+``rank_mod_p`` also takes a (B, rows, cols) stack and returns its B ranks.
+The loop is chosen by the input's shape, and each wins on its own inputs.
+A matrix, or a stack of one, takes the row loop (and the tall path) above.
+A stack of two or more takes the stacked loop: one pass over the columns
+for the whole stack, with the row loop's first-nonzero pivot in each
+matrix, so every matrix gets the row loop's pivots.  The stacked loop
+delays the modular reduction, as FFLAS-FFPACK does over blocks: each step
+reduces only the pivot column and the pivot rows, and every other entry
+changes by at most (p-1)^2, so after at most ``cols`` steps every entry is
+below cols * (p-1)^2 + p in absolute value.  That is below 2^63 for every
+stack the package forms (cols <= 60 and p < 2^28), and a stack above the
+bound is refused with OverflowError.  On 37 random 35 x 37 matrices at p =
+73 the stacked loop takes about 7 ms and the row loop, one matrix at a
+time, about 25 ms; replaying every single matrix that the benchmark's
+psl2-496 and crosscheck workloads eliminate as a stack of one took 2.4 and
+3.6 times as long as the row loop (numpy 2.4 on a shared 2-vCPU x86 VM).
 """
 
 import numpy as np
@@ -123,9 +140,52 @@ def _eliminate(a: np.ndarray, p: int, reduced: bool):
     return out, basis.shape[0]
 
 
-def rank_mod_p(a: np.ndarray, p: int) -> int:
-    """Rank of a matrix over F_p."""
-    return _eliminate(a, p, reduced=False)[1]
+def _stack_loop(a: np.ndarray, p: int) -> np.ndarray:
+    """The ranks over F_p of a (B, rows, cols) int64 stack with entries in
+    [0, p), eliminated in place below first-nonzero pivots, one column at a
+    time for the whole stack.  Only the pivot column and the pivot rows are
+    reduced mod p; a matrix with no pivot in a column gets zero factors."""
+    count, rows, cols = a.shape
+    if cols * (p - 1) ** 2 + p >= 1 << 63:
+        raise OverflowError(f"a delayed-reduction elimination of {cols} columns "
+                            f"with entries up to {p - 1} can overflow")
+    rank = np.zeros(count, dtype=np.int64)
+    if rows == 0:
+        return rank
+    at = np.arange(count)
+    row_ids = np.arange(rows)
+    for c in range(cols):
+        col = a[:, :, c] % p
+        candidates = (col != 0) & (row_ids >= rank[:, None])
+        found = candidates.any(axis=1)
+        if not found.any():
+            continue
+        top = np.minimum(rank, rows - 1)
+        piv = np.where(found, candidates.argmax(axis=1), top)
+        # the row at the pivot's place moves to the pivot's row, and is zero
+        # in column c, as the pivot is the first nonzero entry at or below
+        # it; a rank never reads the pivot row again, so it is not stored
+        pivot_rows = a[at, piv] % p
+        a[at, piv] = a[at, top]
+        values = np.where(found, pivot_rows[:, c], 1).tolist()
+        inverses = np.array([pow(v, -1, p) for v in values], dtype=np.int64)
+        pivot_rows = pivot_rows[:, c + 1:] * inverses[:, None] % p
+        factors = np.where((row_ids > piv[:, None]) & found[:, None], col, 0)
+        a[:, :, c + 1:] -= factors[:, :, None] * pivot_rows[:, None, :]
+        rank += found
+        if (rank == rows).all():
+            break
+    return rank
+
+
+def rank_mod_p(a: np.ndarray, p: int):
+    """Rank of a matrix over F_p, or the int64 array of the ranks of a
+    (B, rows, cols) stack of matrices."""
+    if a.ndim == 2:
+        return _eliminate(a, p, reduced=False)[1]
+    if a.shape[0] == 1:
+        return np.array([_eliminate(a[0], p, reduced=False)[1]], dtype=np.int64)
+    return _stack_loop(_mod(np.ascontiguousarray(a, dtype=np.int64), p), p)
 
 
 def rref_mod_p(a: np.ndarray, p: int):

@@ -21,6 +21,9 @@ ALGEBRA_DIM_CAP = 60
 HECKE_ORDER_CAP = 5000
 WITNESS_ENUM_CAP = 1 << 20
 WITNESS_SAMPLES = 1000
+#: the witness search ranks its candidates' Gram matrices in chunks of at
+#: most this many entries
+WITNESS_CHUNK_ENTRIES = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +291,19 @@ def _proven_series(alg: SCAlgebra, radical: np.ndarray) -> RadicalSeries:
     other pivots span R modulo R^2.  R R = R V is then checked by one rank
     (R V lies in R R, as V lies in R), and it gives R^(i+1) = R^(i-1) R R =
     R^(i-1) R V = R^i V for every i >= 1 with no nilpotency assumed.  So each
-    later power is the span of the previous one times V's d rows, and
-    reaching 0 proves that every product of k elements of R is 0, so x^k = 0
-    for every x in R.  A nilpotent R passes: R = V + R^2 gives R^2 = R V +
-    R^3 = ... = R V + R^k = R V.  Closure alone does not give R^3 = R^2 V:
-    on span{v, e} with e^2 = e and v^2 = ve = ev = 0, R^2 V = 0 but R^3 =
-    span{e}."""
+    later power is spanned by the previous spanning set times V's d rows,
+    and R^(i+1) = R^i V lies in R^i: equal dimensions would mean a
+    stationary non-zero series, so a series that reaches 0 decreases
+    strictly, and reaching 0 proves that every product of k elements of R
+    is 0, so x^k = 0 for every x in R.  A nilpotent R passes: R = V + R^2
+    gives R^2 = R V + R^3 = ... = R V + R^k = R V.  Closure alone does not
+    give R^3 = R^2 V: on span{v, e} with e^2 = e and v^2 = ve = ev = 0,
+    R^2 V = 0 but R^3 = span{e}.
+
+    A spanning set is reduced to its echelon rows only when it has more
+    than m rows, which needs d >= 2; the series stops at the first set that
+    is all zero, and is refused after m non-zero sets.  The sets are then
+    zero-padded into one stack and ranked by one call."""
     p, m = alg.field.p, alg.dim
     dims = [m, radical.shape[0]]
     if radical.shape[0]:
@@ -315,15 +325,27 @@ def _proven_series(alg: SCAlgebra, radical: np.ndarray) -> RadicalSeries:
             if _kernels.rank_mod_p(_kernels._contract(radical, times_top, p).reshape(-1, m), p) \
                     != power.shape[0]:
                 raise VerificationError("radical candidate is not nilpotent: R R is not R V")
-            # a rank and a spanning set are all a level needs, so its
-            # echelon form is left unreduced
-            while power.shape[0]:
-                nxt, rank = _kernels._eliminate(
-                    _kernels._contract(power, times_top, p).reshape(-1, m), p, reduced=False)
-                if rank >= power.shape[0]:
+            # sets[i] spans R^(i+2); sets[0] = R^2 is an echelon basis, its rank known
+            sets = [power]
+            while True:
+                span = _kernels._contract(sets[-1], times_top, p).reshape(-1, m)
+                if not span.any():
+                    break
+                if len(sets) == m:
                     raise VerificationError("radical candidate is not nilpotent")
-                power = nxt[:rank]
-                dims.append(rank)
+                if span.shape[0] > m:
+                    span, rank = _kernels._eliminate(span, p, reduced=False)
+                    span = span[:rank]
+                sets.append(span)
+            if len(sets) > 1:
+                stack = np.zeros((len(sets) - 1, max(s.shape[0] for s in sets[1:]), m),
+                                 dtype=np.int64)
+                for level, span in zip(stack, sets[1:]):
+                    level[:span.shape[0]] = span
+                dims.extend(_kernels.rank_mod_p(stack, p).tolist())
+            dims.append(0)
+            if any(b >= a for a, b in zip(dims[2:], dims[3:])):
+                raise VerificationError("radical candidate is not nilpotent")
     if alg.is_commutative():
         # R lies in the nilradical, which for a commutative algebra over F_p
         # is J and the kernel of x -> x^(p^e); equal dimensions prove R = J,
@@ -431,8 +453,24 @@ class SymmetricVerdict:
         return self.status in ("symmetric_with_witness", "symmetric_semisimple")
 
 
-def _gram_of(alg: SCAlgebra, lam: np.ndarray) -> np.ndarray:
-    return _kernels._contract(alg.sc, lam, alg.field.p)
+def _first_witness(alg: SCAlgebra, W: np.ndarray, candidates) -> np.ndarray | None:
+    """The first functional c W, c a non-zero candidate coefficient vector
+    in the order given, whose Gram matrix x, y -> (c W)(x y) has full rank;
+    None when there is none.  The candidates are taken in chunks of 1, 2, 4,
+    ... up to WITNESS_CHUNK_ENTRIES Gram entries; each chunk's Gram matrices
+    come from one product and their ranks from one call."""
+    p, m = alg.field.p, alg.dim
+    gram_of = alg.sc.reshape(m * m, m).T  # gram_of[t, (r, s)] = sc[r, s, t]
+    nonzero = (coeffs for coeffs in candidates if any(coeffs))
+    size = 1
+    while chunk := list(itertools.islice(nonzero, size)):
+        lams = _kernels._contract(np.array(chunk, dtype=np.int64), W, p)
+        grams = _kernels._contract(lams, gram_of, p).reshape(-1, m, m)
+        full = np.flatnonzero(_kernels.rank_mod_p(grams, p) == m)
+        if full.size:
+            return lams[full[0]]
+        size = min(2 * size, max(1, WITNESS_CHUNK_ENTRIES // (m * m)))
+    return None
 
 
 def _witness_space(alg: SCAlgebra) -> np.ndarray:
@@ -488,14 +526,7 @@ def is_symmetric(alg: SCAlgebra, hint: PairingForm | None = None,
     else:
         rng = np.random.default_rng(seed)
         candidates = (rng.integers(0, p, size=w) for _ in range(WITNESS_SAMPLES))
-    witness = None
-    for coeffs in candidates:
-        if not any(coeffs):
-            continue
-        lam = _kernels._contract(np.asarray(coeffs, dtype=np.int64), W, p)
-        if _kernels.rank_mod_p(_gram_of(alg, lam), p) == alg.dim:
-            witness = lam
-            break
+    witness = _first_witness(alg, W, candidates)
 
     if semisimple:
         return SymmetricVerdict(

@@ -54,14 +54,18 @@ def workload_groups():
     return tuple(load_workloads().GROUPS)
 
 
+def analysis_jobs():
+    """The (spec, p) of every analysis job of the benchmark, sorted."""
+    workloads = load_workloads()
+    return sorted({(j.spec, j.p) for w in workloads.WORKLOADS.values() for j in w.jobs
+                   if j.kind == "analysis"})
+
+
 def commutative_radical_jobs():
     """The (spec, p) of every analysis job of the benchmark whose algebra the
     benchmark records as commutative with a non-zero radical."""
-    workloads = load_workloads()
-    jobs = {(j.spec, j.p) for w in workloads.WORKLOADS.values() for j in w.jobs
-            if j.kind == "analysis"}
-    return sorted(job for job in jobs
-                  if workloads.ALGEBRAS[job][1][4] and workloads.ALGEBRAS[job][0][1] > 0)
+    algebras = load_workloads().ALGEBRAS
+    return [job for job in analysis_jobs() if algebras[job][1][4] and algebras[job][0][1] > 0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -570,6 +574,36 @@ def test_a_closed_candidate_with_an_idempotent_is_refused(p):
         endo._proven_series(alg, candidate)
 
 
+def stalled_powers(p):
+    """F_p[n]/(n^2) x F_p on the basis f, v = e + n, e, where f and e are the
+    units of the two factors: f^2 = f, e^2 = e, v^2 = ve = ev = e and fv =
+    vf = v - e.  R = span{v, e} is closed, with R R = span{e} = R V for V =
+    span{v}, and an ideal with semisimple quotient F_p; but R^k = span{e}
+    for every k >= 2, so R is not nilpotent, and J = span{n}."""
+    sc = np.zeros((3, 3, 3), dtype=np.int64)
+    f, v, e = 0, 1, 2
+    sc[f, f, f] = sc[e, e, e] = 1
+    sc[v, v, e] = sc[v, e, e] = sc[e, v, e] = 1
+    sc[f, v, v] = sc[v, f, v] = 1
+    sc[f, v, e] = sc[v, f, e] = -1
+    return make_algebra(prime_field(p), ["f", "v", "e"], sc, np.array([1, 0, 1]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_candidate_whose_powers_stall_is_refused(p):
+    alg = stalled_powers(p)
+    assert radical_chain(alg).dims == (3, 1, 0)
+    candidate = np.eye(3, dtype=np.int64)[[1, 2]]
+    square = product_space(alg, candidate, candidate)
+    assert square.tolist() == [[0, 0, 1]]
+    assert product_space(alg, square, candidate).tolist() == [[0, 0, 1]]
+    # closure, R R = R V and the ideal and quotient checks hold, so only the
+    # series itself, which never reaches 0, tells R from a nilpotent ideal
+    endo._verify_radical(alg, candidate)
+    with pytest.raises(VerificationError, match="not nilpotent$"):
+        endo._proven_series(alg, candidate)
+
+
 def reference_power_dims(alg, radical):
     """The radical power dimensions by the full product loop: each power is
     the row space of every product of the previous power with all of R."""
@@ -582,10 +616,8 @@ def reference_power_dims(alg, radical):
 
 
 def power_series_cases():
-    workloads = load_workloads()
-    jobs = sorted({(j.spec, j.p) for w in workloads.WORKLOADS.values() for j in w.jobs
-                   if j.kind == "analysis"})
-    return ([pytest.param(lambda s=s, p=p: algebra_of(s, p)[0], id=f"{s}-{p}") for s, p in jobs]
+    return ([pytest.param(lambda s=s, p=p: algebra_of(s, p)[0], id=f"{s}-{p}")
+             for s, p in analysis_jobs()]
             + [pytest.param(lambda p=p: algebra_of("frobenius:113,2", p)[0],
                             id=f"frobenius:113,2-{p}") for p in (2, 113)]
             + [pytest.param(lambda p=p: regular_s3(p), id=f"s3-{p}") for p in (2, 3, 5, 7)]
@@ -678,6 +710,42 @@ def test_witness_sampling_beyond_the_enumeration_cap(seed):
     assert_valid_witness(alg, verdict)
     assert verdict.witness.dtype == np.int64
     assert verdict.witness.tolist() == SAMPLED_WITNESSES[seed]
+
+
+def reference_witness_search(alg, W, candidates):
+    """The witness search one candidate at a time: the first non-zero
+    coefficient vector c whose functional c W has a full-rank Gram matrix,
+    ranked on its own by the row loop."""
+    p = alg.field.p
+    for coeffs in candidates:
+        if not any(coeffs):
+            continue
+        lam = np.asarray(coeffs, dtype=np.int64) @ W % p
+        if rank_mod_p(alg.sc @ lam % p, p) == alg.dim:
+            return lam
+    return None
+
+
+def verdict_fields(verdict):
+    witness = None if verdict.witness is None else verdict.witness.tolist()
+    return verdict.status, verdict.method, witness, verdict.certificate
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["enumerated", "sampled"])
+@pytest.mark.parametrize("spec,p", analysis_jobs())
+def test_witness_search_matches_the_one_candidate_loop(spec, p, sampled, monkeypatch):
+    alg, _ = algebra_of(spec, p)
+    series = radical_chain(alg)
+    if sampled:
+        # every space with a non-zero functional is then sampled
+        monkeypatch.setattr(endo, "WITNESS_ENUM_CAP", 1)
+    for seed in (0, 1):
+        verdict = is_symmetric(alg, series=series, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(endo, "_first_witness", reference_witness_search)
+            reference = is_symmetric(alg, series=series, seed=seed)
+        assert verdict_fields(verdict) == verdict_fields(reference)
+        assert not sampled or "search" not in verdict.method
 
 
 def test_verdict_deterministic():

@@ -146,6 +146,68 @@ def test_empty_matrices():
 
 
 # ---------------------------------------------------------------------------
+# stacks of matrices: the stacked loop against the reference
+# ---------------------------------------------------------------------------
+
+def _zero_padded(matrices, rows, cols):
+    stack = np.zeros((len(matrices), rows, cols), dtype=np.int64)
+    for level, a in zip(stack, matrices):
+        level[:a.shape[0], :a.shape[1]] = a
+    return stack
+
+
+def _stacks(rng, p):
+    """Stacks of random systems zero-padded to one shape, a stack of one,
+    stacks with all-zero matrices and with no rows or no columns, and a stack
+    whose every entry is p-1 (or p-2)."""
+    for count in (2, 3, 9):
+        matrices = [_random_system(rng, p) for _ in range(count)]
+        yield _zero_padded(matrices, max(a.shape[0] for a in matrices),
+                           max(a.shape[1] for a in matrices))
+    yield _zero_padded([_random_system(rng, p, (7, 5))], 7, 5)
+    yield _zero_padded([_random_system(rng, p, (6, 4)), np.zeros((6, 4), dtype=np.int64),
+                        _random_system(rng, p, (3, 4))], 6, 4)
+    yield np.zeros((4, 5, 3), dtype=np.int64)
+    yield np.zeros((3, 0, 4), dtype=np.int64)
+    yield np.zeros((3, 4, 0), dtype=np.int64)
+    yield np.zeros((0, 4, 4), dtype=np.int64)
+    near = np.full((5, 6, 5), p - 1, dtype=np.int64)
+    near[1, ::2, ::2] = near[3, 1::2] = max(p - 2, 0)
+    yield near
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_stacked_ranks_match_python_int_reference(p):
+    rng = np.random.default_rng(p + 1)
+    for stack in _stacks(rng, p):
+        before = stack.copy()
+        ranks = _kernels.rank_mod_p(stack, p)
+        assert ranks.dtype == np.int64
+        assert ranks.tolist() == [_reference_rref(a, p)[1] for a in stack]
+        assert np.array_equal(stack, before)  # inputs are not modified
+
+
+def test_stacked_ranks_at_sixty_columns_near_the_characteristic_bound():
+    # the widest stack the package forms (cols = ALGEBRA_DIM_CAP = 60) at the
+    # largest prime below 2^28: entries grow to about 60 * p^2 ~ 2^62
+    p = PRIMES[-1]
+    rng = np.random.default_rng(60)
+    matrices = [_random_system(rng, p, (rows, 60)) for rows in (60, 45, 60, 12)]
+    matrices.append(rng.integers(p - 3, p, size=(60, 60)))
+    stack = _zero_padded(matrices, 60, 60)
+    assert _kernels.rank_mod_p(stack, p).tolist() == [_reference_rref(a, p)[1] for a in stack]
+
+
+def test_stacked_ranks_refuse_a_stack_past_the_int64_bound():
+    # 60 columns of entries up to 2^31: 60 * (2^31 - 1)^2 is above 2^63
+    stack = np.ones((2, 3, 60), dtype=np.int64)
+    with pytest.raises(OverflowError):
+        _kernels.rank_mod_p(stack, (1 << 31) - 1)
+    # a stack of one takes the row loop, which reduces every step
+    assert _kernels.rank_mod_p(stack[:1], (1 << 31) - 1).tolist() == [1]
+
+
+# ---------------------------------------------------------------------------
 # the exact product
 # ---------------------------------------------------------------------------
 
