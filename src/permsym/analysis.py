@@ -6,7 +6,6 @@ The per-prime stage reduces the constants mod p, builds the centralizer algebra
 over F_p, decides symmetry, and bundles everything into a deterministic report.
 """
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -103,6 +102,7 @@ class AnalysisReport:
         }
 
     def to_json(self) -> str:
+        import json  # only JSON output needs it
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:

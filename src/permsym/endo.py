@@ -256,17 +256,23 @@ def _divided_traces(alg: SCAlgebra, zs: np.ndarray, i: int) -> np.ndarray:
 
 
 def radical_chain(alg: SCAlgebra) -> RadicalSeries:
-    """Jacobson radical over F_p via the divided-trace chain on integer lifts
-    of the left-regular representation, followed by the power series.
-
-    Plain trace-form radicals are wrong in small characteristic, so the chain
-    descends through the subspaces cut out by tr(lift(x*y)^(p^i))/p^i = 0 for
-    i = 0..floor(log_p dim).  ``_proven_series`` proves the result.
-    """
-    m = alg.dim
-    if m > ALGEBRA_DIM_CAP:
-        raise InputError(f"algebra dimension {m} exceeds cap {ALGEBRA_DIM_CAP}")
+    """Jacobson radical J over F_p and its power series, proven by
+    ``_proven_series``: the Frobenius kernel (``_iterated_frobenius``) on a
+    commutative algebra, the divided-trace chain on any other."""
+    if alg.dim > ALGEBRA_DIM_CAP:
+        raise InputError(f"algebra dimension {alg.dim} exceeds cap {ALGEBRA_DIM_CAP}")
+    if not alg.is_commutative():
+        return _proven_series(alg, _trace_chain(alg))
     p = alg.field.p
+    return _proven_series(alg, _rowspace(_kernels.nullspace_mod_p(_iterated_frobenius(alg), p), p))
+
+
+def _trace_chain(alg: SCAlgebra) -> np.ndarray:
+    """The rref basis of J by the divided-trace chain on integer lifts of the
+    left-regular representation.  Plain trace-form radicals are wrong in
+    small characteristic, so the chain descends through the subspaces cut out
+    by tr(lift(x*y)^(p^i))/p^i = 0 for i = 0..floor(log_p dim)."""
+    p, m = alg.field.p, alg.dim
     cur = np.eye(m, dtype=np.int64)
     for i in range(_frobenius_exponent(p, m + 1)):  # while p^i <= m
         k = cur.shape[0]
@@ -277,14 +283,15 @@ def radical_chain(alg: SCAlgebra) -> RadicalSeries:
         T = np.stack([_divided_traces(alg, prods[a], i) for a in range(k)], axis=1)
         kern = _kernels.nullspace_mod_p(T, p)
         cur = _rowspace(_kernels._contract(kern, cur, p), p)
-    return _proven_series(alg, cur)
+    return cur
 
 
 def _proven_series(alg: SCAlgebra, radical: np.ndarray) -> RadicalSeries:
     """The power series of a radical candidate R, given by an rref basis,
-    with the proof that R = J: the series must reach 0, and then R = J by
-    the Frobenius kernel on a commutative algebra, or else R must be a
-    two-sided ideal whose quotient has zero radical.
+    with the proof that R = J.  The series must reach 0; on a commutative
+    algebra that puts R in J, and R holds J as the caller passes the
+    Frobenius kernel.  On any other algebra R must be a two-sided ideal whose
+    quotient has zero radical; a zero R there is still accepted unchecked.
 
     The powers come from R's top.  R^2 = R R is formed once; it must lie in
     R, so its rref pivots are among R's, and the rows V of R's rref at the
@@ -346,17 +353,9 @@ def _proven_series(alg: SCAlgebra, radical: np.ndarray) -> RadicalSeries:
             dims.append(0)
             if any(b >= a for a, b in zip(dims[2:], dims[3:])):
                 raise VerificationError("radical candidate is not nilpotent")
-    if alg.is_commutative():
-        # R lies in the nilradical, which for a commutative algebra over F_p
-        # is J and the kernel of x -> x^(p^e); equal dimensions prove R = J,
-        # so the ideal and quotient checks of _verify_radical are implied
-        frob_nullity = m - _kernels.rank_mod_p(_iterated_frobenius(alg), p)
-        if frob_nullity != radical.shape[0]:
-            raise VerificationError(
-                f"divided-trace radical dimension {radical.shape[0]} disagrees with "
-                f"the Frobenius-kernel dimension {frob_nullity}"
-            )
-    elif radical.shape[0] > 0:
+    # a commutative R is the kernel of x -> x^(p^e), so it holds J, and the
+    # series puts it in J: the ideal and quotient checks are implied
+    if not alg.is_commutative() and radical.shape[0] > 0:
         _verify_radical(alg, radical)
     return RadicalSeries(dims=tuple(dims), radical=radical)
 

@@ -290,17 +290,20 @@ def test_form_requires_transitivity():
 def test_shear_radical_series_verified_value():
     """The radical powers of the 9-point shear algebra over F_3.
 
-    Three independent routes agree on (5, 4, 1, 0): the divided-trace chain
-    (verified a posteriori against nilpotency and the Frobenius kernel, and
-    the ideal and quotient checks below), the brute-force oracle below that
-    enumerates all 243 elements and spans the nilpotent ones, and the same
-    enumeration on the raw 9x9 adjacency matrices mod 3, which uses no
-    structure constants.
+    Four independent routes agree on (5, 4, 1, 0): the Frobenius kernel of
+    x -> x^9 (``radical_chain``, proven nilpotent by its power series, and
+    checked by the ideal and quotient checks below), the divided-trace chain
+    (``_trace_chain``), the brute-force oracle below that enumerates all 243
+    elements and spans the nilpotent ones, and the same enumeration on the
+    raw 9x9 adjacency matrices mod 3, which uses no structure constants.
     """
     alg, _ = algebra_of("example3_2", 3)
     series = radical_chain(alg)
     assert series.dims == (5, 4, 1, 0)
     endo._verify_radical(alg, series.radical)
+    chain = endo._trace_chain(alg)
+    assert_same_bytes(chain, series.radical)
+    assert endo._proven_series(alg, chain).dims == series.dims
 
     nilpotents = []
     for coeffs in itertools.product(range(3), repeat=5):
@@ -411,8 +414,11 @@ def test_divided_trace_levels_match_brute_force():
     deep = 0
     for spec, p in cases:
         alg, _ = algebra_of(spec, p)
-        dims = radical_chain(alg).dims
-        assert dims == nilpotent_series_by_enumeration(alg), (spec, p)
+        series = radical_chain(alg)
+        chain = endo._trace_chain(alg)
+        assert_same_bytes(chain, series.radical)
+        dims = endo._proven_series(alg, chain).dims
+        assert dims == series.dims == nilpotent_series_by_enumeration(alg), (spec, p)
         deep += p * p <= alg.dim and dims[1] > 0  # a radical down to level 2
     assert deep
 
@@ -490,6 +496,22 @@ def test_noncommutative_radicals_reach_the_ideal_and_quotient_checks(p, monkeypa
         assert [len(args[1]) for args in calls] == ([dims[1]] if dims[1] else [])
 
 
+def assert_same_bytes(a, b):
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("spec,p", [("example3_2", 3), ("psl2cosets:32", 2)])
+def test_an_oversized_frobenius_kernel_is_refused(spec, p, monkeypatch):
+    """A kernel that holds the unit is not nilpotent: the power series, the
+    check that still runs on a commutative algebra, refuses it."""
+    alg, _ = algebra_of(spec, p)
+    assert radical_chain(alg).dims[1] > 0
+    monkeypatch.setattr(endo, "_iterated_frobenius",
+                        lambda alg: np.zeros((alg.dim, alg.dim), dtype=np.int64))
+    with pytest.raises(VerificationError, match="not nilpotent"):
+        radical_chain(alg)
+
+
 def product_space(alg, xs, ys):
     """The rref basis of the span of every product x y, x in xs, y in ys."""
     return endo._rowspace(alg.products(xs, ys).reshape(-1, alg.dim), alg.field.p)
@@ -505,17 +527,16 @@ def test_a_corrupted_radical_candidate_is_refused(case):
     # the unit is not nilpotent, so the power series refuses it on either path
     with pytest.raises(VerificationError, match="not nilpotent"):
         endo._proven_series(alg, with_unit)
-    if len(radical) > 1:
+    if len(radical) > 1 and not alg.is_commutative():
         # J^2 is closed under products and nilpotent, so the power series
-        # passes it: the Frobenius kernel, or the quotient check, refuse it
+        # passes it and the quotient check refuses it; on a commutative
+        # algebra the caller passes the Frobenius kernel, which holds J
         square = product_space(alg, radical, radical)
-        refusal = "Frobenius-kernel" if alg.is_commutative() else "quotient .* not semisimple"
-        with pytest.raises(VerificationError, match=refusal):
+        with pytest.raises(VerificationError, match="quotient .* not semisimple"):
             endo._proven_series(alg, square)
-        if not alg.is_commutative():
-            # a line of J^2 = F_3[S3](x - 1)^2 is closed too, and no left ideal
-            with pytest.raises(VerificationError, match="not a left ideal"):
-                endo._proven_series(alg, square[1:])
+        # a line of J^2 = F_3[S3](x - 1)^2 is closed too, and no left ideal
+        with pytest.raises(VerificationError, match="not a left ideal"):
+            endo._proven_series(alg, square[1:])
     if not alg.is_commutative():
         for bad in (with_unit, radical[1:]) if len(radical) > 1 else (with_unit,):
             with pytest.raises(VerificationError, match="not a left ideal"):
@@ -629,6 +650,18 @@ def test_power_series_from_the_top_matches_the_full_product_loop(make):
     alg = make()
     series = radical_chain(alg)
     assert series.dims == reference_power_dims(alg, series.radical)
+
+
+@pytest.mark.parametrize("make", power_series_cases())
+def test_the_trace_chain_is_the_reference_radical(make, monkeypatch):
+    """On a commutative algebra ``radical_chain`` takes J as the Frobenius
+    kernel and never runs the divided-trace chain; the chain, run on its
+    own, is the reference it must equal byte for byte."""
+    alg = make()
+    divided_traces = spy(monkeypatch, endo, "_divided_traces")
+    series = radical_chain(alg)
+    assert (divided_traces == []) is alg.is_commutative()
+    assert_same_bytes(endo._trace_chain(alg), series.radical)
 
 
 # ---------------------------------------------------------------------------
