@@ -228,6 +228,12 @@ def _rowspace(mat: np.ndarray, p: int) -> np.ndarray:
     return rref[:rank]
 
 
+def _regular_trace(alg: SCAlgebra) -> np.ndarray:
+    """The functional x -> tr L(x) of the left-regular representation, as
+    its coordinates tau_i = tr L(b_i) = sum_j sc[i, j, j] mod p."""
+    return np.trace(alg.sc, axis1=1, axis2=2) % alg.field.p
+
+
 def _divided_traces(alg: SCAlgebra, zs: np.ndarray, i: int) -> np.ndarray:
     """tr(L^(p^i)) / p^i mod p for the integer lifts L of the left-regular
     matrices of the rows of zs.  At level 0 the trace is linear in z; at
@@ -236,8 +242,7 @@ def _divided_traces(alg: SCAlgebra, zs: np.ndarray, i: int) -> np.ndarray:
     a failure of that divisibility signals a bug upstream."""
     p, m = alg.field.p, alg.dim
     if i == 0:
-        tau = np.trace(alg.sc, axis1=1, axis2=2) % p  # tau_i = sum_j sc[i, j, j]
-        return _kernels._contract(zs, tau, p)
+        return _kernels._contract(zs, _regular_trace(alg), p)
     # L(z)^T, which has the same trace powers as L(z); entries below p.
     # The chain has p^i <= dim, so mod <= dim^2 and every sum stays below dim^5
     lifts = _kernels._contract(zs, alg.sc.reshape(m, m * m), p).reshape(-1, m, m)
@@ -309,8 +314,8 @@ def _proven_series(alg: SCAlgebra, radical: np.ndarray) -> RadicalSeries:
 
     A spanning set is reduced to its echelon rows only when it has more
     than m rows, which needs d >= 2; the series stops at the first set that
-    is all zero, and is refused after m non-zero sets.  The sets are then
-    zero-padded into one stack and ranked by one call."""
+    is all zero, and is refused after m non-zero sets.  R V and the sets are
+    then zero-padded into one stack and ranked by one call."""
     p, m = alg.field.p, alg.dim
     dims = [m, radical.shape[0]]
     if radical.shape[0]:
@@ -329,10 +334,17 @@ def _proven_series(alg: SCAlgebra, radical: np.ndarray) -> RadicalSeries:
             # x -> x V as one matrix: times_top[b, (j, t)] is the coefficient
             # of b_t in b_b V[j]
             times_top = alg.products(np.eye(m, dtype=np.int64), radical[top[pivots]]).reshape(m, -1)
-            if _kernels.rank_mod_p(_kernels._contract(radical, times_top, p).reshape(-1, m), p) \
-                    != power.shape[0]:
-                raise VerificationError("radical candidate is not nilpotent: R R is not R V")
-            # sets[i] spans R^(i+2); sets[0] = R^2 is an echelon basis, its rank known
+
+            def echelon_rows(span):
+                # a set of more than m rows, which needs d >= 2, is cut to its echelon rows
+                if span.shape[0] <= m:
+                    return span
+                span, rank = _kernels._eliminate(span, p, reduced=False)
+                return span[:rank]
+
+            # levels[0] spans R V, which must be R R; sets[i] spans R^(i+2),
+            # and sets[0] = R^2 is an echelon basis, its rank known
+            levels = [echelon_rows(_kernels._contract(radical, times_top, p).reshape(-1, m))]
             sets = [power]
             while True:
                 span = _kernels._contract(sets[-1], times_top, p).reshape(-1, m)
@@ -340,16 +352,15 @@ def _proven_series(alg: SCAlgebra, radical: np.ndarray) -> RadicalSeries:
                     break
                 if len(sets) == m:
                     raise VerificationError("radical candidate is not nilpotent")
-                if span.shape[0] > m:
-                    span, rank = _kernels._eliminate(span, p, reduced=False)
-                    span = span[:rank]
-                sets.append(span)
-            if len(sets) > 1:
-                stack = np.zeros((len(sets) - 1, max(s.shape[0] for s in sets[1:]), m),
-                                 dtype=np.int64)
-                for level, span in zip(stack, sets[1:]):
-                    level[:span.shape[0]] = span
-                dims.extend(_kernels.rank_mod_p(stack, p).tolist())
+                sets.append(echelon_rows(span))
+            levels += sets[1:]
+            stack = np.zeros((len(levels), max(s.shape[0] for s in levels), m), dtype=np.int64)
+            for level, span in zip(stack, levels):
+                level[:span.shape[0]] = span
+            ranks = _kernels.rank_mod_p(stack, p).tolist()
+            if ranks[0] != power.shape[0]:
+                raise VerificationError("radical candidate is not nilpotent: R R is not R V")
+            dims.extend(ranks[1:])
             dims.append(0)
             if any(b >= a for a, b in zip(dims[2:], dims[3:])):
                 raise VerificationError("radical candidate is not nilpotent")
@@ -481,6 +492,28 @@ def _witness_space(alg: SCAlgebra) -> np.ndarray:
     return _kernels.nullspace_mod_p(constraints, p)
 
 
+def _trace_witness(alg: SCAlgebra) -> np.ndarray:
+    """The regular trace tau, with the proof that its Gram matrix x, y ->
+    tau(x y) has full rank; see ``is_symmetric``, layer 2."""
+    p, m = alg.field.p, alg.dim
+    tau = _regular_trace(alg)
+    gram = _kernels._contract(tau, alg.sc.reshape(m * m, m).T, p).reshape(m, m)
+    if _kernels.rank_mod_p(gram, p) != m:
+        raise VerificationError("the trace form of a commutative algebra with zero "
+                                "radical is degenerate")
+    return tau
+
+
+def _semisimple_verdict(witness: np.ndarray | None) -> SymmetricVerdict:
+    return SymmetricVerdict(
+        status="symmetric_semisimple",
+        method="semisimple",
+        witness=witness,
+        certificate=None,
+        notes="zero radical; semisimple algebras over a finite field are symmetric",
+    )
+
+
 def _socle_obstruction(structure: StructureReport) -> dict | None:
     if structure.is_local and structure.right_socle_dim != 1:
         return {"top_dim": structure.top_dim, "right_socle_dim": structure.right_socle_dim}
@@ -493,7 +526,17 @@ def is_symmetric(alg: SCAlgebra, hint: PairingForm | None = None,
 
     1. a symmetric nondegenerate hint form is already a witness;
     2. zero radical certifies the positive outcome (semisimple algebras over a
-       finite field are symmetric), with a witness still attempted;
+       finite field are symmetric).  On a commutative algebra the witness is
+       the regular trace tau(x) = tr L(x), and one rank of its Gram matrix
+       proves it: the trace form (x, y) -> tau(x y) of a commutative algebra
+       is nondegenerate iff J = 0.  An x in J makes every x y nilpotent, of
+       trace 0, so J lies in the form's kernel; and a product of finite
+       fields, each separable over F_p, has a nondegenerate trace form
+       (Curtis and Reiner, Methods of Representation Theory I, 1981).  A
+       rank below dim refutes the zero radical found upstream and raises
+       VerificationError.  On any other semisimple algebra a witness is
+       still searched for, as below: the regular trace of M_n(F_q) is n tr,
+       degenerate when p divides n;
     3. enumerate the whole witness space when |F|^dim fits the budget; finding
        nothing there is an exact negative certificate;
     4. otherwise sample; with no hit, a local algebra whose socle is not
@@ -513,6 +556,8 @@ def is_symmetric(alg: SCAlgebra, hint: PairingForm | None = None,
     if series is None:
         series = radical_chain(alg)
     semisimple = series.dims[1] == 0
+    if semisimple and alg.is_commutative():
+        return _semisimple_verdict(_trace_witness(alg))
 
     W = _witness_space(alg)
     w = W.shape[0]
@@ -528,13 +573,7 @@ def is_symmetric(alg: SCAlgebra, hint: PairingForm | None = None,
     witness = _first_witness(alg, W, candidates)
 
     if semisimple:
-        return SymmetricVerdict(
-            status="symmetric_semisimple",
-            method="semisimple",
-            witness=witness,
-            certificate=None,
-            notes="zero radical; semisimple algebras over a finite field are symmetric",
-        )
+        return _semisimple_verdict(witness)
     if witness is not None:
         return SymmetricVerdict(
             status="symmetric_with_witness",

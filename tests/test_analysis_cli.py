@@ -402,6 +402,31 @@ def test_the_analysis_path_does_not_import_numpy_ma():
     assert after == "False"
 
 
+# Analyzes two commutative semisimple algebras, whose witness is a search
+# space far beyond WITNESS_ENUM_CAP, in a fresh process and reports whether
+# numpy.random was loaded
+NUMPY_RANDOM_PROBE = """
+import sys
+import permsym
+for spec, p in (("frobenius:73,2", 2), ("psl2cosets:32", 3)):
+    assert permsym.run_analysis(spec, p).verdict.status == "symmetric_semisimple"
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_a_semisimple_verdict_does_not_import_numpy_random():
+    """A commutative algebra with zero radical takes the regular trace as its
+    witness, with no sampled search, so numpy.random, whose import costs
+    about 10 ms once per process, is never loaded."""
+    src = str(Path(permsym.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_PROBE],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_cli_analyze_json():
     proc = run_cli("analyze", "--group", "altpairs:7", "--char", "5", "--format", "json")
     assert proc.returncode == 0, proc.stderr
@@ -456,7 +481,7 @@ def test_cli_refuses_an_unreadable_file(kind, tmp_path, capsys):
 
 
 def test_cli_refuses_a_negative_seed(capsys):
-    # the witness sampling of frobenius:73,2 at p = 2 would seed numpy with it
+    # refused before any stage runs, whether or not the verdict would read it
     for args in (["analyze", "--group", "frobenius:73,2", "--char", "2"],
                  ["suite", "--only", "frobenius"]):
         assert cli.main([*args, "--seed", "-1"]) == 2

@@ -61,6 +61,13 @@ def analysis_jobs():
                    if j.kind == "analysis"})
 
 
+def commutative_semisimple_jobs():
+    """The (spec, p) of every analysis job of the benchmark whose algebra the
+    benchmark records as commutative with a zero radical."""
+    algebras = load_workloads().ALGEBRAS
+    return [job for job in analysis_jobs() if algebras[job][1][4] and algebras[job][0][1] == 0]
+
+
 def commutative_radical_jobs():
     """The (spec, p) of every analysis job of the benchmark whose algebra the
     benchmark records as commutative with a non-zero radical."""
@@ -767,6 +774,10 @@ def verdict_fields(verdict):
 @pytest.mark.parametrize("sampled", [False, True], ids=["enumerated", "sampled"])
 @pytest.mark.parametrize("spec,p", analysis_jobs())
 def test_witness_search_matches_the_one_candidate_loop(spec, p, sampled, monkeypatch):
+    """The chunked search against the one-candidate loop.  A commutative
+    algebra with zero radical takes the trace form and never reaches the
+    search, so on those jobs both sides report the regular trace; the search
+    is checked on them by the tests below."""
     alg, _ = algebra_of(spec, p)
     series = radical_chain(alg)
     if sampled:
@@ -779,6 +790,54 @@ def test_witness_search_matches_the_one_candidate_loop(spec, p, sampled, monkeyp
             reference = is_symmetric(alg, series=series, seed=seed)
         assert verdict_fields(verdict) == verdict_fields(reference)
         assert not sampled or "search" not in verdict.method
+
+
+# the witness run_analysis reports on two commutative semisimple algebras:
+# the regular trace tau_i = tr L(b_i), which no seed moves
+TRACE_WITNESSES = {
+    ("frobenius:73,2", 2): [1] * 37,
+    ("psl2cosets:32", 3): [1] + [2] * 15,
+}
+
+
+@pytest.mark.parametrize("spec,p", sorted(TRACE_WITNESSES))
+def test_a_commutative_semisimple_verdict_reports_the_regular_trace(spec, p):
+    for seed in (0, 1):
+        verdict = run_analysis(spec, p, seed=seed).verdict
+        assert (verdict.status, verdict.method) == ("symmetric_semisimple", "semisimple")
+        assert verdict.witness.tolist() == TRACE_WITNESSES[spec, p]
+
+
+@pytest.mark.parametrize("spec,p", commutative_semisimple_jobs())
+def test_the_trace_form_and_the_search_both_witness_a_semisimple_algebra(spec, p, monkeypatch):
+    """The search that the trace form replaced is kept as its reference: on
+    every commutative semisimple algebra of the benchmark the trace form has
+    a full-rank Gram matrix, and where the witness space fits
+    WITNESS_ENUM_CAP the enumerated search finds a witness too."""
+    alg, _ = algebra_of(spec, p)
+    tau = np.trace(alg.sc, axis1=1, axis2=2) % p
+    assert rank_mod_p(alg.sc @ tau % p, p) == alg.dim
+    searches = spy(monkeypatch, endo, "_witness_space")
+    verdict = is_symmetric(alg, series=radical_chain(alg))
+    assert verdict.status == "symmetric_semisimple" and searches == []
+    assert verdict.witness.tolist() == tau.tolist()
+    W = endo._witness_space(alg)
+    if p ** W.shape[0] <= WITNESS_ENUM_CAP:
+        candidates = itertools.product(range(p), repeat=W.shape[0])
+        assert reference_witness_search(alg, W, candidates) is not None
+        candidates = itertools.product(range(p), repeat=W.shape[0])
+        assert endo._first_witness(alg, W, candidates) is not None
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_false_zero_radical_is_refused_by_the_trace_form(seed):
+    # example3_2 over F_3 is commutative with a radical of dimension 4; a
+    # series claiming J = 0 must not earn it a semisimple verdict
+    alg, _ = algebra_of("example3_2", 3)
+    assert alg.is_commutative() and radical_chain(alg).dims[1] == 4
+    false_series = endo.RadicalSeries((5, 0), np.zeros((0, 5), dtype=np.int64))
+    with pytest.raises(VerificationError, match="trace form .* is degenerate"):
+        is_symmetric(alg, series=false_series, seed=seed)
 
 
 def test_verdict_deterministic():
