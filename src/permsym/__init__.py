@@ -41,7 +41,6 @@ from .endo import (
     PairingForm,
     RadicalSeries,
     SCAlgebra,
-    SchurIsoReport,
     SchurRing,
     StructureReport,
     SymmetricVerdict,
@@ -78,7 +77,6 @@ __all__ = [
     "PrimeField",
     "RadicalSeries",
     "SCAlgebra",
-    "SchurIsoReport",
     "SchurRing",
     "StructureReport",
     "SymmetricVerdict",

@@ -15,7 +15,7 @@ from . import _kernels
 from .coherent import TWO_ORBIT_DEGREE_CAP, CoherentConfiguration
 from .errors import InputError, VerificationError
 from .exactlin import PrimeField
-from .perm import Permutation, PermutationGroup, breadth_first
+from .perm import Permutation, PermutationGroup, breadth_first, orbits
 
 ALGEBRA_DIM_CAP = 60
 HECKE_ORDER_CAP = 5000
@@ -623,13 +623,19 @@ def enumerate_regular_subgroup(gens, degree: int) -> list[Permutation]:
     return breadth_first(Permutation.identity(degree), gens, Permutation.__mul__)[0]
 
 
+def _set_of(sets, order: int) -> np.ndarray:
+    """For a partition of range(order), the index of the set holding each point."""
+    set_of = np.empty(order, dtype=np.int64)
+    for k, s in enumerate(sets):
+        set_of[list(s)] = k
+    return set_of
+
+
 @dataclass(frozen=True)
 class SchurRing:
-    group_order: int
     basic_sets: tuple[tuple[int, ...], ...]  # element indices per basic set
     sc: np.ndarray                            # (m, m, m) integer constants
     labels: tuple[str, ...]                   # rendered basic-set sums
-    element_names: tuple[str, ...]
 
 
 def schur_ring_from_action(T_elements: list[Permutation], H: PermutationGroup,
@@ -650,9 +656,9 @@ def schur_ring_from_action(T_elements: list[Permutation], H: PermutationGroup,
     singleton {e} as unit."""
     n = T_elements[0].degree
     order = len(T_elements)
-    if len({t.images for t in T_elements}) != order:
-        raise InputError("regular subgroup list contains duplicates")
     img = np.array([t.images for t in T_elements], dtype=np.int64)
+    # n rows with n distinct images of 0 are n distinct elements, so this
+    # also refuses a list that repeats an element
     if order != n or np.bincount(img[:, 0], minlength=n).max() != 1:
         raise InputError("subgroup is not regular on the domain")
     # T is regular, so an element of T is determined by its image of 0
@@ -665,133 +671,107 @@ def schur_ring_from_action(T_elements: list[Permutation], H: PermutationGroup,
     for a in range(order):
         if not np.array_equal(img[:, img[a]], img[mult[a]]):
             raise InputError("element list is not closed under products")
+    # conjugation by each generator of H, as a permutation of the indices
     conj_maps = []
     for h in H.generators:
         himg = np.array(h.images, dtype=np.int64)
-        hinv = np.argsort(himg)
-        conj = himg[img[:, hinv]]  # images of h^-1 t h
+        conj = himg[img[:, np.argsort(himg)]]  # images of h^-1 t h
         cand = pos[conj[:, 0]]
         if not np.array_equal(img[cand], conj):
             raise InputError("H does not normalize the regular subgroup")
-        conj_maps.append(cand)
-
-    if element_names is None:
-        element_names = [str(t.images[0]) for t in T_elements]
-
-    # H-orbits on T by conjugation
-    assigned = [-1] * order
-    sets = []
-    for i in range(order):
-        if assigned[i] >= 0:
-            continue
-        comp = [i]
-        assigned[i] = len(sets)
-        qpos = 0
-        while qpos < len(comp):
-            t = comp[qpos]
-            qpos += 1
-            for cmap in conj_maps:
-                j = int(cmap[t])
-                if assigned[j] < 0:
-                    assigned[j] = len(sets)
-                    comp.append(j)
-        sets.append(sorted(comp))
-    sets.sort(key=lambda s: (len(s), s[0]))
+        conj_maps.append(Permutation._unchecked(tuple(cand.tolist())))
+    sets = sorted((sorted(o) for o in orbits(conj_maps, order)), key=lambda s: (len(s), s[0]))
+    m = len(sets)
+    set_of = _set_of(sets, order)
+    first = np.array([s[0] for s in sets], dtype=np.int64)
 
     # axioms
     e_idx = int(pos[0])
-    if sets[0] != [e_idx] and [e_idx] not in sets:
+    if [e_idx] not in sets:
         raise VerificationError("identity is not a singleton basic set")
-    inverse = np.argmax(mult == e_idx, axis=1)
-    set_keys = {tuple(s) for s in sets}
-    for s in sets:
-        if tuple(sorted(int(i) for i in inverse[s])) not in set_keys:
-            raise VerificationError("basic sets are not closed under inversion")
+    # inversion is an involution of T, so it carries each basic set onto a
+    # basic set iff it carries each into one
+    inverse_set = set_of[np.argmax(mult == e_idx, axis=1)]
+    if not np.array_equal(inverse_set, inverse_set[first[set_of]]):
+        raise VerificationError("basic sets are not closed under inversion")
 
-    m = len(sets)
-    set_of = np.empty(order, dtype=np.int64)
-    for si, s in enumerate(sets):
-        set_of[s] = si
-    first = np.array([s[0] for s in sets], dtype=np.int64)
-    sc = np.zeros((m, m, m), dtype=np.int64)
-    for si, s in enumerate(sets):
-        # counts[sj, x] = #{(i, j) in s x sets[sj] : i * j = x}
-        keys = set_of[None, :] * order + mult[s]
-        counts = np.bincount(keys.ravel(), minlength=m * order).reshape(m, order)
-        if not np.array_equal(counts, counts[:, first[set_of]]):
-            raise VerificationError("product of basic-set sums is not constant on a basic set")
-        sc[si] = counts[:, first]
-    labels = tuple("+".join(element_names[i] for i in s) for s in sets)
+    # counts[r, s, x] = #{(i, j) in sets[r] x sets[s] : i * j = x}
+    keys = (set_of[:, None] * m + set_of[None, :]) * order + mult
+    counts = np.bincount(keys.ravel(), minlength=m * m * order).reshape(m, m, order)
+    if not np.array_equal(counts, counts[:, :, first[set_of]]):
+        raise VerificationError("product of basic-set sums is not constant on a basic set")
+    if element_names is None:
+        element_names = [str(t.images[0]) for t in T_elements]
     return SchurRing(
-        group_order=order,
         basic_sets=tuple(tuple(s) for s in sets),
-        sc=sc,
-        labels=labels,
-        element_names=tuple(element_names),
+        sc=counts[:, :, first],
+        labels=tuple("+".join(element_names[i] for i in s) for s in sets),
     )
-
-
-@dataclass(frozen=True)
-class SchurIsoReport:
-    passed: bool
-    detail: str | None
-    orbital_count: int
-    basic_set_count: int
-    basic_sums: tuple[str, ...]
 
 
 def schur_vs_centralizer(G: PermutationGroup, T: PermutationGroup,
                          cc: CoherentConfiguration, tensor: np.ndarray, alpha: int = 0,
-                         point_names=None) -> SchurIsoReport:
+                         point_names=None) -> tuple[str, ...]:
     """Check that the orbital algebra of ``cc``, with the integer intersection
     numbers ``tensor`` as constants, and the Schur ring of the regular normal
-    subgroup T agree over Z, and so mod every p: the map sending an orbital s
-    to the subset V_s = {t in T : (alpha, alpha.t) in s} is a bijection onto
-    the basic sets, matches valencies to set sizes, and carries the integer
-    structure constants over (with the product order reversed: A_r A_s
-    corresponds to V_s V_r).  An element t is named point_names[alpha.t]."""
+    subgroup T agree over Z, and so mod every p, and return the Schur ring's
+    basic-set sums.  The map sending an orbital s to the subset
+    V_s = {t in T : (alpha, alpha.t) in s} must be a bijection onto the basic
+    sets, match valencies to set sizes, and carry the integer structure
+    constants over (with the product order reversed: A_r A_s corresponds to
+    V_s V_r).  A mismatch raises VerificationError; a T that is not a regular
+    subgroup of G normalized by G_alpha raises InputError.  An element t is
+    named point_names[alpha.t].
+
+    T is not checked for normality in G on its own.  T <= G is transitive, so
+    G = T G_alpha, and T normalizes itself; schur_ring_from_action checks
+    that G_alpha normalizes T, so G does."""
     for t in T.generators:
         if not G.contains(t):
             raise InputError("T is not a subgroup of G")
-        for g in G.generators:
-            if not T.contains(t.conjugate(g)):
-                raise InputError("T is not normal in G")
+    H = G.point_stabilizer(alpha)
     T_elements = enumerate_regular_subgroup(T.generators, G.degree)
     if point_names is None:
         point_names = [str(x) for x in range(G.degree)]
-    element_names = [point_names[t.images[alpha]] for t in T_elements]
-    H = G.point_stabilizer(alpha)
+    moved = [t.images[alpha] for t in T_elements]
     # No associativity proof on either side: the ring's constants are those
     # of a subring of Z[T] (see schur_ring_from_action), and the orbital
     # constants those of the span of the adjacency matrices, once the
     # configuration stage's adjacency check has passed.  Below they are
     # compared entry by entry over Z.
-    ring = schur_ring_from_action(T_elements, H, element_names)
+    ring = schur_ring_from_action(T_elements, H, [point_names[x] for x in moved])
 
-    def report(detail=None):
-        return SchurIsoReport(detail is None, detail, cc.m, len(ring.basic_sets), ring.labels)
+    def mismatch(detail):
+        return VerificationError(f"Schur ring correspondence failed: {detail}")
 
-    set_index = {s: i for i, s in enumerate(ring.basic_sets)}
-    # orbital of (alpha, alpha.t) for every t
-    orbital_of_t = cc.orbital_of[alpha, [t.images[alpha] for t in T_elements]]
-    sigma = []
-    for s in range(cc.m):
-        members = tuple(int(i) for i in np.flatnonzero(orbital_of_t == s))
-        if members not in set_index:
-            return report(f"orbital {s} does not map to a basic set")
-        sigma.append(set_index[members])
-        if int(cc.valency[s]) != len(members):
-            return report(f"valency {int(cc.valency[s])} of orbital {s} "
-                          f"differs from set size {len(members)}")
-    if sorted(sigma) != list(range(cc.m)) or len(ring.basic_sets) != cc.m:
-        return report("orbital-to-basic-set map is not a bijection")
+    sizes = np.array([len(s) for s in ring.basic_sets])
+    set_of = _set_of(ring.basic_sets, len(T_elements))
+    # orbital of (alpha, alpha.t) for every t; sigma[s] is the basic set of
+    # some member of V_s, and V_s is that set iff it meets no other set and
+    # has its size (basic sets are not empty, so an empty V_s fails)
+    orbital_of_t = cc.orbital_of[alpha, moved]
+    members = np.bincount(orbital_of_t, minlength=cc.m)
+    sigma = np.zeros(cc.m, dtype=np.int64)
+    sigma[orbital_of_t] = set_of
+    split = np.zeros(cc.m, dtype=bool)
+    split[orbital_of_t[sigma[orbital_of_t] != set_of]] = True
+    maps = ~split & (sizes[sigma] == members)
+    bad = np.flatnonzero(~maps | (cc.valency != members))
+    if len(bad):
+        s = int(bad[0])
+        if not maps[s]:
+            raise mismatch(f"orbital {s} does not map to a basic set")
+        raise mismatch(f"valency {int(cc.valency[s])} of orbital {s} "
+                       f"differs from set size {int(members[s])}")
+    if len(sizes) != cc.m or np.bincount(sigma, minlength=cc.m).max() != 1:
+        raise mismatch("orbital-to-basic-set map is not a bijection")
     # carried[r, s, t] = ring.sc[sigma[s], sigma[r], sigma[t]]
     carried = ring.sc[np.ix_(sigma, sigma, sigma)].transpose(1, 0, 2)
     bad = np.argwhere(_orbital_constants(cc, tensor)[0] != carried)
     if len(bad):
         r, s, t = map(int, bad[0])
-        return report(f"structure constants differ at (r={r}, s={s}, t={t})")
-    return report()
+        raise mismatch(f"structure constants differ at (r={r}, s={s}, t={t})")
+    return ring.labels
 
 
 # ---------------------------------------------------------------------------

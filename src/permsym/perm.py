@@ -231,16 +231,13 @@ def _image(point: int, g: Permutation) -> int:
     return g.images[point]
 
 
-def orbits(gens, domain):
-    """Partition of the domain into connected components under generator moves.
-
-    ``domain`` is an iterable of points or an int n meaning range(n).
+def orbits(gens, n: int):
+    """Partition of range(n) into connected components under generator moves.
     Components are listed by least element, each in BFS discovery order.
     """
-    points = range(domain) if isinstance(domain, int) else sorted(set(domain))
     seen = set()
     out = []
-    for start in points:
+    for start in range(n):
         if start not in seen:
             comp, _ = breadth_first(start, gens, _image)
             seen.update(comp)
@@ -516,7 +513,12 @@ class PermutationGroup:
 
     __contains__ = contains
 
+    def _check_point(self, point: int):
+        if not 0 <= point < self.degree:
+            raise InputError(f"point {point} is outside 0..{self.degree - 1}")
+
     def orbit(self, point: int):
+        self._check_point(point)
         return next(o for o in self.orbits() if point in o)
 
     def orbits(self):
@@ -525,6 +527,7 @@ class PermutationGroup:
     def point_stabilizer(self, alpha: int) -> "PermutationGroup":
         """Stabilizer of a point, generated by the Schreier generators
         u_b * g * u_{b.g}^-1 of the orbit of alpha, b-major."""
+        self._check_point(alpha)
         images = [g.images for g in self.generators]
         stack = np.array(images, dtype=np.int32).reshape(len(images), self.degree)
         orbit, index, rows, inverse_rows = _transversal_rows(images, stack, alpha)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import permsym
-from permsym import analysis, cli, coherent, endo
+from permsym import analysis, cli, coherent, endo, perm
 from permsym.analysis import configuration, run_analysis
 from permsym.catalog import CatalogInstance, build_instance
 from permsym.coherent import (
@@ -89,8 +89,9 @@ def test_oracle_flag_populates_checks():
     ("frobenius:7,6", "frobenius:7,3", 3),  # an orbital of the group split
 ])
 def test_oracle_catches_the_orbitals_of_another_group(group_spec, config_spec, m):
-    # the Schur check would catch the wrong orbitals too; without it, only
-    # the oracle compares the orbitals with the group's generators.  The
+    # the Schur check would catch the wrong orbitals too (see
+    # test_schur_check_refuses_the_orbitals_of_another_group); without it,
+    # only the oracle compares the orbitals with the group's generators.  The
     # injected configuration is fresh, so it holds no oracle result of its own
     inst = dataclasses.replace(build_instance(group_spec), regular=None)
     object.__setattr__(inst, "configuration", configuration(fresh_instance(config_spec)))
@@ -269,6 +270,24 @@ def test_cross_checks_run_once_per_instance(monkeypatch):
     assert [len(c) for c in calls] == [1, 1] and hecke_calls == []
     # each cross-check is timed on the one run that computes it
     assert timed == [{"schur", "oracle"}, set(), set(), set()]
+
+
+def test_configuration_builds_no_stabilizer_chain_for_the_regular_subgroup(monkeypatch):
+    # T's normality in G is not sifted through a chain of T: T <= G is
+    # regular, so G = T G_0, and the Schur ring checks that G_0 normalizes T
+    inst = fresh_instance("frobenius:73,2")
+    inst.group.order()  # G's own chain, which the Schur check sifts T through
+    built = []
+    build = perm.StabilizerChain.build.__func__
+
+    def recording(cls, degree, generators, order_bound=None):
+        built.append(tuple(g.images for g in generators))
+        return build(cls, degree, generators, order_bound)
+
+    monkeypatch.setattr(perm.StabilizerChain, "build", classmethod(recording))
+    assert configuration(inst).schur is not None
+    T_gens = tuple(g.images for g in inst.regular.gens)
+    assert T_gens not in built
 
 
 def test_hecke_dimension_is_reported_above_the_scan_cap():

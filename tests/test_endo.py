@@ -923,7 +923,7 @@ def test_schur_ring_trivial_h_gives_singletons():
     T_elements = enumerate_regular_subgroup([parse_permutation("(1 2 3 4 5)", 5)], 5)
     ring = schur_ring_from_action(T_elements, PermutationGroup(5, []))
     assert all(len(s) == 1 for s in ring.basic_sets)
-    assert ring.group_order == 5
+    assert len(ring.basic_sets) == 5
 
 
 def test_schur_ring_shear_basic_sums():
@@ -950,6 +950,22 @@ def test_schur_ring_rejects_a_list_not_closed_under_products():
         schur_ring_from_action(fake, PermutationGroup(4, []))
 
 
+def test_schur_ring_rejects_a_subgroup_that_is_not_regular():
+    # S_3 on 3 points is transitive but has order 6
+    S3 = build_instance("sym:3").group
+    with pytest.raises(InputError, match="subgroup is not regular on the domain"):
+        schur_ring_from_action(S3.elements(), PermutationGroup(3, []))
+
+
+def test_schur_ring_refuses_a_list_that_repeats_an_element():
+    # no separate duplicate scan: n rows with n distinct images of 0 are n
+    # distinct elements, so the regularity check refuses a repeated element
+    T_elements = enumerate_regular_subgroup([parse_permutation("(1 2 3 4)", 4)], 4)
+    repeated = [T_elements[0], T_elements[1], T_elements[1], T_elements[3]]
+    with pytest.raises(InputError, match="subgroup is not regular on the domain"):
+        schur_ring_from_action(repeated, PermutationGroup(4, []))
+
+
 def test_schur_ring_rejects_h_that_does_not_normalize():
     T_elements = enumerate_regular_subgroup([parse_permutation("(1 2 3 4)", 4)], 4)
     H = PermutationGroup(4, [parse_permutation("(1 2)", 4)])
@@ -957,29 +973,85 @@ def test_schur_ring_rejects_h_that_does_not_normalize():
         schur_ring_from_action(T_elements, H)
 
 
+@pytest.mark.parametrize("partition,message", [
+    ([[0, 1], [2], [3], [4], [5], [6]], "identity is not a singleton basic set"),
+    ([[0], [1, 2], [3, 5], [4, 6]], "basic sets are not closed under inversion"),
+])
+def test_schur_ring_checks_the_basic_set_axioms(monkeypatch, partition, message):
+    # conjugation orbits always pass both axioms, so a partition is injected;
+    # element i of the list is the translation by i, with inverse 7 - i
+    T_elements = enumerate_regular_subgroup([parse_permutation("(1 2 3 4 5 6 7)", 7)], 7)
+    monkeypatch.setattr(endo, "orbits", lambda gens, n: partition)
+    with pytest.raises(VerificationError, match=message):
+        schur_ring_from_action(T_elements, PermutationGroup(7, []))
+
+
 def test_schur_vs_centralizer_cases():
     inst = build_instance("example3_2")
     T = PermutationGroup(9, inst.regular.gens)
-    report = schur_check(inst.group, T)
-    assert report.passed and report.orbital_count == report.basic_set_count == 5
-    report = schur_check(inst.group, T, point_names=inst.regular.point_names)
-    assert list(report.basic_sums) == ["1", "a", "a2", "b+ab+a2b", "b2+ab2+a2b2"]
+    assert len(schur_check(inst.group, T)) == 5
+    sums = schur_check(inst.group, T, point_names=inst.regular.point_names)
+    assert list(sums) == ["1", "a", "a2", "b+ab+a2b", "b2+ab2+a2b2"]
 
     instf = build_instance("frobenius:7,3")
     Tf = PermutationGroup(7, instf.regular.gens)
-    report = schur_check(instf.group, Tf)
-    assert report.passed and report.basic_set_count == 3
+    assert len(schur_check(instf.group, Tf)) == 3
 
     Cn = regular_cn(6)
-    report = schur_check(Cn, Cn)
-    assert report.passed and report.basic_set_count == 6
+    assert len(schur_check(Cn, Cn)) == 6
 
 
 def test_schur_vs_centralizer_rejects_non_normal():
+    # no sift of T's conjugates through T's own chain: T <= G is regular, so
+    # G = T G_0, and the ring's check that G_0 normalizes T refuses a T that
+    # is not normal in G
     G = build_instance("sym:4").group
     T = PermutationGroup(4, [parse_permutation("(1 2 3 4)", 4)])  # not normal in S_4
-    with pytest.raises(InputError, match="normal"):
+    with pytest.raises(InputError, match="does not normalize"):
         schur_check(G, T)
+
+
+def test_schur_vs_centralizer_refuses_a_point_off_the_domain():
+    inst = build_instance("frobenius:7,3")
+    T = PermutationGroup(7, inst.regular.gens)
+    for alpha in (7, -1):
+        with pytest.raises(InputError, match=rf"point {alpha} is outside 0\.\.6"):
+            schur_check(inst.group, T, alpha=alpha)
+
+
+@pytest.mark.parametrize("group_spec,config_spec", [
+    ("frobenius:7,3", "frobenius:7,6"),  # two orbitals of the group fused
+    ("frobenius:7,6", "frobenius:7,3"),  # an orbital of the group split
+])
+def test_schur_check_refuses_the_orbitals_of_another_group(group_spec, config_spec):
+    inst = build_instance(group_spec)
+    T = PermutationGroup(7, inst.regular.gens)
+    with pytest.raises(VerificationError, match="orbital 1 does not map to a basic set"):
+        schur_vs_centralizer(inst.group, T, *configuration_of(config_spec))
+
+
+def test_schur_check_refuses_an_orbital_across_two_basic_sets():
+    # the basic sets of frobenius:7,3 are {0}, {1, 2, 4} and {3, 5, 6}; an
+    # orbital {1, 2, 3} has the size of a basic set but is none
+    inst = build_instance("frobenius:7,3")
+    cc, tensor = configuration_of("frobenius:7,3")
+    table = cc.orbital_of.copy()
+    table[0] = [0, 1, 1, 1, 2, 2, 2]
+    T = PermutationGroup(7, inst.regular.gens)
+    with pytest.raises(VerificationError, match="orbital 1 does not map to a basic set"):
+        schur_vs_centralizer(inst.group, T, dataclasses.replace(cc, orbital_of=table), tensor)
+
+
+def test_schur_check_refuses_a_corrupted_valency():
+    inst = build_instance("frobenius:7,3")
+    cc, tensor = configuration_of("frobenius:7,3")
+    valency = cc.valency.copy()
+    valency[1] += 1
+    corrupted = dataclasses.replace(cc, valency=valency)
+    T = PermutationGroup(7, inst.regular.gens)
+    with pytest.raises(VerificationError,
+                       match="valency 4 of orbital 1 differs from set size 3"):
+        schur_vs_centralizer(inst.group, T, corrupted, tensor)
 
 
 def test_schur_check_catches_a_corrupted_schur_constant(monkeypatch):
@@ -996,9 +1068,9 @@ def test_schur_check_catches_a_corrupted_schur_constant(monkeypatch):
 
     monkeypatch.setattr(endo, "schur_ring_from_action", corrupted)
     inst = build_instance("example3_2")
-    report = schur_check(inst.group, PermutationGroup(9, inst.regular.gens))
-    assert not report.passed
-    assert report.detail.startswith("structure constants differ")
+    with pytest.raises(VerificationError,
+                       match="Schur ring correspondence failed: structure constants differ"):
+        schur_check(inst.group, PermutationGroup(9, inst.regular.gens))
 
 
 def schur_ring_of(spec):
@@ -1033,7 +1105,7 @@ def test_no_schur_path_runs_an_associativity_proof(monkeypatch):
     inst = build_instance("frobenius:7,3")
     cc, tensor = configuration_of("frobenius:7,3")
     T = PermutationGroup(7, inst.regular.gens)
-    assert schur_vs_centralizer(inst.group, T, cc, tensor).passed
+    assert len(schur_vs_centralizer(inst.group, T, cc, tensor)) == 3
     schur_ring_of("frobenius:7,3")
     assert proofs == []
 

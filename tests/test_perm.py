@@ -371,6 +371,17 @@ def test_point_stabilizer_orders():
     assert not C3.point_stabilizer(0).generators
 
 
+@pytest.mark.parametrize("point", [21, -1])
+def test_a_point_off_the_domain_is_refused(point):
+    # a negative point once indexed the image rows from the end, and a point
+    # above the degree fell through the orbit search
+    G = build_instance("altpairs:7").group
+    for call in (G.orbit, G.point_stabilizer,
+                 lambda alpha: group_theoretic_checks(G, alpha, 3)):
+        with pytest.raises(InputError, match=rf"point {point} is outside 0\.\.20"):
+            call(point)
+
+
 def test_orbit_stabilizer_invariant_small_catalog():
     for spec in ("sym:5", "alt:5", "signtwist:3", "frobenius:7,3", "example3_2",
                  "psl2line:8", "psl2cosets:8"):
