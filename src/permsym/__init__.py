@@ -8,12 +8,7 @@ witness functional or a negative certificate.
 """
 
 from .errors import InputError, PermsymError, VerificationError
-from .exactlin import (
-    BinaryField,
-    PrimeField,
-    binary_field,
-    prime_field,
-)
+from .exactlin import BinaryField, PrimeField
 from .perm import (
     ActionClassification,
     GroupChecks,
@@ -84,7 +79,6 @@ __all__ = [
     "action_on_cosets",
     "action_on_ksubsets",
     "adjacency_product_check",
-    "binary_field",
     "build_instance",
     "catalog_entries",
     "centralizer_algebra",
@@ -102,7 +96,6 @@ __all__ = [
     "orbits",
     "parse_generator_text",
     "parse_permutation",
-    "prime_field",
     "radical_chain",
     "run_analysis",
     "schur_ring_from_action",

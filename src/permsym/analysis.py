@@ -30,7 +30,7 @@ from .endo import (
     structure_report,
 )
 from .errors import InputError, VerificationError
-from .exactlin import prime_field
+from .exactlin import PrimeField
 from .perm import ActionClassification, PermutationGroup, classify_action, orbits
 
 
@@ -277,7 +277,7 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
     only the witness search of ``is_symmetric``.  A test that injects a fault
     into that stage must pass a fresh instance
     (``dataclasses.replace(inst)``)."""
-    fieldp = prime_field(p)
+    fieldp = PrimeField(p)
     if seed < 0:
         raise InputError(f"seed {seed} is negative")
     timings = {}
@@ -294,7 +294,7 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
     # No associativity proof runs on any path of the analysis.  The
     # configuration stage's checks imply associativity and the unit over Z,
     # and reduction Z -> F_p is a ring map, so they hold mod p.
-    alg = clock("algebra", lambda: centralizer_algebra(cc, config.tensor, fieldp, verify=False))
+    alg = clock("algebra", lambda: centralizer_algebra(cc, config.tensor, fieldp))
     form = clock("natural_form", lambda: natural_form(alg))
     series = clock("radical", lambda: radical_chain(alg))
     structure = clock("structure", lambda: structure_report(alg, series))

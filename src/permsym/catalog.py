@@ -14,7 +14,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .errors import InputError, VerificationError
-from .exactlin import binary_field, is_prime
+from .exactlin import BinaryField, is_prime
 from .perm import (
     DEGREE_CAP,
     Permutation,
@@ -224,7 +224,7 @@ def _psl2_line(spec, q):
     element for a multiplicative generator, and the coordinate swap."""
     if q not in PSL_LINE_FIELDS:
         raise InputError(f"psl2line supports q in {sorted(PSL_LINE_FIELDS)}, got {q}")
-    field = binary_field(PSL_LINE_FIELDS[q])
+    field = BinaryField(PSL_LINE_FIELDS[q])
     g = 2  # the class of x, primitive because q-1 is prime for q in {4,8,32}
     mats = [
         ((1, 1), (0, 1)),
@@ -282,7 +282,7 @@ def _dihedral_subgroup(q: int) -> PermutationGroup:
     <C, S> is dihedral of order 2(q+1).  PSL(2,q) = SL(2,q) acts faithfully
     on the projective line, so the permutation group has that order too,
     which the order check below confirms."""
-    field = binary_field(PSL_LINE_FIELDS[q])
+    field = BinaryField(PSL_LINE_FIELDS[q])
     H = PermutationGroup(
         q + 1, [_psl2_matrix_perm(field, m) for m in _dihedral_generators(field, q)]
     )

@@ -33,13 +33,14 @@ WITNESS_CHUNK_ENTRIES = 1 << 14
 @dataclass(frozen=True)
 class SCAlgebra:
     """Finite-dimensional associative unital algebra over a prime field, given
-    by basis labels and structure constants: b_i b_j = sum_t sc[i,j,t] b_t."""
+    by structure constants: b_i b_j = sum_t sc[i,j,t] b_t.  Build one with
+    ``make_algebra``, which sets ``commutative``."""
 
     field: PrimeField
     dim: int
-    labels: tuple[str, ...]
     sc: np.ndarray      # (dim, dim, dim) int64, entries reduced mod p
     unit: np.ndarray    # (dim,) int64
+    commutative: bool   # sc[i, j] == sc[j, i] for every i, j
 
     def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.products(np.asarray(x)[None], np.asarray(y)[None])[0, 0]
@@ -77,49 +78,20 @@ class SCAlgebra:
             e >>= 1
         return r
 
-    def is_commutative(self) -> bool:
-        return np.array_equal(self.sc, self.sc.transpose(1, 0, 2))
 
-
-def make_algebra(field: PrimeField, labels, sc: np.ndarray, unit: np.ndarray,
-                 verify: bool = True) -> SCAlgebra:
-    m = len(labels)
+def make_algebra(field: PrimeField, sc: np.ndarray, unit: np.ndarray) -> SCAlgebra:
+    """The algebra with structure constants sc and unit reduced mod p.  The
+    constants are taken as proven associative with that unit: the orbital
+    constants are, by the configuration stage (see ``centralizer_algebra``),
+    and a quotient by a proven ideal inherits them.  Only the shapes are
+    checked here; InputError if they do not match."""
     sc = np.ascontiguousarray(sc, dtype=np.int64) % field.p
     unit = np.asarray(unit, dtype=np.int64) % field.p
+    m = unit.size
     if sc.shape != (m, m, m) or unit.shape != (m,):
         raise InputError("structure constant shapes do not match the basis size")
-    if verify:
-        if m > ALGEBRA_DIM_CAP:
-            raise InputError(
-                f"algebra dimension {m} exceeds the verification cap {ALGEBRA_DIM_CAP}; "
-                "pass verify=False for structure constants proven elsewhere"
-            )
-        _verify_algebra(sc, unit, field.p)
-    return SCAlgebra(field=field, dim=m, labels=tuple(labels), sc=sc, unit=unit)
-
-
-def _verify_algebra(sc: np.ndarray, unit: np.ndarray, p: int | None = None):
-    """Associativity and a two-sided unit for the constants b_i b_j =
-    sum_t sc[i,j,t] b_t: over F_p, with sc and unit reduced mod p, or over Z
-    when p is None.  Over Z every sum is at most dim * max|sc|^2."""
-    def reduce(a):
-        return a if p is None else a % p
-
-    m = len(unit)
-    rows = sc.reshape(m * m, m)
-    # (b_i b_j) b_k = sum_t (sum_l sc[i,j,l] sc[l,k,t]) b_t, indexed [i, j, k, t]
-    left = _kernels._contract(rows, sc.reshape(m, m * m), p).reshape(m, m, m, m)
-    # b_i (b_j b_k) = sum_t (sum_l sc[j,k,l] sc[i,l,t]) b_t, indexed [j, k, i, t]
-    right = _kernels._contract(rows, sc.transpose(1, 0, 2).reshape(m, m * m), p)
-    right = right.reshape(m, m, m, m).transpose(2, 0, 1, 3)
-    if not np.array_equal(left, right):
-        bad = np.argwhere(left != right)[0]
-        raise VerificationError(f"structure constants not associative at {tuple(bad)}")
-    eye = np.eye(len(unit), dtype=np.int64)
-    ue = reduce(np.einsum("i,ijt->jt", unit, sc))
-    eu = reduce(np.einsum("j,ijt->it", unit, sc))
-    if not (np.array_equal(ue, eye) and np.array_equal(eu, eye)):
-        raise VerificationError("declared unit is not a two-sided identity")
+    return SCAlgebra(field=field, dim=m, sc=sc, unit=unit,
+                     commutative=np.array_equal(sc, sc.transpose(1, 0, 2)))
 
 
 def _orbital_constants(cc: CoherentConfiguration, tensor: np.ndarray):
@@ -129,15 +101,13 @@ def _orbital_constants(cc: CoherentConfiguration, tensor: np.ndarray):
 
 
 def centralizer_algebra(cc: CoherentConfiguration, tensor: np.ndarray,
-                        field: PrimeField, verify: bool = True) -> SCAlgebra:
+                        field: PrimeField) -> SCAlgebra:
     """Span of the orbital adjacency matrices with the intersection numbers as
-    structure constants, reduced mod p; the unit is A_0 = I.  verify=False
-    skips the proof mod p, for callers whose configuration has passed the
-    checks of ``analysis.configuration``: those prove the constants
-    associative with the unit over Z, and reduction Z -> F_p is a ring map."""
-    sc, unit = _orbital_constants(cc, tensor)
-    labels = [f"s{t}" for t in range(cc.m)]
-    return make_algebra(field, labels, sc, unit, verify=verify)
+    structure constants, reduced mod p; the unit is A_0 = I.  No proof runs
+    mod p: the caller's configuration must have passed the checks of
+    ``analysis.configuration``, which prove the constants associative with
+    the unit over Z, and reduction Z -> F_p is a ring map."""
+    return make_algebra(field, *_orbital_constants(cc, tensor))
 
 
 def centralizer_oracle(G: PermutationGroup) -> np.ndarray:
@@ -266,7 +236,7 @@ def radical_chain(alg: SCAlgebra) -> RadicalSeries:
     commutative algebra, the divided-trace chain on any other."""
     if alg.dim > ALGEBRA_DIM_CAP:
         raise InputError(f"algebra dimension {alg.dim} exceeds cap {ALGEBRA_DIM_CAP}")
-    if not alg.is_commutative():
+    if not alg.commutative:
         return _proven_series(alg, _trace_chain(alg))
     p = alg.field.p
     return _proven_series(alg, _rowspace(_kernels.nullspace_mod_p(_iterated_frobenius(alg), p), p))
@@ -366,7 +336,7 @@ def _proven_series(alg: SCAlgebra, radical: np.ndarray) -> RadicalSeries:
                 raise VerificationError("radical candidate is not nilpotent")
     # a commutative R is the kernel of x -> x^(p^e), so it holds J, and the
     # series puts it in J: the ideal and quotient checks are implied
-    if not alg.is_commutative() and radical.shape[0] > 0:
+    if not alg.commutative and radical.shape[0] > 0:
         _verify_radical(alg, radical)
     return RadicalSeries(dims=tuple(dims), radical=radical)
 
@@ -400,12 +370,8 @@ def _quotient_algebra(alg: SCAlgebra, ideal: np.ndarray) -> SCAlgebra:
         v = v % p
         return _kernels._mod(v - _kernels._contract(v[..., pivots], ideal, p), p)[..., free]
 
-    k = len(free)
     basis = np.eye(alg.dim, dtype=np.int64)[free]
-    sc = reduce(alg.products(basis, basis))
-    unit = reduce(alg.unit)
-    labels = [f"q{i}" for i in range(k)]
-    return make_algebra(alg.field, labels, sc, unit, verify=False)
+    return make_algebra(alg.field, reduce(alg.products(basis, basis)), reduce(alg.unit))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +391,7 @@ def structure_report(alg: SCAlgebra, series: RadicalSeries | None = None) -> Str
     if series is None:
         series = radical_chain(alg)
     radical, p, m = series.radical, alg.field.p, alg.dim
-    commutative = alg.is_commutative()
+    commutative = alg.commutative
     if radical.shape[0] == 0:
         left = right = m
     else:
@@ -556,7 +522,7 @@ def is_symmetric(alg: SCAlgebra, hint: PairingForm | None = None,
     if series is None:
         series = radical_chain(alg)
     semisimple = series.dims[1] == 0
-    if semisimple and alg.is_commutative():
+    if semisimple and alg.commutative:
         return _semisimple_verdict(_trace_witness(alg))
 
     W = _witness_space(alg)
@@ -729,6 +695,12 @@ def schur_vs_centralizer(G: PermutationGroup, T: PermutationGroup,
     for t in T.generators:
         if not G.contains(t):
             raise InputError("T is not a subgroup of G")
+    # T is regular iff it is transitive and T_alpha is trivial, that is iff
+    # every Schreier generator of T_alpha is the identity, and
+    # point_stabilizer drops those; so T's elements are listed only when
+    # there are n of them
+    if len(T.orbit(alpha)) != G.degree or T.point_stabilizer(alpha).generators:
+        raise InputError("subgroup is not regular on the domain")
     H = G.point_stabilizer(alpha)
     T_elements = enumerate_regular_subgroup(T.generators, G.degree)
     if point_names is None:
@@ -805,7 +777,7 @@ def nilpotent_free_check(alg: SCAlgebra) -> bool:
     the iterated Frobenius map x -> x^(p^e) is injective.  Its kernel is the
     nilradical, exactly and at every size, because x^(p^e) = 0 for every
     nilpotent x of a dimension-m algebra once p^e >= m."""
-    if not alg.is_commutative():
+    if not alg.commutative:
         raise InputError("nilpotent-free check requires a commutative algebra")
     return _kernels.rank_mod_p(_iterated_frobenius(alg), alg.field.p) == alg.dim
 

@@ -1,6 +1,6 @@
 """Exact arithmetic over prime fields F_p and binary fields GF(2^m).
 
-A prime field validates the characteristic and inverts; every rank, rref
+A prime field validates the characteristic; every rank, rref
 and nullspace over F_p comes from the elimination in _kernels.  A binary
 field gives the products and inverses of the PSL(2, 2^m) constructions.
 Field elements are plain Python ints in a canonical encoding: residues in
@@ -10,8 +10,10 @@ for binary fields.
 
 from .errors import InputError
 
-#: bit-vectors of the lexicographically least irreducible polynomial per degree
-BUILTIN_BINARY_MODULUS = {1: 0b11, 2: 0b111, 3: 0b1011, 5: 0b100101}
+#: bit-vectors of the lexicographically least irreducible polynomial of each
+#: degree the catalog's GF(4), GF(8) and GF(32) need; the tests prove each
+#: irreducible by trial division
+BUILTIN_BINARY_MODULUS = {2: 0b111, 3: 0b1011, 5: 0b100101}
 
 #: exclusive bound on a prime characteristic: every product-sum of at most 60
 #: terms below p^2 (the algebra dimension cap is 60) then fits in int64
@@ -58,26 +60,6 @@ def poly_mul(a: int, b: int) -> int:
     return r
 
 
-def poly_str(a: int) -> str:
-    if a == 0:
-        return "0"
-    terms = []
-    for i in range(poly_degree(a), -1, -1):
-        if a >> i & 1:
-            terms.append("1" if i == 0 else ("x" if i == 1 else f"x^{i}"))
-    return "+".join(terms)
-
-
-def _irreducible_or_divisor(modulus: int, m: int):
-    """Return None when irreducible, else a nontrivial divisor (trial division
-    by every polynomial of degree 1..m//2)."""
-    for d in range(1, m // 2 + 1):
-        for q in range(1 << d, 1 << (d + 1)):
-            if poly_mod(modulus, q) == 0:
-                return q
-    return None
-
-
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
@@ -93,34 +75,15 @@ class PrimeField:
             raise InputError(f"characteristic {p} is not prime")
         self.p = p
 
-    def inv(self, a):
-        if a % self.p == 0:
-            raise InputError("division by zero")
-        return pow(a, -1, self.p)
-
 
 class BinaryField:
     """Arithmetic context for GF(2^m), elements encoded as coefficient bit-vectors."""
 
-    def __init__(self, m: int, modulus_poly: int | None = None):
-        if m < 1:
-            raise InputError("extension degree must be >= 1")
-        if modulus_poly is None:
-            if m not in BUILTIN_BINARY_MODULUS:
-                raise InputError(
-                    f"no built-in modulus for degree {m}; pass modulus_poly explicitly"
-                )
-            modulus_poly = BUILTIN_BINARY_MODULUS[m]
-        if poly_degree(modulus_poly) != m:
-            raise InputError(
-                f"modulus {poly_str(modulus_poly)} has degree {poly_degree(modulus_poly)}, expected {m}"
-            )
-        divisor = _irreducible_or_divisor(modulus_poly, m)
-        if divisor is not None:
-            raise InputError(
-                f"modulus {poly_str(modulus_poly)} is reducible: divisible by {poly_str(divisor)}"
-            )
-        self.modulus = modulus_poly
+    def __init__(self, m: int):
+        if m not in BUILTIN_BINARY_MODULUS:
+            raise InputError(f"no built-in modulus for GF(2^{m}); the degrees are "
+                             f"{sorted(BUILTIN_BINARY_MODULUS)}")
+        self.modulus = BUILTIN_BINARY_MODULUS[m]
         self.order = 1 << m
 
     def add(self, a, b):
@@ -140,11 +103,3 @@ class BinaryField:
             a = self.mul(a, a)
             e >>= 1
         return r
-
-
-def prime_field(p: int) -> PrimeField:
-    return PrimeField(p)
-
-
-def binary_field(m: int, modulus_poly: int | None = None) -> BinaryField:
-    return BinaryField(m, modulus_poly)

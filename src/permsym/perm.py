@@ -9,8 +9,8 @@ actions are on the right, and ``p * q`` means "apply p, then q", so that
 
 Validation happens once, where images enter the layer: ``Permutation(images)``
 checks for a bijection, and the parsers, the catalog constructors and
-``PermutationGroup`` given raw images go through it.  Products, inverses,
-powers and conjugates are bijections by construction and are built unchecked.
+``PermutationGroup`` given raw images go through it.  Products are
+bijections by construction and are built unchecked.
 
 The stabilizer chain works on int32 image arrays: each level stores its
 transversal as an (orbit length, degree) array of rows and one of their
@@ -23,14 +23,13 @@ product of the orbit lengths reaches that bound, which proves them complete.
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import InputError, VerificationError
-from .exactlin import prime_field
+from .exactlin import PrimeField
 
 DEGREE_CAP = 10_000  # largest degree read from a file or induced on subsets or cosets
 KSUBSET_DEGREE_CAP = COSET_INDEX_CAP = DEGREE_CAP
@@ -70,9 +69,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         # apply self first, then other
         if other.degree != self.degree:
@@ -80,28 +76,6 @@ class Permutation:
         if self.degree < 2:  # the identity; itemgetter of one index is no tuple
             return other
         return Permutation._unchecked(itemgetter(*self.images)(other.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation._unchecked(tuple(inv))
-
-    def __pow__(self, e: int) -> "Permutation":
-        if e < 0:
-            return self.inverse() ** (-e)
-        r = Permutation.identity(self.degree)
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
-
-    def conjugate(self, h: "Permutation") -> "Permutation":
-        """h^-1 * self * h."""
-        return (h.inverse() * self) * h
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
@@ -122,9 +96,6 @@ class Permutation:
                 j = self.images[j]
             out.append(tuple(cyc))
         return out
-
-    def order(self) -> int:
-        return reduce(math.lcm, (len(c) for c in self.cycles()), 1)
 
     def cycle_string(self) -> str:
         cycs = self.cycles()
@@ -726,7 +697,7 @@ def group_theoretic_checks(G: PermutationGroup, alpha: int, p: int) -> GroupChec
       |beta^H| = |H : H_gamma| divides |H : P|, which is prime to p.  So P
       fixes only alpha in O, and N_G(P) lies inside H, iff every H-orbit in
       O other than {alpha} has length divisible by p."""
-    prime_field(p)  # refuses a p that is not a prime below the bound
+    PrimeField(p)  # refuses a p that is not a prime below the bound
     orbit = G.orbit(alpha)
     h_order = G.order() // len(orbit)
     if h_order % p != 0:

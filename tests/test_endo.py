@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from permsym import analysis, endo
+from permsym import _kernels, analysis, endo
 from permsym._kernels import rank_mod_p, rref_mod_p
 from permsym.analysis import configuration, run_analysis
 from permsym.catalog import build_instance
@@ -35,8 +35,8 @@ from permsym.endo import (
     WITNESS_ENUM_CAP,
 )
 from permsym.errors import InputError, VerificationError
-from permsym.exactlin import prime_field
-from permsym.perm import PermutationGroup, parse_permutation
+from permsym.exactlin import PrimeField
+from permsym.perm import PermutationGroup, StabilizerChain, parse_permutation
 from permsym.suite import AXIOM_SUITE_SPECS
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -75,15 +75,62 @@ def commutative_radical_jobs():
     return [job for job in analysis_jobs() if algebras[job][1][4] and algebras[job][0][1] > 0]
 
 
+def verify_algebra(sc, unit, p=None):
+    """Reference: associativity and a two-sided unit for the constants b_i
+    b_j = sum_t sc[i,j,t] b_t, over F_p with sc and unit reduced mod p, or
+    over Z when p is None; over Z every sum is at most dim * max|sc|^2.
+    ``make_algebra`` runs no proof: the configuration stage's own checks
+    prove the orbital constants, and the tests prove their hand-built
+    constants with this."""
+    def reduce(a):
+        return a if p is None else a % p
+
+    m = len(unit)
+    rows = sc.reshape(m * m, m)
+    # (b_i b_j) b_k = sum_t (sum_l sc[i,j,l] sc[l,k,t]) b_t, indexed [i, j, k, t]
+    left = _kernels._contract(rows, sc.reshape(m, m * m), p).reshape(m, m, m, m)
+    # b_i (b_j b_k) = sum_t (sum_l sc[j,k,l] sc[i,l,t]) b_t, indexed [j, k, i, t]
+    right = _kernels._contract(rows, sc.transpose(1, 0, 2).reshape(m, m * m), p)
+    right = right.reshape(m, m, m, m).transpose(2, 0, 1, 3)
+    if not np.array_equal(left, right):
+        bad = np.argwhere(left != right)[0]
+        raise VerificationError(f"structure constants not associative at {tuple(bad)}")
+    eye = np.eye(len(unit), dtype=np.int64)
+    ue = reduce(np.einsum("i,ijt->jt", unit, sc))
+    eu = reduce(np.einsum("j,ijt->it", unit, sc))
+    if not (np.array_equal(ue, eye) and np.array_equal(eu, eye)):
+        raise VerificationError("declared unit is not a two-sided identity")
+
+
+def proven_algebra(p, sc, unit):
+    """The algebra of hand-built constants, with the reference proof that
+    they are associative with the unit mod p."""
+    alg = make_algebra(PrimeField(p), sc, unit)
+    verify_algebra(alg.sc, alg.unit, p)
+    return alg
+
+
+def verify_orbital_constants(cc, tensor):
+    """Reference: the m^4 proof over Z that the orbital constants are
+    associative with the unit, which the configuration stage reads off the
+    adjacency identity and A_0 = I instead of running."""
+    verify_algebra(*endo._orbital_constants(cc, tensor))
+
+
 @functools.lru_cache(maxsize=None)
 def configuration_of(spec):
+    """The orbital configuration and integer tensor of a catalog group, with
+    the reference proof of its constants, which the configuration stage
+    replaces with its own checks."""
     cc = two_orbits(build_instance(spec).group)
-    return cc, intersection_tensor(cc)
+    tensor = intersection_tensor(cc)
+    verify_orbital_constants(cc, tensor)
+    return cc, tensor
 
 
 def algebra_of(spec, p):
     cc, tensor = configuration_of(spec)
-    return centralizer_algebra(cc, tensor, prime_field(p)), cc
+    return centralizer_algebra(cc, tensor, PrimeField(p)), cc
 
 
 def regular_cn(n):
@@ -157,7 +204,7 @@ def test_two_transitive_algebra_both_characteristics():
 
 def test_shear_algebra_dimension():
     alg, _ = algebra_of("example3_2", 3)
-    assert alg.dim == 5 and alg.is_commutative()
+    assert alg.dim == 5 and alg.commutative
 
 
 def test_unit_is_identity_and_associativity_guard():
@@ -165,23 +212,28 @@ def test_unit_is_identity_and_associativity_guard():
     x = np.array([1, 2, 0], dtype=np.int64)
     assert np.array_equal(alg.multiply(alg.unit, x), x)
     assert np.array_equal(alg.multiply(x, alg.unit), x)
+    verify_algebra(alg.sc, alg.unit, 3)
     bad = alg.sc.copy()
     bad[1, 1, 0] = (bad[1, 1, 0] + 1) % 3
     with pytest.raises(VerificationError):
-        make_algebra(alg.field, alg.labels, bad, alg.unit)
+        verify_algebra(bad, alg.unit, 3)
 
 
-def test_verification_above_the_dimension_cap_is_refused():
+def test_make_algebra_checks_only_the_shapes():
     # m = 61 with one non-zero constant and a zero unit: neither associative
-    # with that unit nor checkable under the cap, so verify=True must refuse
+    # with that unit nor under the cap, and still built; the radical and
+    # the verdict refuse it by the cap
     m = ALGEBRA_DIM_CAP + 1
     sc = np.zeros((m, m, m), dtype=np.int64)
     sc[1, 1, 0] = 1
-    labels = [f"b{i}" for i in range(m)]
-    with pytest.raises(InputError, match="dimension 61 exceeds the verification cap 60; "
-                       "pass verify=False"):
-        make_algebra(prime_field(5), labels, sc, np.zeros(m))
-    assert make_algebra(prime_field(5), labels, sc, np.zeros(m), verify=False).dim == m
+    alg = make_algebra(PrimeField(5), sc, np.zeros(m))
+    assert alg.dim == m and alg.commutative
+    for decide in (radical_chain, is_symmetric):
+        with pytest.raises(InputError, match="algebra dimension 61 exceeds cap 60"):
+            decide(alg)
+    for unit in (np.zeros(m - 1), np.zeros((m, 1)), 0):
+        with pytest.raises(InputError, match="shapes do not match"):
+            make_algebra(PrimeField(5), sc, unit)
 
 
 def dense_centralizer_oracle(G, field, cap=40):
@@ -236,7 +288,7 @@ def test_oracle_matches_orbital_count():
         count = component_count(labels)
         assert count == cc.m, spec
         for p in (2, 3, 5, 7):
-            assert dense_centralizer_oracle(G, prime_field(p)) == count, (spec, p)
+            assert dense_centralizer_oracle(G, PrimeField(p)) == count, (spec, p)
 
 
 def test_oracle_degree_cap():
@@ -285,7 +337,9 @@ def test_form_requires_transitivity():
     with pytest.raises(InputError, match="analysis requires a transitive action"):
         two_orbits(H)
     cc = two_orbits(PermutationGroup(3, [parse_permutation("(1 2 3)", 3)]))
-    alg = centralizer_algebra(cc, intersection_tensor(cc), prime_field(3))
+    tensor = intersection_tensor(cc)
+    verify_orbital_constants(cc, tensor)
+    alg = centralizer_algebra(cc, tensor, PrimeField(3))
     assert np.diag(cc.orbital_of).tolist() == [0, 0, 0]
     assert natural_form(alg).functional.tolist() == [1, 0, 0]
 
@@ -376,7 +430,7 @@ def small_commutative_cases():
         for p in (2, 3, 5, 7):
             if p <= cc.m and p ** cc.m <= BRUTE_FORCE_BUDGET:
                 alg, _ = algebra_of(spec, p)
-                if alg.is_commutative():
+                if alg.commutative:
                     cases.append((spec, p))
     return cases
 
@@ -462,7 +516,9 @@ def regular_s3(p):
     G = PermutationGroup(6, [parse_permutation("(1 2 3)(4 5 6)", 6),
                              parse_permutation("(1 4)(2 6)(3 5)", 6)])
     cc = two_orbits(G)
-    return centralizer_algebra(cc, intersection_tensor(cc), prime_field(p))
+    tensor = intersection_tensor(cc)
+    verify_orbital_constants(cc, tensor)
+    return centralizer_algebra(cc, tensor, PrimeField(p))
 
 
 def spy(monkeypatch, module, name):
@@ -483,7 +539,7 @@ def test_frobenius_kernel_alone_proves_the_commutative_workload_radicals(spec, p
     verify_radical = endo._verify_radical
     calls = spy(monkeypatch, endo, "_verify_radical")
     series = radical_chain(alg)
-    assert alg.is_commutative() and series.dims[1] > 0
+    assert alg.commutative and series.dims[1] > 0
     assert calls == []
     # reference: the ideal and quotient checks that the Frobenius kernel implies
     verify_radical(alg, series.radical)
@@ -496,7 +552,7 @@ def test_noncommutative_radicals_reach_the_ideal_and_quotient_checks(p, monkeypa
     s3_dims = {2: (6, 1, 0), 3: (6, 4, 2, 0)}.get(p, (6, 0))
     for alg, dims in ((upper_triangular_2x2(p), (3, 1, 0)), (regular_s3(p), s3_dims)):
         calls = spy(monkeypatch, endo, "_verify_radical")
-        assert not alg.is_commutative()
+        assert not alg.commutative
         series = radical_chain(alg)
         assert series.dims == dims
         # a zero radical has no ideal to check
@@ -534,7 +590,7 @@ def test_a_corrupted_radical_candidate_is_refused(case):
     # the unit is not nilpotent, so the power series refuses it on either path
     with pytest.raises(VerificationError, match="not nilpotent"):
         endo._proven_series(alg, with_unit)
-    if len(radical) > 1 and not alg.is_commutative():
+    if len(radical) > 1 and not alg.commutative:
         # J^2 is closed under products and nilpotent, so the power series
         # passes it and the quotient check refuses it; on a commutative
         # algebra the caller passes the Frobenius kernel, which holds J
@@ -544,7 +600,7 @@ def test_a_corrupted_radical_candidate_is_refused(case):
         # a line of J^2 = F_3[S3](x - 1)^2 is closed too, and no left ideal
         with pytest.raises(VerificationError, match="not a left ideal"):
             endo._proven_series(alg, square[1:])
-    if not alg.is_commutative():
+    if not alg.commutative:
         for bad in (with_unit, radical[1:]) if len(radical) > 1 else (with_unit,):
             with pytest.raises(VerificationError, match="not a left ideal"):
                 endo._verify_radical(alg, bad)
@@ -585,8 +641,7 @@ def idempotent_beside_a_nilpotent(p):
     for i, j in itertools.product(range(2), repeat=2):
         for k in range(2):
             sc[3 + 2 * i + j, 3 + 2 * j + k, 3 + 2 * i + k] = 1  # E_ij E_jk = E_ik
-    return make_algebra(prime_field(p), ["f", "v", "e", "E11", "E12", "E21", "E22"], sc,
-                        np.array([1, 0, 1, 1, 0, 0, 1]))
+    return proven_algebra(p, sc, np.array([1, 0, 1, 1, 0, 0, 1]))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -614,7 +669,7 @@ def stalled_powers(p):
     sc[v, v, e] = sc[v, e, e] = sc[e, v, e] = 1
     sc[f, v, v] = sc[v, f, v] = 1
     sc[f, v, e] = sc[v, f, e] = -1
-    return make_algebra(prime_field(p), ["f", "v", "e"], sc, np.array([1, 0, 1]))
+    return proven_algebra(p, sc, np.array([1, 0, 1]))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -667,7 +722,7 @@ def test_the_trace_chain_is_the_reference_radical(make, monkeypatch):
     alg = make()
     divided_traces = spy(monkeypatch, endo, "_divided_traces")
     series = radical_chain(alg)
-    assert (divided_traces == []) is alg.is_commutative()
+    assert (divided_traces == []) is alg.commutative
     assert_same_bytes(endo._trace_chain(alg), series.radical)
 
 
@@ -834,7 +889,7 @@ def test_a_false_zero_radical_is_refused_by_the_trace_form(seed):
     # example3_2 over F_3 is commutative with a radical of dimension 4; a
     # series claiming J = 0 must not earn it a semisimple verdict
     alg, _ = algebra_of("example3_2", 3)
-    assert alg.is_commutative() and radical_chain(alg).dims[1] == 4
+    assert alg.commutative and radical_chain(alg).dims[1] == 4
     false_series = endo.RadicalSeries((5, 0), np.zeros((0, 5), dtype=np.int64))
     with pytest.raises(VerificationError, match="trace form .* is degenerate"):
         is_symmetric(alg, series=false_series, seed=seed)
@@ -1011,6 +1066,44 @@ def test_schur_vs_centralizer_rejects_non_normal():
         schur_check(G, T)
 
 
+def test_schur_vs_centralizer_refuses_a_t_that_is_not_regular_before_listing_it(monkeypatch):
+    # psl2cosets:32's group as its own T is transitive of order 32736 on 496
+    # points; a Schreier generator of T_0 other than the identity refuses it,
+    # and no element list of more than n + 1 entries is built
+    sizes = []
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            sizes.append(len(out[0] if isinstance(out, tuple) else out))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(endo, "breadth_first", recording(endo.breadth_first))
+    monkeypatch.setattr(PermutationGroup, "elements", recording(PermutationGroup.elements))
+    monkeypatch.setattr(StabilizerChain, "elements", recording(StabilizerChain.elements))
+    # the recorder sees the n elements of a regular T
+    inst = build_instance("frobenius:7,3")
+    schur_vs_centralizer(inst.group, PermutationGroup(7, inst.regular.gens),
+                         *configuration_of("frobenius:7,3"))
+    assert sizes == [7]
+    sizes.clear()
+    G = build_instance("psl2cosets:32").group
+    cc, tensor = configuration_of("psl2cosets:32")
+    with pytest.raises(InputError, match="subgroup is not regular on the domain"):
+        schur_vs_centralizer(G, G, cc, tensor)
+    assert max(sizes, default=0) <= G.degree + 1
+
+
+@pytest.mark.parametrize("gens", [["(1 2 3 4)(5 6 7)"], ["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"]],
+                         ids=["intransitive", "transitive-of-order-21"])
+def test_schur_vs_centralizer_refuses_a_t_that_is_not_regular(gens):
+    G = build_instance("sym:7").group
+    T = PermutationGroup(7, [parse_permutation(g, 7) for g in gens])
+    with pytest.raises(InputError, match="subgroup is not regular on the domain"):
+        schur_check(G, T)
+
+
 def test_schur_vs_centralizer_refuses_a_point_off_the_domain():
     inst = build_instance("frobenius:7,3")
     T = PermutationGroup(7, inst.regular.gens)
@@ -1090,31 +1183,17 @@ def test_schur_ring_constants_pass_the_reference_proof(spec):
     # the constants those of a subring of Z[T].  The m^4 proof over Z agrees.
     ring, unit = schur_ring_of(spec)
     assert unit.sum() == 1
-    endo._verify_algebra(ring.sc, unit)
+    verify_algebra(ring.sc, unit)
 
 
-def test_no_schur_path_runs_an_associativity_proof(monkeypatch):
-    proofs = []
-    verify = endo._verify_algebra
-
-    def counted(*args):
-        proofs.append(args)
-        return verify(*args)
-
-    monkeypatch.setattr(endo, "_verify_algebra", counted)
+def test_no_schur_path_runs_an_associativity_proof():
+    # the package holds no associativity proof to call: the Schur check
+    # compares constants and the ring reads its own off a checked Cayley table
+    assert not [name for name in vars(endo) if "verify_algebra" in name]
     inst = build_instance("frobenius:7,3")
     cc, tensor = configuration_of("frobenius:7,3")
     T = PermutationGroup(7, inst.regular.gens)
     assert len(schur_vs_centralizer(inst.group, T, cc, tensor)) == 3
-    schur_ring_of("frobenius:7,3")
-    assert proofs == []
-
-
-def verify_orbital_constants(cc, tensor):
-    """Reference: the m^4 proof over Z that the orbital constants are
-    associative with the unit, which the configuration stage reads off the
-    adjacency identity and A_0 = I instead of running."""
-    endo._verify_algebra(*endo._orbital_constants(cc, tensor))
 
 
 @pytest.mark.parametrize("spec", workload_groups())
@@ -1139,7 +1218,7 @@ def test_integer_proof_catches_a_corrupted_tensor(spec):
     bad[last, last, last] += 1
     # the per-prime stage builds the algebra without a proof of its own
     for p in (2, 3, 5):
-        centralizer_algebra(cc, bad, prime_field(p), verify=False)
+        centralizer_algebra(cc, bad, PrimeField(p))
     # the adjacency identity, exhaustive at every degree, catches it with no
     # associativity proof, and so does the reference proof on its own
     assert adjacency_product_check(cc, bad, generators) == (
@@ -1193,9 +1272,11 @@ def test_standalone_proof_near_the_characteristic_bound_catches_a_corrupted_cons
     last = cc.m - 1
     bad[last, last, last] -= 1  # p - 1 after reduction, so the proof runs in int64
     assert cc.m * (p - 1) ** 2 >= 1 << 53
-    centralizer_algebra(cc, tensor, prime_field(p))
+    alg = centralizer_algebra(cc, tensor, PrimeField(p))
+    verify_algebra(alg.sc, alg.unit, p)
+    alg = centralizer_algebra(cc, bad, PrimeField(p))
     with pytest.raises(VerificationError, match="not associative"):
-        centralizer_algebra(cc, bad, prime_field(p))
+        verify_algebra(alg.sc, alg.unit, p)
 
 
 # ---------------------------------------------------------------------------
@@ -1268,7 +1349,7 @@ def test_batched_power_matches_multiply_with_constants_near_the_bound():
     rng = np.random.default_rng(3)
     m = 6
     sc = rng.integers(p - 1000, p, size=(m, m, m))
-    alg = make_algebra(prime_field(p), [f"b{i}" for i in range(m)], sc, np.eye(m)[0], verify=False)
+    alg = make_algebra(PrimeField(p), sc, np.eye(m)[0])
     xs = rng.integers(0, p, size=(4, m))
     xs[0] = p - 1
     for e in (2, 3, 7):
@@ -1282,12 +1363,12 @@ def upper_triangular_2x2(p):
     sc = np.zeros((3, 3, 3), dtype=np.int64)
     sc[0, 0, 0] = sc[1, 1, 1] = 1
     sc[0, 2, 2] = sc[2, 1, 2] = 1
-    return make_algebra(prime_field(p), ["e11", "e22", "e12"], sc, np.array([1, 1, 0]))
+    return proven_algebra(p, sc, np.array([1, 1, 0]))
 
 
 def test_nilpotent_free_requires_commutative():
     alg = upper_triangular_2x2(2)
-    assert not alg.is_commutative()
+    assert not alg.commutative
     with pytest.raises(InputError):
         nilpotent_free_check(alg)
 

@@ -5,10 +5,11 @@ from permsym import _kernels
 from permsym.errors import InputError
 from permsym.exactlin import (
     BUILTIN_BINARY_MODULUS,
-    binary_field,
+    BinaryField,
+    PrimeField,
+    poly_degree,
     poly_mod,
     poly_mul,
-    prime_field,
 )
 
 PRIMES_TO_101 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -16,41 +17,64 @@ PRIMES_TO_101 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
 
 
 def test_prime_field_basics():
-    F = prime_field(3)
-    assert F.p == 3
-    assert F.inv(2) == 2
+    assert PrimeField(3).p == 3
 
 
 def test_binary_field_cube_of_x():
     # GF(8) with modulus x^3 + x + 1: x * x * x = x + 1
-    F = binary_field(3)
+    F = BinaryField(3)
     x = 0b010
     assert F.mul(F.mul(x, x), x) == 0b011
 
 
 def test_non_prime_rejected():
     with pytest.raises(InputError, match="not prime"):
-        prime_field(4)
+        PrimeField(4)
+
+
+def test_prime_fields_to_101():
+    for n in range(102):
+        if n in PRIMES_TO_101:
+            assert PrimeField(n).p == n
+        else:
+            with pytest.raises(InputError, match="not prime"):
+                PrimeField(n)
 
 
 def test_characteristic_bound():
-    assert prime_field(268435399).p == 268435399  # largest prime below 2^28
+    assert PrimeField(268435399).p == 268435399  # largest prime below 2^28
     for p in (268435459, 2147483647, 4294967311):  # primes above the bound
         with pytest.raises(InputError, match="2\\^28"):
-            prime_field(p)
+            PrimeField(p)
 
 
-def test_reducible_modulus_names_divisor():
+def trial_divisor(a: int):
+    """The least divisor of a over F_2 of degree 1..deg(a)//2, or None; a of
+    degree >= 1 is irreducible iff there is none."""
+    for d in range(1, poly_degree(a) // 2 + 1):
+        for q in range(1 << d, 1 << (d + 1)):
+            if poly_mod(a, q) == 0:
+                return q
+    return None
+
+
+@pytest.mark.parametrize("m", sorted(BUILTIN_BINARY_MODULUS))
+def test_builtin_modulus_is_irreducible_of_its_degree(m):
+    modulus = BUILTIN_BINARY_MODULUS[m]
+    assert poly_degree(modulus) == m
+    assert trial_divisor(modulus) is None
+
+
+def test_trial_division_finds_a_divisor_of_a_reducible_polynomial():
     # x^4 + 1 = (x+1)^4 over F_2
-    with pytest.raises(InputError, match="reducible.*x\\+1"):
-        binary_field(4, 0b10001)
+    assert trial_divisor(0b10001) == 0b11
+    assert trial_divisor(0b10011) is None  # x^4 + x + 1
 
 
-def test_inverse_examples():
-    assert prime_field(5).inv(2) == 3
-    assert prime_field(7).inv(1) == 1
-    with pytest.raises(InputError, match="zero"):
-        prime_field(5).inv(0)
+@pytest.mark.parametrize("m", [0, 1, 4])
+def test_degree_outside_the_table_is_refused(m):
+    with pytest.raises(InputError, match=f"no built-in modulus for GF\\(2\\^{m}\\)"):
+        BinaryField(m)
 
 
 def test_gf8_inverse_of_x_against_table_oracle():
@@ -59,18 +83,14 @@ def test_gf8_inverse_of_x_against_table_oracle():
     table = {(a, b): poly_mod(poly_mul(a, b), mod) for a in range(8) for b in range(8)}
     inverses = {a: b for (a, b), v in table.items() if v == 1}
     assert inverses[0b010] == 0b101  # x -> x^2 + 1
-    F = binary_field(3)
+    F = BinaryField(3)
     for a in range(1, 8):
         assert F.inv(a) == inverses[a]
 
 
 def test_inverse_property_all_elements():
-    for p in PRIMES_TO_101:
-        F = prime_field(p)
-        for a in range(1, p):
-            assert a * F.inv(a) % p == 1
-    for m in (1, 2, 3, 4, 5):
-        F = binary_field(m, 0b10011 if m == 4 else None)
+    for m in BUILTIN_BINARY_MODULUS:
+        F = BinaryField(m)
         for a in range(1, F.order):
             assert F.mul(a, F.inv(a)) == 1
 

@@ -13,7 +13,7 @@ from permsym.catalog import (
 )
 from permsym.coherent import intersection_tensor, two_orbits
 from permsym.errors import InputError, VerificationError
-from permsym.exactlin import binary_field
+from permsym.exactlin import BinaryField
 from permsym.perm import (
     ENUMERATION_ORDER_CAP,
     GroupChecks,
@@ -276,7 +276,7 @@ def test_dihedral_subgroup_generators_match_tuple_reference(q):
     # matrix C, found in the tuple enumeration of G
     G = build_instance(f"psl2line:{q}").group
     elements = tuple_elements(G.degree, [g.images for g in G.generators])
-    field = binary_field(PSL_LINE_FIELDS[q])
+    field = BinaryField(PSL_LINE_FIELDS[q])
     c = _psl2_matrix_perm(field, _dihedral_generators(field, q)[0]).images
     powers = set()
     power = tuple(range(G.degree))
@@ -623,6 +623,23 @@ def test_group_checks_on_a_group_above_the_enumeration_cap():
 # Reference for the group checks: the whole-group enumeration that the
 # orbit-length computation replaced, with the Sylow-subgroup search it used.
 
+def inverse(x: Permutation) -> Permutation:
+    return Permutation(tuple_inv(x.images))
+
+
+def conjugate(z: Permutation, h: Permutation) -> Permutation:
+    """h^-1 * z * h."""
+    return inverse(h) * z * h
+
+
+def nth_power(x: Permutation, e: int) -> Permutation:
+    """x^e for e >= 0."""
+    r = Permutation.identity(x.degree)
+    for _ in range(e):
+        r = r * x
+    return r
+
+
 def _sylow_subgroup(H_elements, p: int, degree: int):
     """A Sylow p-subgroup of the group given by its full element list, grown
     through normalizers (a proper p-subgroup has p | [N(P) : P])."""
@@ -638,7 +655,7 @@ def _sylow_subgroup(H_elements, p: int, degree: int):
         for x in H_elements:
             if x in P_set:
                 continue
-            if any(z.conjugate(x) not in P_set for z in gens):
+            if any(conjugate(z, x) not in P_set for z in gens):
                 continue
             # order of the coset xP in N(P)/P
             j = 1
@@ -647,7 +664,7 @@ def _sylow_subgroup(H_elements, p: int, degree: int):
                 y = y * x
                 j += 1
             if j % p == 0:
-                gens.append(x ** (j // p))
+                gens.append(nth_power(x, j // p))
                 P_elems, P_set = breadth_first(identity, gens, Permutation.__mul__)
                 progress = True
                 break
@@ -674,7 +691,7 @@ def enumerated_group_checks(G: PermutationGroup, alpha: int, p: int,
     G_elements = G.elements(cap=None)
     normalizer_inside = True
     for x in G_elements:
-        if all(z.conjugate(x) in _p_set for z in syl_gens):
+        if all(conjugate(z, x) in _p_set for z in syl_gens):
             if x.images not in H_set:
                 normalizer_inside = False
                 break
@@ -682,7 +699,7 @@ def enumerated_group_checks(G: PermutationGroup, alpha: int, p: int,
     for x in G_elements:
         if x.images in H_set:
             continue
-        x_inv = x.inverse()
+        x_inv = inverse(x)
         count = 0
         for h in H_elements:
             if ((x_inv * h) * x).images in H_set:
