@@ -15,10 +15,12 @@ bijections by construction and are built unchecked.
 The stabilizer chain works on int32 image arrays: each level stores its
 transversal as an (orbit length, degree) array of rows and one of their
 inverses, which sifting, whole-group enumeration (``StabilizerChain.elements``,
-one int32 array) and the canonical coset representatives read directly.  The
-derived actions on k-subsets and on cosets are homomorphic images of the
-acting group, so its order bounds theirs; their chains stop as soon as the
-product of the orbit lengths reaches that bound, which proves them complete.
+one int32 array) and the canonical coset representatives read directly.  A
+level's transversal grows in place as strong generators are stored: its rows
+are kept, and each orbit point gets its row once.  The derived actions on
+k-subsets and on cosets are homomorphic images of the acting group, so its
+order bounds theirs; their chains stop as soon as the product of the orbit
+lengths reaches that bound, which proves them complete.
 """
 
 import math
@@ -216,40 +218,58 @@ def orbits(gens, n: int):
     return out
 
 
-def _transversal_rows(images, stack, base: int):
-    """The transversal of ``base`` under generators given twice, as image
-    tuples ``images`` and as the (k, n) int32 array ``stack``.  Returns the
-    breadth-first orbit (point-major, generator-minor) as a list, its
-    point -> position map as an intp array with -1 off the orbit, and two
-    (len(orbit), n) int32 arrays: row k is the word u_k along the search tree
-    carrying base to orbit[k], and the second array holds the inverses.
+def _seed(base: int, n: int):
+    """The transversal of the trivial group at ``base`` on n points, in the
+    form ``_transversal_rows`` grows: the orbit [base], its position map and
+    the identity row as the one row and its inverse."""
+    position = np.full(n, -1, dtype=np.intp)
+    position[base] = 0
+    rows = np.arange(n, dtype=np.int32)[None]
+    return [base], position, rows, rows
 
-    The orbit is a point-level search on the image tuples.  Row k is its
+
+def _transversal_rows(images, stack, fresh, orbit, position, rows, inverse_rows):
+    """Grow a transversal to the group generated by the image tuples
+    ``images``, given again as the (k, n) int32 array ``stack``.  The
+    transversal of the base orbit[0] comes as the orbit list, its point ->
+    position map as an intp array with -1 off the orbit, and two
+    (len(orbit), n) int32 arrays: row k carries the base to orbit[k], and the
+    second array holds the inverses.  It must be closed under every generator
+    but those at the indices ``fresh``; ``_seed`` with every index fresh
+    starts one.
+
+    The search scans the old points with the fresh generators and every point
+    it adds with all of them, point-major and generator-minor.  Returns the
+    grown orbit, map and arrays; the old entries are kept as their prefix, and
+    the arrays are new only when the orbit grew.  A new point's row is its
     parent's row followed by one generator, gathered for a whole search layer
-    at once; the inverses are one scatter."""
+    at once; the new inverses are one scatter."""
     n = stack.shape[1]
-    index = [-1] * n
-    index[base] = 0
-    orbit = [base]
-    parent, via = [], []  # for orbit[1:]: the parent's position and the generator
-    layers = [1]
-    start = 0
+    old = len(orbit)
+    index = position.tolist()
+    orbit = list(orbit)
+    parent, via = [], []  # for orbit[old:]: the parent's position and the generator
+    layers = [old]
+    every = list(enumerate(images))
+    start, gens = 0, [every[j] for j in fresh]
     while start < len(orbit):
         stop = len(orbit)
         for k in range(start, stop):
             x = orbit[k]
-            for j, img in enumerate(images):
+            for j, img in gens:
                 y = img[x]
                 if index[y] < 0:
                     index[y] = len(orbit)
                     orbit.append(y)
                     parent.append(k)
                     via.append(j)
-        start = stop
+        start, gens = stop, every
         layers.append(len(orbit))
     size = len(orbit)
-    rows = np.empty((size, n), dtype=np.int32)
-    rows[0] = np.arange(n)
+    if size == old:
+        return orbit, position, rows, inverse_rows
+    grown = np.empty((size, n), dtype=np.int32)
+    grown[:old] = rows
     # flat indices gather from stack and scatter into the inverse rows faster
     # than two-dimensional fancy indexing does
     flat = stack.ravel()
@@ -257,10 +277,11 @@ def _transversal_rows(images, stack, base: int):
     offset = np.array(via, dtype=np.intp)[:, None] * n
     for a, b in zip(layers, layers[1:-1]):
         # (u_parent * g)[x] = g[u_parent[x]]
-        rows[a:b] = flat[rows[parent[a - 1:b - 1]] + offset[a - 1:b - 1]]
-    inverse_rows = np.empty_like(rows)
-    inverse_rows.reshape(-1)[rows + np.arange(0, size * n, n)[:, None]] = rows[0]
-    return orbit, np.array(index, dtype=np.intp), rows, inverse_rows
+        grown[a:b] = flat[grown[parent[a - old:b - old]] + offset[a - old:b - old]]
+    inverse = np.empty_like(grown)
+    inverse[:old] = inverse_rows
+    inverse.reshape(-1)[grown[old:] + np.arange(old * n, size * n, n)[:, None]] = np.arange(n)
+    return orbit, np.array(index, dtype=np.intp), grown, inverse
 
 
 # ---------------------------------------------------------------------------
@@ -269,43 +290,57 @@ def _transversal_rows(images, stack, base: int):
 
 class _Level:
     __slots__ = ("base", "gens", "arrays", "serials", "orbit", "position", "rows",
-                 "inverse_rows", "processed", "stale")
+                 "inverse_rows", "processed", "seen", "stale")
 
-    def __init__(self, base):
+    def __init__(self, base, degree):
         self.base = base
         self.gens = []          # strong generators whose first moved point is `base`
         self.arrays = []        # the same as int32 image arrays
         self.serials = []       # and their numbers in the chain's storing order
         self.processed = set()  # (orbit point, generator serial) pairs already sifted
-        self.stale = True       # orbit, position, rows and inverse_rows are set on rebuild
+        self.seen = 0           # strong generators stored when the transversal last grew
+        self.stale = False      # a strong generator was stored here or deeper since then
+        self.orbit, self.position, self.rows, self.inverse_rows = _seed(base, degree)
 
 
 class StabilizerChain:
     """Deterministic Schreier-Sims with base points in natural point order.
 
     Strong generators are stored on the level of their first moved point, so
-    level i's group is generated by the union of the generator lists at levels
-    i and deeper, and it fixes every point below its base.  That property (and
-    the strictly increasing bases) is what the canonical coset representative
-    walk relies on.  Each level keeps its transversal as arrays: the
-    breadth-first orbit, a point -> position map, ``rows`` (row k carries the
-    base to orbit[k]) and ``inverse_rows``.  A level goes stale when a strong
-    generator is stored at it or deeper, and is rebuilt when next read.
-    Completion sifts the Schreier generators u_b * s * u_{b.s}^-1, deepest
-    level first, in orbit order and then generator order, until none adds a
-    strong generator.
+    level i's group A_i is generated by the union of the generator lists at
+    levels i and deeper, and it fixes every point below its base.  That
+    property (and the strictly increasing bases) is what the canonical coset
+    representative walk relies on.  Each level keeps its transversal as
+    arrays: the orbit, a point -> position map, ``rows`` (row k carries the
+    base to orbit[k]) and ``inverse_rows``.  A level goes stale when a
+    strong generator is stored at it or deeper, and its transversal grows in
+    place (``_transversal_rows``) when a sift next reads it or when a round of
+    completion starts, whichever comes first: the old points keep their
+    positions and rows and are scanned with the generators stored since, and
+    only the points this adds get rows.  Completion sifts the Schreier
+    generators u_b * s * u_{b.s}^-1, deepest level first, in orbit order and
+    then generator order, until none adds a strong generator.
+
+    Growing in place keeps the completion sound.  A stored row is an element
+    of A_i carrying the base to its point, and A_i only grows, so the row
+    stays valid and is never replaced.  So each (b, serial) pair in
+    ``processed`` is a Schreier generator of the final transversal, and at
+    completion every one of them has sifted into A_{i+1}: by Schreier's
+    lemma, A_{i+1} is the stabilizer of the base in A_i at every level.
 
     With an ``order_bound`` B >= |A|, where A is the group generated, the
     completion also stops as soon as the product P of the orbit lengths
     equals B, and raises VerificationError if P exceeds B.  Proof that the
-    stopped chain is complete: let A_i be the group of level i's generators
-    and beyond, and D_i its orbit.  A_{i+1} fixes the base of level i, so
-    |A_i| = |D_i| |(A_i)_{base}| >= |D_i| |A_{i+1}|, and |A| = |A_0| >= P.
-    So P = B forces |A| = P, and then (A_i)_{base} = A_{i+1} at every level:
-    the chain is complete.  A complete chain sifts every Schreier generator
-    to the identity and stores nothing more, so the stopped chain is the one
-    a full run builds, with the same bases, strong generators, orbit order
-    and elements.  A bound that |A| does not reach only costs the full run.
+    stopped chain is complete: let D_i be the orbit of level i.  A_{i+1}
+    fixes the base of level i, so |A_i| = |D_i| |(A_i)_{base}| >= |D_i|
+    |A_{i+1}|, and |A| = |A_0| >= P.  So P = B forces |A| = P, and then
+    (A_i)_{base} = A_{i+1} at every level: the chain is complete.  Up to that
+    point a full run makes the same calls, since every round grows the stale
+    levels with or without a bound.  After it, the full run sifts every
+    Schreier generator to the identity, so it stores nothing more and no
+    transversal grows: the stopped chain is the one a full run builds, with
+    the same bases, strong generators, orbit order and elements.  A bound
+    that |A| does not reach only costs the full run.
 
     ``sifted`` counts the Schreier generators sifted, and
     ``stopped_at_bound`` says whether the bound ended the build.
@@ -328,12 +363,18 @@ class StabilizerChain:
         chain._complete(order_bound)
         return chain
 
-    def _rebuild(self, idx: int):
+    def _extend(self, idx: int):
+        """Grow level idx's transversal by the strong generators stored at it
+        or deeper since it last grew."""
         lv = self.levels[idx]
         deeper = self.levels[idx:]
+        serials = [serial for d in deeper for serial in d.serials]
         lv.orbit, lv.position, lv.rows, lv.inverse_rows = _transversal_rows(
             [g.images for d in deeper for g in d.gens],
-            np.array([a for d in deeper for a in d.arrays]), lv.base)
+            np.array([a for d in deeper for a in d.arrays]),
+            [j for j, serial in enumerate(serials) if serial >= lv.seen],
+            lv.orbit, lv.position, lv.rows, lv.inverse_rows)
+        lv.seen = self._stored
         lv.stale = False
 
     def _sift(self, h: np.ndarray) -> np.ndarray:
@@ -341,7 +382,7 @@ class StabilizerChain:
             beta = h[lv.base]
             if beta != lv.base:
                 if lv.stale:
-                    self._rebuild(idx)
+                    self._extend(idx)
                 k = lv.position[beta]
                 if k < 0:
                     return h
@@ -350,10 +391,11 @@ class StabilizerChain:
 
     def _add(self, h: np.ndarray) -> bool:
         """Sift the image array h and, when a residue other than the identity
-        remains, store it on the level of its first moved point; returns True
-        when the chain grew.  The residue is never stored already: it moves a
-        base point out of that level's orbit, or its first moved point is no
-        base yet."""
+        remains, store it on the level of its first moved point and grow the
+        transversals of that level and the ones above it; returns True when
+        the chain grew.  The residue is never stored already: it moves a base
+        point out of that level's orbit, or its first moved point is no base
+        yet."""
         r = self._sift(h)
         if r.tobytes() == self._identity_bytes:
             return False
@@ -362,7 +404,7 @@ class StabilizerChain:
         while idx < len(self.levels) and self.levels[idx].base < c:
             idx += 1
         if idx == len(self.levels) or self.levels[idx].base > c:
-            self.levels.insert(idx, _Level(c))
+            self.levels.insert(idx, _Level(c, self.degree))
         lv = self.levels[idx]
         lv.gens.append(Permutation._unchecked(tuple(r.tolist())))
         lv.arrays.append(r)
@@ -374,10 +416,10 @@ class StabilizerChain:
 
     def _complete(self, order_bound):
         while True:
+            for idx, lv in enumerate(self.levels):
+                if lv.stale:
+                    self._extend(idx)
             if order_bound is not None:
-                for idx, lv in enumerate(self.levels):
-                    if lv.stale:
-                        self._rebuild(idx)
                 reached = self.order()
                 if reached > order_bound:
                     raise VerificationError(
@@ -393,8 +435,6 @@ class StabilizerChain:
         until one adds a strong generator; False when none does."""
         for idx in range(len(self.levels) - 1, -1, -1):
             lv = self.levels[idx]
-            if lv.stale:
-                self._rebuild(idx)
             gens = [(serial, g.images, a) for d in self.levels[idx:]
                     for serial, g, a in zip(d.serials, d.gens, d.arrays)]
             for k, b in enumerate(lv.orbit):
@@ -501,7 +541,8 @@ class PermutationGroup:
         self._check_point(alpha)
         images = [g.images for g in self.generators]
         stack = np.array(images, dtype=np.int32).reshape(len(images), self.degree)
-        orbit, index, rows, inverse_rows = _transversal_rows(images, stack, alpha)
+        orbit, index, rows, inverse_rows = _transversal_rows(
+            images, stack, range(len(images)), *_seed(alpha, self.degree))
         # words[b, j] = u_b * g_j, indexed [b, j, x]
         words = stack[np.arange(len(images))[:, None], rows[:, None, :]]
         ends = index[stack[:, orbit].T.ravel()]
@@ -608,8 +649,8 @@ def action_on_ksubsets(G: PermutationGroup, k: int) -> PermutationGroup:
     """Induced action on k-subsets of the domain, ordered lexicographically.
     It is a homomorphic image of G, so |G| bounds its order."""
     n = G.degree
-    if k > n:
-        raise InputError("k exceeds the degree")
+    if not 0 <= k <= n:
+        raise InputError(f"k must be in 0..{n}, got {k}")
     if math.comb(n, k) > KSUBSET_DEGREE_CAP:
         raise InputError(f"induced degree {math.comb(n, k)} exceeds cap {KSUBSET_DEGREE_CAP}")
     subsets = list(combinations(range(n), k))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -48,10 +49,12 @@ def bfs_elements(gens, degree):
     return elems
 
 
-# Reference for the group layer's orders: the tuple code the array paths
-# replaced.  Schreier-Sims with base points in natural order, strong
-# generators on the level of their first moved point, and the element list of
-# transversal-product words.
+# Reference for the group layer's orders: Schreier-Sims on tuples, with base
+# points in natural order, strong generators on the level of their first
+# moved point, and the element list of transversal-product words.  A level's
+# transversal grows in place: it keeps its orbit and words and appends the
+# points that the generators now reach, when a sift reads the level and when
+# a round of completion starts.
 
 def tuple_mul(a, b):
     return tuple(b[i] for i in a)
@@ -66,31 +69,34 @@ def tuple_inv(a):
 
 def tuple_elements(degree, gens):
     identity = tuple(range(degree))
-    levels = []  # [base, gens, orbit, transversal, processed, stale]
+    # [base, gens, orbit, transversal, processed, stale, gens the orbit is closed under]
+    levels = []
 
-    def refresh():
-        for idx, lv in enumerate(levels):
-            if not lv[5]:
-                continue
-            sgens = [g for deeper in levels[idx:] for g in deeper[1]]
-            orbit, transversal = [lv[0]], {lv[0]: identity}
-            for b in orbit:
-                for s in sgens:
-                    if s[b] not in transversal:
-                        transversal[s[b]] = tuple_mul(transversal[b], s)
-                        orbit.append(s[b])
-            lv[2], lv[3], lv[5] = orbit, transversal, False
+    def refresh(idx):
+        lv = levels[idx]
+        if not lv[5]:
+            return
+        sgens = [g for deeper in levels[idx:] for g in deeper[1]]
+        orbit, transversal, known = lv[2], lv[3], lv[6]
+        old = len(orbit)
+        for k, b in enumerate(orbit):  # the orbit grows while it is walked
+            for s in sgens:
+                if (k >= old or s not in known) and s[b] not in transversal:
+                    transversal[s[b]] = tuple_mul(transversal[b], s)
+                    orbit.append(s[b])
+        known.update(sgens)
+        lv[5] = False
 
     def sift(h):
-        for lv in levels:
+        for idx, lv in enumerate(levels):
             if h[lv[0]] != lv[0]:
+                refresh(idx)
                 if h[lv[0]] not in lv[3]:
                     return h
                 h = tuple_mul(h, tuple_inv(lv[3][h[lv[0]]]))
         return h
 
     def add(g):
-        refresh()
         r = sift(g)
         moved = [i for i in range(degree) if r[i] != i]
         if not moved:
@@ -99,7 +105,7 @@ def tuple_elements(degree, gens):
         while idx < len(levels) and levels[idx][0] < moved[0]:
             idx += 1
         if idx == len(levels) or levels[idx][0] > moved[0]:
-            levels.insert(idx, [moved[0], [], [], {}, set(), True])
+            levels.insert(idx, [moved[0], [], [moved[0]], {moved[0]: identity}, set(), True, set()])
         if r in levels[idx][1]:
             return False
         levels[idx][1].append(r)
@@ -108,7 +114,8 @@ def tuple_elements(degree, gens):
         return True
 
     def grow():
-        refresh()
+        for idx in range(len(levels)):
+            refresh(idx)
         for idx in range(len(levels) - 1, -1, -1):
             lv = levels[idx]
             sgens = [g for deeper in levels[idx:] for g in deeper[1]]
@@ -243,21 +250,95 @@ def test_membership():
         C5.contains(Permutation.identity(4))
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_chain_order_matches_bfs_oracle(seed):
+def lehmer_ranks(xs):
+    """The Lehmer rank of each row x of the (m, n) image array xs:
+    sum over i of #{j > i : x[j] < x[i]} * (n - 1 - i)!, a bijection of the
+    permutations of n points onto range(n!)."""
+    xs = np.asarray(xs)
+    n = xs.shape[1]
+    ranks = np.zeros(len(xs), dtype=np.int64)
+    for i in range(n - 1):
+        ranks += (xs[:, i + 1:] < xs[:, i, None]).sum(axis=1) * math.factorial(n - 1 - i)
+    return ranks
+
+
+def closure_ranks(gens, degree):
+    """Independent closure oracle on arrays: the sorted Lehmer ranks of the
+    group generated by ``gens``, found by breadth-first products."""
+    stack = np.array([g.images for g in gens], dtype=np.intp).reshape(-1, degree)
+    frontier = np.arange(degree)[None]
+    seen = np.zeros(math.factorial(degree), dtype=bool)
+    seen[lehmer_ranks(frontier)] = True
+    while len(frontier):
+        # (x * g)[i] = g[x[i]], indexed [g, x, i]
+        products = stack[np.arange(len(stack))[:, None, None], frontier[None]].reshape(-1, degree)
+        ranks, first = np.unique(lehmer_ranks(products), return_index=True)
+        new = ~seen[ranks]
+        seen[ranks[new]] = True
+        frontier = products[first[new]]
+    return np.flatnonzero(seen)
+
+
+def random_generators(seed):
     rng = random.Random(seed)
-    n = rng.randrange(2, 8)
-    gens = []
-    for _ in range(rng.randrange(1, 4)):
-        imgs = list(range(n))
-        rng.shuffle(imgs)
-        gens.append(Permutation(imgs))
+    n = rng.randrange(2, 10)
+    return rng, n, [Permutation(rng.sample(range(n), n)) for _ in range(rng.randrange(1, 5))]
+
+
+def assert_transversals(chain):
+    """Each level's rows carry its base to its orbit, the inverse rows invert
+    them, and the position map agrees with the orbit and is -1 off it."""
+    identity = np.arange(chain.degree)
+    for lv in chain.levels:
+        assert lv.rows[:, lv.base].tolist() == list(lv.orbit)
+        assert (np.take_along_axis(lv.rows, lv.inverse_rows, axis=1) == identity).all()
+        position = np.full(chain.degree, -1)
+        position[lv.orbit] = np.arange(len(lv.orbit))
+        assert lv.position.tolist() == position.tolist()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_chain_order_matches_bfs_oracle(seed):
+    rng, n, gens = random_generators(seed)
     G = PermutationGroup(n, gens)
-    oracle = bfs_elements(gens, n)
+    oracle = closure_ranks(gens, n)
     assert G.order() == len(oracle)
-    listed = G.elements()
-    assert len(listed) == len(oracle)
-    assert {e.images for e in listed} == oracle
+    array = G.chain.elements()
+    assert np.array_equal(np.sort(lehmer_ranks(array)), oracle)
+    if G.order() <= ENUMERATION_ORDER_CAP:
+        assert [e.images for e in G.elements()] == [tuple(row) for row in array.tolist()]
+    assert_transversals(G.chain)
+    if len(oracle) < math.factorial(n):
+        # at least half of all permutations lie outside G
+        members = set(oracle.tolist())
+        outsider = next(x for x in (rng.sample(range(n), n) for _ in range(100))
+                        if lehmer_ranks([x])[0] not in members)
+        assert not G.contains(Permutation(outsider))
+
+
+def record_transversal_growth(monkeypatch):
+    """Wrap ``perm._transversal_rows``; the returned list gets the given
+    orbit, rows and inverse rows and the result of every call."""
+    calls = []
+    real = perm._transversal_rows
+
+    def record(images, stack, fresh, orbit, position, rows, inverse_rows):
+        out = real(images, stack, fresh, orbit, position, rows, inverse_rows)
+        calls.append((orbit, rows, inverse_rows, out))
+        return out
+
+    monkeypatch.setattr(perm, "_transversal_rows", record)
+    return calls
+
+
+def test_random_chains_grow_a_level_after_creating_it(monkeypatch):
+    # the cases above include one whose level orbit grows from more than its
+    # base, so the extension of an existing transversal runs
+    calls = record_transversal_growth(monkeypatch)
+    for seed in range(40):
+        _, n, gens = random_generators(seed)
+        PermutationGroup(n, gens).order()
+    assert any(1 < len(orbit) < len(out[0]) for orbit, _, _, out in calls)
 
 
 @pytest.mark.parametrize("spec", ["psl2line:8", "altpairs:7", "example3_2"])
@@ -317,6 +398,26 @@ def test_bounded_chain_is_the_full_chain(spec):
     # the element array of psl2cosets:32 is 32736 x 496; its rows are compared
     with_elements = G.degree < 100
     assert chain_signature(bounded, with_elements) == chain_signature(full, with_elements)
+
+
+@pytest.mark.parametrize("spec,bounded", [
+    ("psl2cosets:32", True), ("psl2line:32", False), ("altpairs:7", True),
+])
+def test_each_transversal_row_is_formed_once(spec, bounded, monkeypatch):
+    G = build_instance(spec).group
+    calls = record_transversal_growth(monkeypatch)
+    chain = StabilizerChain.build(G.degree, G.generators, G.order() if bounded else None)
+    assert chain.stopped_at_bound == bounded
+    for orbit, rows, inverse_rows, (grown_orbit, _, grown_rows, grown_inverse) in calls:
+        assert grown_orbit[:len(orbit)] == orbit
+        assert np.array_equal(grown_rows[:len(rows)], rows)
+        assert np.array_equal(grown_inverse[:len(rows)], inverse_rows)
+    # a level starts from its base's identity row and forms every other row
+    # once; rebuilding a stale level whole formed level 0's 496 rows of
+    # psl2cosets:32 four times
+    formed = sum(len(out[2]) - len(rows) for _, rows, _, out in calls)
+    assert formed == sum(len(lv.orbit) - 1 for lv in chain.levels)
+    assert_transversals(chain)
 
 
 def test_bound_stops_psl2cosets_32_early():
@@ -528,6 +629,13 @@ def test_ksubsets_degrees(monkeypatch):
     monkeypatch.setattr(perm, "KSUBSET_DEGREE_CAP", 3)
     with pytest.raises(InputError, match="induced degree 6 exceeds cap 3"):
         action_on_ksubsets(S4, 2)
+
+
+@pytest.mark.parametrize("k", [-1, 5])
+def test_ksubsets_refuse_a_size_off_0_to_the_degree(k):
+    # math.comb once leaked a ValueError for k < 0
+    with pytest.raises(InputError, match=rf"k must be in 0\.\.4, got {k}"):
+        action_on_ksubsets(build_instance("sym:4").group, k)
 
 
 def test_ksubsets_cap_is_checked_before_the_subsets_are_listed(monkeypatch):
