@@ -204,69 +204,68 @@ def _regular_trace(alg: SCAlgebra) -> np.ndarray:
     return np.trace(alg.sc, axis1=1, axis2=2) % alg.field.p
 
 
-def _divided_traces(alg: SCAlgebra, zs: np.ndarray, i: int) -> np.ndarray:
-    """tr(L^(p^i)) / p^i mod p for the integer lifts L of the left-regular
-    matrices of the rows of zs.  At level 0 the trace is linear in z; at
-    level i >= 1 the powers are taken mod p^(i+1), one batch of matrices at a
-    time.  On the chain layer where it is used the trace is divisible by p^i;
-    a failure of that divisibility signals a bug upstream."""
-    p, m = alg.field.p, alg.dim
-    if i == 0:
-        return _kernels._contract(zs, _regular_trace(alg), p)
-    # L(z)^T, which has the same trace powers as L(z); entries below p.
-    # The chain has p^i <= dim, so mod <= dim^2 and every sum stays below dim^5
-    lifts = _kernels._contract(zs, alg.sc.reshape(m, m * m), p).reshape(-1, m, m)
-    mod = p ** (i + 1)
-    power = np.broadcast_to(np.eye(m, dtype=np.int64), lifts.shape)
-    e = p ** i
-    while e:
-        if e & 1:
-            power = _kernels._contract(power, lifts, mod)
-        lifts = _kernels._contract(lifts, lifts, mod)
-        e >>= 1
-    tr = np.trace(power, axis1=1, axis2=2) % mod
-    if np.any(tr % (p ** i)):
-        raise VerificationError("divided trace is not integral on the chain layer")
-    return tr // (p ** i) % p
+def _reduce(vs: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
+    """The rows vs[..., :], entries in [0, p), modulo the span of an rref
+    basis: its rows carry the identity on their pivot columns, so one product
+    clears those columns."""
+    pivots = (basis != 0).argmax(axis=1)
+    return _kernels._mod(vs - _kernels._contract(vs[..., pivots], basis, p), p)
+
+
+def _commutators(alg: SCAlgebra) -> np.ndarray:
+    """The rows b_i b_j - b_j b_i for i < j, read off the structure
+    constants; they span K = [A, A]."""
+    i, j = np.triu_indices(alg.dim, 1)
+    return _kernels._mod(alg.sc[i, j] - alg.sc[j, i], alg.field.p)
 
 
 def radical_chain(alg: SCAlgebra) -> RadicalSeries:
-    """Jacobson radical J over F_p and its power series, proven by
-    ``_proven_series``: the Frobenius kernel (``_iterated_frobenius``) on a
-    commutative algebra, the divided-trace chain on any other."""
+    """Jacobson radical J over F_p, from three eliminations, and its power
+    series, proven by ``_proven_series``.
+
+    K is the span of the commutators (``_commutators``).  By Jacobson's
+    formula for (x + y)^p (Lie Algebras, 1962), (x + y)^p - x^p - y^p lies
+    in K, and so does c^p for every c in K; with (a x)^p = a x^p for a in
+    F_p, x -> x^p + K is an F_p-linear map that vanishes on K.  Its e-th power on
+    A/K (``_iterated_frobenius``), p^e >= dim A, sends x to x^(p^e) + K, and
+    its kernel is T = {x : x^(p^e) in K}.  R = {x : x A in T} is the kernel
+    of x -> (x b_j mod T)_j, read off the structure constants.  R = J:
+
+    - J is in R.  J is a nilpotent ideal of dimension below dim A, so x^(p^e)
+      = 0 for every x in J, and J lies in T; then x A lies in J, so in T.
+    - R is in J.  R is a right ideal: x A in T gives (x a) A in x A, so in
+      T.  The power series proves R nilpotent, and a nilpotent right ideal
+      lies in J (1 - x a is a unit for every a).  Nilpotency alone would not
+      do: span{e12} in M_2(F_p) is nilpotent, and J(M_2(F_p)) = 0.
+
+    So a zero R is proven too.  Külshammer's theorem (J. Algebra 72, 1981;
+    75, 1982) gives T = J + K, so R never exceeds J and the series always
+    reaches 0: A/J is a product of matrix algebras over finite fields, where
+    K maps onto the trace-zero matrices, and x A lies there only for x in J.
+    On a commutative algebra K = 0 and R = T, the Frobenius kernel; the code
+    reads that off ``alg.commutative`` and forms neither K nor R's system."""
     if alg.dim > ALGEBRA_DIM_CAP:
         raise InputError(f"algebra dimension {alg.dim} exceeds cap {ALGEBRA_DIM_CAP}")
-    if not alg.commutative:
-        return _proven_series(alg, _trace_chain(alg))
-    p = alg.field.p
-    return _proven_series(alg, _rowspace(_kernels.nullspace_mod_p(_iterated_frobenius(alg), p), p))
-
-
-def _trace_chain(alg: SCAlgebra) -> np.ndarray:
-    """The rref basis of J by the divided-trace chain on integer lifts of the
-    left-regular representation.  Plain trace-form radicals are wrong in
-    small characteristic, so the chain descends through the subspaces cut out
-    by tr(lift(x*y)^(p^i))/p^i = 0 for i = 0..floor(log_p dim)."""
     p, m = alg.field.p, alg.dim
-    cur = np.eye(m, dtype=np.int64)
-    for i in range(_frobenius_exponent(p, m + 1)):  # while p^i <= m
-        k = cur.shape[0]
-        if k == 0:
-            break
-        # prods[a, j] = cur[a] * cur[j]; T[j, a] is its divided trace
-        prods = alg.products(cur, cur)
-        T = np.stack([_divided_traces(alg, prods[a], i) for a in range(k)], axis=1)
-        kern = _kernels.nullspace_mod_p(T, p)
-        cur = _rowspace(_kernels._contract(kern, cur, p), p)
-    return cur
+    if alg.commutative:
+        commutators = np.zeros((0, m), dtype=np.int64)
+    else:
+        commutators = _rowspace(_commutators(alg), p)
+    radical = _rowspace(_kernels.nullspace_mod_p(_iterated_frobenius(alg, commutators), p), p)
+    if not alg.commutative:
+        # row (j, t), column i: the coefficient of b_t in b_i b_j mod T
+        system = _reduce(alg.sc, radical, p).transpose(1, 2, 0).reshape(m * m, m)
+        radical = _rowspace(_kernels.nullspace_mod_p(system, p), p)
+    return _proven_series(alg, radical)
 
 
 def _proven_series(alg: SCAlgebra, radical: np.ndarray) -> RadicalSeries:
     """The power series of a radical candidate R, given by an rref basis,
-    with the proof that R = J.  The series must reach 0; on a commutative
-    algebra that puts R in J, and R holds J as the caller passes the
-    Frobenius kernel.  On any other algebra R must be a two-sided ideal whose
-    quotient has zero radical; a zero R there is still accepted unchecked.
+    with the proof that R is nilpotent.  The series must reach 0; that puts
+    a right ideal R in J.  The caller's R is a right ideal that holds J, by
+    its construction in ``radical_chain``, so R = J.  A nilpotent ideal
+    short of J, such as J^2, passes here: only that construction rules it
+    out.
 
     The powers come from R's top.  R^2 = R R is formed once; it must lie in
     R, so its rref pivots are among R's, and the rows V of R's rref at the
@@ -290,15 +289,14 @@ def _proven_series(alg: SCAlgebra, radical: np.ndarray) -> RadicalSeries:
     dims = [m, radical.shape[0]]
     if radical.shape[0]:
         power = _rowspace(alg.products(radical, radical).reshape(-1, m), p)
-        # R's rref rows carry the identity on its pivot columns, so a row of
-        # R^2 lies in R iff this clears it
-        pivots = (radical != 0).argmax(axis=1)
-        if _kernels._mod(power - _kernels._contract(power[:, pivots], radical, p), p).any():
+        # a row of R^2 lies in R iff reducing it modulo R clears it
+        if _reduce(power, radical, p).any():
             raise VerificationError("radical candidate is not closed under products")
         if power.shape[0] >= radical.shape[0]:
             raise VerificationError("radical candidate is not nilpotent")
         dims.append(power.shape[0])
         if power.shape[0]:
+            pivots = (radical != 0).argmax(axis=1)
             top = np.ones(m, dtype=bool)
             top[(power != 0).argmax(axis=1)] = False
             # x -> x V as one matrix: times_top[b, (j, t)] is the coefficient
@@ -334,44 +332,7 @@ def _proven_series(alg: SCAlgebra, radical: np.ndarray) -> RadicalSeries:
             dims.append(0)
             if any(b >= a for a, b in zip(dims[2:], dims[3:])):
                 raise VerificationError("radical candidate is not nilpotent")
-    # a commutative R is the kernel of x -> x^(p^e), so it holds J, and the
-    # series puts it in J: the ideal and quotient checks are implied
-    if not alg.commutative and radical.shape[0] > 0:
-        _verify_radical(alg, radical)
     return RadicalSeries(dims=tuple(dims), radical=radical)
-
-
-def _verify_radical(alg: SCAlgebra, radical: np.ndarray):
-    p, m = alg.field.p, alg.dim
-    eye = np.eye(m, dtype=np.int64)
-    r = radical.shape[0]
-    left = alg.products(eye, radical).reshape(-1, m)
-    if _kernels.rank_mod_p(np.vstack([radical, left]), p) != r:
-        raise VerificationError("radical candidate is not a left ideal")
-    right = alg.products(radical, eye).reshape(-1, m)
-    if _kernels.rank_mod_p(np.vstack([radical, right]), p) != r:
-        raise VerificationError("radical candidate is not a right ideal")
-    quotient = _quotient_algebra(alg, radical)
-    sub = radical_chain(quotient)
-    if sub.dims[1] != 0:
-        raise VerificationError("quotient by the radical candidate is not semisimple")
-
-
-def _quotient_algebra(alg: SCAlgebra, ideal: np.ndarray) -> SCAlgebra:
-    """Quotient by a (verified nilpotent) ideal, on the complement coordinates
-    of the ideal's rref pivots."""
-    p = alg.field.p
-    pivots = (ideal != 0).argmax(axis=1)
-    free = sorted(set(range(alg.dim)) - set(pivots.tolist()))
-
-    def reduce(v):
-        # v[..., :] modulo the ideal, on the free coordinates; the rref rows
-        # carry the identity on the pivot columns, so one product clears them
-        v = v % p
-        return _kernels._mod(v - _kernels._contract(v[..., pivots], ideal, p), p)[..., free]
-
-    basis = np.eye(alg.dim, dtype=np.int64)[free]
-    return make_algebra(alg.field, reduce(alg.products(basis, basis)), reduce(alg.unit))
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +413,7 @@ def _first_witness(alg: SCAlgebra, W: np.ndarray, candidates) -> np.ndarray | No
 def _witness_space(alg: SCAlgebra) -> np.ndarray:
     """Basis of the functionals vanishing on all commutators b_i b_j - b_j b_i;
     these are exactly the symmetric associative forms x, y -> lam(x y)."""
-    p = alg.field.p
-    diff = (alg.sc - alg.sc.transpose(1, 0, 2)) % p
-    constraints = diff.reshape(alg.dim * alg.dim, alg.dim)
-    return _kernels.nullspace_mod_p(constraints, p)
+    return _kernels.nullspace_mod_p(_commutators(alg), alg.field.p)
 
 
 def _trace_witness(alg: SCAlgebra) -> np.ndarray:
@@ -747,7 +705,7 @@ def schur_vs_centralizer(G: PermutationGroup, T: PermutationGroup,
 
 
 # ---------------------------------------------------------------------------
-# nilpotent elements in commutative algebras
+# the iterated Frobenius map; nilpotent elements in commutative algebras
 # ---------------------------------------------------------------------------
 
 def _frobenius_exponent(p: int, m: int) -> int:
@@ -759,13 +717,17 @@ def _frobenius_exponent(p: int, m: int) -> int:
     return e
 
 
-def _iterated_frobenius(alg: SCAlgebra) -> np.ndarray:
-    """Matrix of x -> x^(p^e), p^e >= dim, on coordinate column vectors.  The
-    Frobenius map is F_p-linear on a commutative algebra, so its e-th power is
-    a matrix power; the kernel is the nilradical."""
+def _iterated_frobenius(alg: SCAlgebra, commutators: np.ndarray) -> np.ndarray:
+    """Matrix of x -> x^(p^e) mod K, p^e >= dim, on coordinate column
+    vectors, for K the span of the rref basis ``commutators`` of the
+    commutators, empty on a commutative algebra.  The map x -> x^p mod K is
+    F_p-linear and vanishes on K (see ``radical_chain``), so its e-th power
+    is a matrix power; on a commutative algebra its kernel is the
+    nilradical."""
     p = alg.field.p
     m = alg.dim
-    frob = alg.power(np.eye(m, dtype=np.int64), p).T  # column j is b_j^p
+    # column j is b_j^p mod K
+    frob = _reduce(alg.power(np.eye(m, dtype=np.int64), p), commutators, p).T
     total = np.eye(m, dtype=np.int64)
     for _ in range(_frobenius_exponent(p, m)):
         total = _kernels._contract(frob, total, p)
@@ -779,7 +741,8 @@ def nilpotent_free_check(alg: SCAlgebra) -> bool:
     nilpotent x of a dimension-m algebra once p^e >= m."""
     if not alg.commutative:
         raise InputError("nilpotent-free check requires a commutative algebra")
-    return _kernels.rank_mod_p(_iterated_frobenius(alg), alg.field.p) == alg.dim
+    no_commutators = np.zeros((0, alg.dim), dtype=np.int64)
+    return _kernels.rank_mod_p(_iterated_frobenius(alg, no_commutators), alg.field.p) == alg.dim
 
 
 # ---------------------------------------------------------------------------
