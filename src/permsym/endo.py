@@ -62,7 +62,10 @@ class SCAlgebra:
 
     def power(self, x: np.ndarray, e: int) -> np.ndarray:
         """x^e, or the e-th power of each row of a (k, dim) batch x, by one
-        square-and-multiply of exact products."""
+        square-and-multiply of exact products.  The result starts as the
+        power at e's lowest set bit, not as the unit, and the square after
+        the highest bit is not formed: for e >= 1 that is e.bit_length() - 1
+        squares and e.bit_count() - 1 other products, 8 in all for e = 73."""
         p, m = self.field.p, self.dim
 
         def times(xs, ys):  # xs[..., i] * ys[..., i], row by row
@@ -70,13 +73,16 @@ class SCAlgebra:
             return _kernels._contract(ys[..., None, :], left, p)[..., 0, :]
 
         b = np.asarray(x, dtype=np.int64) % p
-        r = self.unit * np.ones_like(b)
-        while e:
+        if not e:
+            return self.unit * np.ones_like(b)
+        r = None
+        while True:
             if e & 1:
-                r = times(r, b)
-            b = times(b, b)
+                r = b if r is None else times(r, b)
             e >>= 1
-        return r
+            if not e:
+                return r
+            b = times(b, b)
 
 
 def make_algebra(field: PrimeField, sc: np.ndarray, unit: np.ndarray) -> SCAlgebra:
@@ -187,8 +193,18 @@ def natural_form(alg: SCAlgebra) -> PairingForm:
 
 @dataclass(frozen=True)
 class RadicalSeries:
-    dims: tuple[int, ...]   # [dim A, dim J, dim J^2, ..., 0]
+    """The power series of J with an rref basis of J and J's top V: the d
+    rows of that basis at the pivots that J^2's rref lacks, so that they
+    span J modulo J^2 (V is J itself when J^2 = 0).  V generates J as a
+    one-sided ideal on either side: J^k = J^(k-1) (V + J^2) lies in A V +
+    J^(k+1) for every k >= 1, so J lies in A V + J^k for every k, and J^k
+    = 0 for some k; so J = A V, and likewise J = V A (Nakayama's argument,
+    Curtis and Reiner, Methods of Representation Theory I, 1981, section
+    5)."""
+
+    dims: tuple[int, ...]   # [dim J^0 = dim A, dim J, dim J^2, ..., 0]
     radical: np.ndarray     # (dim J, dim A) rref basis of J
+    top: np.ndarray         # (d, dim A) rows of that basis spanning J mod J^2
 
 
 def _rowspace(mat: np.ndarray, p: int) -> np.ndarray:
@@ -283,10 +299,21 @@ def _proven_series(alg: SCAlgebra, radical: np.ndarray) -> RadicalSeries:
 
     A spanning set is reduced to its echelon rows only when it has more
     than m rows, which needs d >= 2; the series stops at the first set that
-    is all zero, and is refused after m non-zero sets.  R V and the sets are
-    then zero-padded into one stack and ranked by one call."""
+    is all zero, and is refused after m non-zero sets.  For d >= 2, R V and
+    the sets are then zero-padded into one stack and ranked by one call.
+
+    For d = 1 no set is ranked: the dims are r, r - 1, ..., 1, 0 for r =
+    dim R.  R = V + R^2 gives R^i = R^(i-1) (V + R^2) = R^(i-1) V + R^(i+1)
+    for every i >= 1, and R^(i-1) V lies in V^i + R^(i+1) by induction, so
+    R^i = V^i + R^(i+1): each power is at most dim V^i <= 1 smaller than
+    the one before.  Once R R = R V is ranked and the loop has reached 0,
+    the series decreases strictly, as above, so it loses exactly one
+    dimension a level, and exactly dim R^2 = r - 1 of the sets R^2, R^3,
+    ... are non-zero.  That count is checked in place of the ranks: a
+    series that reached 0 early would make it short."""
     p, m = alg.field.p, alg.dim
     dims = [m, radical.shape[0]]
+    top = radical
     if radical.shape[0]:
         power = _rowspace(alg.products(radical, radical).reshape(-1, m), p)
         # a row of R^2 lies in R iff reducing it modulo R clears it
@@ -297,11 +324,12 @@ def _proven_series(alg: SCAlgebra, radical: np.ndarray) -> RadicalSeries:
         dims.append(power.shape[0])
         if power.shape[0]:
             pivots = (radical != 0).argmax(axis=1)
-            top = np.ones(m, dtype=bool)
-            top[(power != 0).argmax(axis=1)] = False
+            at_top = np.ones(m, dtype=bool)
+            at_top[(power != 0).argmax(axis=1)] = False
+            top = radical[at_top[pivots]]
             # x -> x V as one matrix: times_top[b, (j, t)] is the coefficient
             # of b_t in b_b V[j]
-            times_top = alg.products(np.eye(m, dtype=np.int64), radical[top[pivots]]).reshape(m, -1)
+            times_top = alg.products(np.eye(m, dtype=np.int64), top).reshape(m, -1)
 
             def echelon_rows(span):
                 # a set of more than m rows, which needs d >= 2, is cut to its echelon rows
@@ -321,18 +349,27 @@ def _proven_series(alg: SCAlgebra, radical: np.ndarray) -> RadicalSeries:
                 if len(sets) == m:
                     raise VerificationError("radical candidate is not nilpotent")
                 sets.append(echelon_rows(span))
-            levels += sets[1:]
+            # for d = 1 only R V is ranked; see above
+            if top.shape[0] > 1:
+                levels += sets[1:]
             stack = np.zeros((len(levels), max(s.shape[0] for s in levels), m), dtype=np.int64)
             for level, span in zip(stack, levels):
                 level[:span.shape[0]] = span
             ranks = _kernels.rank_mod_p(stack, p).tolist()
             if ranks[0] != power.shape[0]:
                 raise VerificationError("radical candidate is not nilpotent: R R is not R V")
-            dims.extend(ranks[1:])
-            dims.append(0)
-            if any(b >= a for a, b in zip(dims[2:], dims[3:])):
-                raise VerificationError("radical candidate is not nilpotent")
-    return RadicalSeries(dims=tuple(dims), radical=radical)
+            if top.shape[0] == 1:
+                # R R = R V and a loop that reached 0 fix the dims r, r - 1,
+                # ..., 0, so exactly dim R^2 of the sets are non-zero
+                if len(sets) != power.shape[0]:
+                    raise VerificationError("radical candidate is not nilpotent")
+                dims.extend(range(power.shape[0] - 1, -1, -1))
+            else:
+                dims.extend(ranks[1:])
+                dims.append(0)
+                if any(b >= a for a, b in zip(dims[2:], dims[3:])):
+                    raise VerificationError("radical candidate is not nilpotent")
+    return RadicalSeries(dims=tuple(dims), radical=radical, top=top)
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +386,27 @@ class StructureReport:
 
 
 def structure_report(alg: SCAlgebra, series: RadicalSeries | None = None) -> StructureReport:
+    """The top dimension dim A - dim J and the dimensions of the socles
+    {x : J x = 0} (left) and {x : x J = 0} (right).  J = A V = V A for the
+    top V of the series (see ``RadicalSeries``), and A has a unit, so J x =
+    A V x is 0 iff V x is, and x J = x V A is 0 iff x V is: the socles are
+    read off V's d rows, not all of J's."""
     if series is None:
         series = radical_chain(alg)
-    radical, p, m = series.radical, alg.field.p, alg.dim
+    top_rows, p, m = series.top, alg.field.p, alg.dim
     commutative = alg.commutative
-    if radical.shape[0] == 0:
+    if top_rows.shape[0] == 0:
         left = right = m
     else:
-        # the matrices of x -> u x and x -> x u for every radical row u,
-        # stacked: rows (u, t), columns the basis element x; they are equal
+        # the matrices of x -> v x and x -> x v for every row v of V,
+        # stacked: rows (v, t), columns the basis element x; they are equal
         # in a commutative algebra
         eye = np.eye(m, dtype=np.int64)
-        left_mats = alg.products(radical, eye).transpose(0, 2, 1).reshape(-1, m)
+        left_mats = alg.products(top_rows, eye).transpose(0, 2, 1).reshape(-1, m)
         left = m - _kernels.rank_mod_p(left_mats, p)
         right = left if commutative else m - _kernels.rank_mod_p(
-            alg.products(eye, radical).transpose(1, 2, 0).reshape(-1, m), p)
-    top = m - radical.shape[0]
+            alg.products(eye, top_rows).transpose(1, 2, 0).reshape(-1, m), p)
+    top = m - series.radical.shape[0]
     return StructureReport(
         top_dim=top,
         left_socle_dim=left,
@@ -460,7 +502,11 @@ def is_symmetric(alg: SCAlgebra, hint: PairingForm | None = None,
        rank below dim refutes the zero radical found upstream and raises
        VerificationError.  On any other semisimple algebra a witness is
        still searched for, as below: the regular trace of M_n(F_q) is n tr,
-       degenerate when p divides n;
+       degenerate when p divides n.  A search of the whole witness space
+       that finds nothing refutes the zero radical and raises
+       VerificationError, as a semisimple algebra has a witness there; a
+       sampled search that misses still reports the zero radical, with no
+       witness;
     3. enumerate the whole witness space when |F|^dim fits the budget; finding
        nothing there is an exact negative certificate;
     4. otherwise sample; with no hit, a local algebra whose socle is not
@@ -497,6 +543,10 @@ def is_symmetric(alg: SCAlgebra, hint: PairingForm | None = None,
     witness = _first_witness(alg, W, candidates)
 
     if semisimple:
+        if witness is None and searched_all:
+            raise VerificationError("no witness among all the functionals vanishing on "
+                                    "commutators, but every semisimple algebra over F_p "
+                                    "is symmetric: the radical series is not J's")
         return _semisimple_verdict(witness)
     if witness is not None:
         return SymmetricVerdict(

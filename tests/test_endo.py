@@ -818,6 +818,34 @@ def test_a_candidate_whose_powers_stall_is_refused(p):
         endo._proven_series(alg, candidate)
 
 
+@pytest.mark.parametrize("spec,p", [("frobenius:73,2", 73), ("frobenius:53,2", 53)])
+def test_a_series_that_reaches_zero_a_level_early_is_refused(spec, p, monkeypatch):
+    """At d = 1 no later power is ranked: R R = R V and a loop that reaches
+    0 prove the dims r, r - 1, ..., 0, so exactly r - 1 sets R^2, ..., R^r
+    are non-zero.  A level product that comes out 0 one level early, for
+    R^r, leaves closure and R R = R V intact, and the count of the sets is
+    the check that refuses it."""
+    alg, _ = algebra_of(spec, p)
+    m = alg.dim
+    series = radical_chain(alg)
+    r = len(series.radical)
+    assert len(series.top) == 1 and series.dims == (m, *range(r, -1, -1))
+    contract, level_products = _kernels._contract, []
+
+    def losing(a, b, modulus=None):
+        out = contract(a, b, modulus)
+        if b.shape == (m, m):  # x -> x V: R V first, then R^3, R^4, ...
+            level_products.append(a)
+            if len(level_products) == r - 1:  # the product that forms R^r
+                return np.zeros_like(out)
+        return out
+
+    monkeypatch.setattr(_kernels, "_contract", losing)
+    with pytest.raises(VerificationError, match="not nilpotent$"):
+        endo._proven_series(alg, series.radical)
+    assert len(level_products) == r - 1
+
+
 def reference_power_dims(alg, radical):
     """The radical power dimensions by the full product loop: each power is
     the row space of every product of the previous power with all of R."""
@@ -829,6 +857,59 @@ def reference_power_dims(alg, radical):
     return tuple(dims)
 
 
+def top_of(alg, radical):
+    """The rows of an rref basis of R at the pivots that R^2's rref lacks,
+    with R^2's rref basis."""
+    square = product_space(alg, radical, radical)
+    at_top = np.ones(alg.dim, dtype=bool)
+    at_top[(square != 0).argmax(axis=1)] = False
+    return radical[at_top[(radical != 0).argmax(axis=1)]], square
+
+
+def stacked_rank_dims(alg, radical):
+    """Reference: the power series as ``_proven_series`` ranks it for d >= 2
+    and once ranked it for every d.  Each later power is the previous set
+    times V, and R V with the sets for R^3, R^4, ..., zero-padded into one
+    stack, is ranked by one call; R V must have R^2's rank and the dims
+    must decrease strictly."""
+    p, m = alg.field.p, alg.dim
+    if not len(radical):
+        return m, 0
+    top, square = top_of(alg, radical)
+    dims = [m, len(radical), len(square)]
+    if len(square):
+        def times_top(span):
+            span = alg.products(span, top).reshape(-1, m)
+            return endo._rowspace(span, p) if len(span) > m else span
+
+        levels, sets = [times_top(radical)], [square]
+        while (span := times_top(sets[-1])).any():
+            sets.append(span)
+            assert len(sets) <= m
+        levels += sets[1:]
+        stack = np.zeros((len(levels), max(len(s) for s in levels), m), dtype=np.int64)
+        for level, span in zip(stack, levels):
+            level[:len(span)] = span
+        ranks = rank_mod_p(stack, p).tolist()
+        assert ranks[0] == len(square)
+        dims += ranks[1:] + [0]
+        assert all(b < a for a, b in zip(dims[2:], dims[3:]))
+    return tuple(dims)
+
+
+def whole_radical_socles(alg, radical):
+    """Reference: the socle dimensions of {x : J x = 0} and {x : x J = 0}
+    from the products with every row of J, as ``structure_report`` ranked
+    them before it read them off the top V."""
+    p, m = alg.field.p, alg.dim
+    if not len(radical):
+        return m, m
+    eye = np.eye(m, dtype=np.int64)
+    left = rank_mod_p(alg.products(radical, eye).transpose(0, 2, 1).reshape(-1, m), p)
+    right = rank_mod_p(alg.products(eye, radical).transpose(1, 2, 0).reshape(-1, m), p)
+    return m - left, m - right
+
+
 def power_series_cases():
     return ([pytest.param(lambda s=s, p=p: algebra_of(s, p)[0], id=f"{s}-{p}")
              for s, p in analysis_jobs()]
@@ -838,11 +919,62 @@ def power_series_cases():
             + [pytest.param(lambda: upper_triangular_2x2(3), id="upper_triangular-3")])
 
 
-@pytest.mark.parametrize("make", power_series_cases())
+def top_series_cases():
+    """The power series cases with the regular S4 and A5 at 2, 3, 5 and 7."""
+    return (power_series_cases()
+            + [pytest.param(lambda make=make, p=p: make(p), id=f"{name}-{p}")
+               for name, make in (("s4", regular_s4), ("a5", regular_a5)) for p in (2, 3, 5, 7)])
+
+
+@pytest.mark.parametrize("make", top_series_cases())
 def test_power_series_from_the_top_matches_the_full_product_loop(make):
+    """The series and the stacked ranks that the d = 1 dims replaced are
+    both kept as references, on d = 1 and d >= 2 alike."""
     alg = make()
     series = radical_chain(alg)
     assert series.dims == reference_power_dims(alg, series.radical)
+    assert series.dims == stacked_rank_dims(alg, series.radical)
+
+
+@pytest.mark.parametrize("make", top_series_cases())
+def test_the_socles_from_the_top_match_the_whole_radical(make):
+    """The series' top V is the d rows of J's rref basis that span J modulo
+    J^2 (J itself when J^2 = 0), and its socles, read off V, are those read
+    off all of J."""
+    alg = make()
+    series = radical_chain(alg)
+    top, square = top_of(alg, series.radical)
+    assert_same_bytes(series.top, top if len(square) else series.radical)
+    assert len(series.top) == len(series.radical) - len(square)
+    structure = structure_report(alg, series)
+    assert ((structure.left_socle_dim, structure.right_socle_dim)
+            == whole_radical_socles(alg, series.radical))
+
+
+def path_algebra_of_two_arrows(p):
+    """The path algebra of the quiver 2 <- 1 -> 3 on the basis e1, e2, e3,
+    a, b, where a: 1 -> 2 and b: 1 -> 3 compose right to left: e2 a = a e1
+    = a and e3 b = b e1 = b.  J = span{a, b} and J^2 = 0.  J x = 0 exactly
+    on span{e2, e3, a, b}, and x J = 0 exactly on span{e1, a, b}."""
+    sc = np.zeros((5, 5, 5), dtype=np.int64)
+    e1, e2, e3, a, b = range(5)
+    for e in (e1, e2, e3):
+        sc[e, e, e] = 1
+    sc[e2, a, a] = sc[a, e1, a] = 1
+    sc[e3, b, b] = sc[b, e1, b] = 1
+    return proven_algebra(p, sc, np.array([1, 1, 1, 0, 0]))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_socles_of_a_path_algebra_differ_by_side(p):
+    """The left and right socles differ in dimension, so reading either one
+    off the wrong side of V shows."""
+    alg = path_algebra_of_two_arrows(p)
+    series = radical_chain(alg)
+    assert series.dims == (5, 2, 0) and series.radical.tolist() == [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+    structure = structure_report(alg, series)
+    assert (structure.top_dim, structure.left_socle_dim, structure.right_socle_dim) == (3, 4, 3)
+    assert whole_radical_socles(alg, series.radical) == (4, 3)
 
 
 @pytest.mark.parametrize("make", power_series_cases())
@@ -1063,9 +1195,24 @@ def test_a_false_zero_radical_is_refused_by_the_trace_form(seed):
     # series claiming J = 0 must not earn it a semisimple verdict
     alg, _ = algebra_of("example3_2", 3)
     assert alg.commutative and radical_chain(alg).dims[1] == 4
-    false_series = endo.RadicalSeries((5, 0), np.zeros((0, 5), dtype=np.int64))
+    zero = np.zeros((0, 5), dtype=np.int64)
+    false_series = endo.RadicalSeries((5, 0), zero, zero)
     with pytest.raises(VerificationError, match="trace form .* is degenerate"):
         is_symmetric(alg, series=false_series, seed=seed)
+
+
+def test_a_false_zero_radical_is_refused_by_the_exhausted_search():
+    # the upper-triangular 2x2 algebra over F_3 is not commutative, with J =
+    # span{e12}; its witness space, the functionals on e11 and e22, has 9
+    # members, so the search covers it, and a semisimple algebra would have a
+    # witness there
+    alg = upper_triangular_2x2(3)
+    assert not alg.commutative and radical_chain(alg).dims == (3, 1, 0)
+    assert 3 ** endo._witness_space(alg).shape[0] <= WITNESS_ENUM_CAP
+    zero = np.zeros((0, 3), dtype=np.int64)
+    false_series = endo.RadicalSeries((3, 0), zero, zero)
+    with pytest.raises(VerificationError, match="every semisimple algebra .* is symmetric"):
+        is_symmetric(alg, series=false_series)
 
 
 def test_verdict_deterministic():
@@ -1517,18 +1664,51 @@ def test_iterated_frobenius_matches_per_column_power(p):
             assert np.array_equal(alg.power(x, e), row)
 
 
+def change_of_basis(alg, P):
+    """The constants and unit of alg on the basis c_i = sum_k P[i, k] b_k, P
+    invertible mod p, in Python integers: c_i c_j = sum P[i, k] P[j, l]
+    sc[k, l, t] b_t, and b_t = sum_s Q[t, s] c_s for Q = P^-1."""
+    p, m = alg.field.p, alg.dim
+    rref, rank = rref_mod_p(np.hstack([P, np.eye(m, dtype=np.int64)]), p)
+    assert rank == m and np.array_equal(rref[:, :m], np.eye(m))
+    P, Q = P.astype(object), rref[:, m:].astype(object)
+    sc = np.tensordot(alg.sc.astype(object), Q, axes=(2, 0))  # [k, l, s]
+    sc = np.tensordot(P, sc, axes=(1, 0))  # [i, l, s]
+    sc = np.tensordot(P, sc, axes=(1, 1)).transpose(1, 0, 2)  # [j, i, s] to [i, j, s]
+    return (sc % p).astype(np.int64), (alg.unit.astype(object) @ Q % p).astype(np.int64)
+
+
 def test_batched_power_matches_multiply_with_constants_near_the_bound():
-    p = 268435399  # largest prime below 2^28
+    """F_p[S3] on a random basis, p the largest prime below 2^28: its
+    constants spread over [0, p), and it stays associative with a unit, so
+    x^e is defined.  Constants drawn at random would not be associative, and
+    x^e would then depend on how the products are grouped."""
+    p = 268435399
     rng = np.random.default_rng(3)
-    m = 6
-    sc = rng.integers(p - 1000, p, size=(m, m, m))
-    alg = make_algebra(PrimeField(p), sc, np.eye(m)[0])
+    s3 = regular_s3(p)
+    m = s3.dim
+    alg = proven_algebra(p, *change_of_basis(s3, rng.integers(0, p, size=(m, m))))
+    assert alg.sc.min() < p // 100 and alg.sc.max() > p - p // 100
+    assert not np.array_equal(alg.unit, np.eye(m, dtype=np.int64)[0])  # e_0 is not the unit
     xs = rng.integers(0, p, size=(4, m))
     xs[0] = p - 1
-    for e in (2, 3, 7):
+    for e in (0, 1, 2, 3, 7, 73):
         batch = alg.power(xs, e)
         for x, row in zip(xs, batch):
             assert np.array_equal(row, power_by_multiply(alg, x, e)), e
+
+
+@pytest.mark.parametrize("e", [0, 1, 2, 3, 7, 8, 73, 268435399])
+def test_power_forms_no_product_it_throws_away(e, monkeypatch):
+    """Square-and-multiply from e's lowest set bit, with no square after its
+    highest: e.bit_length() - 1 squares and popcount(e) - 1 other products,
+    each two exact products; 8 products for e = 73, where starting from the
+    unit took 10."""
+    alg = regular_s3(7)
+    calls = spy(monkeypatch, _kernels, "_contract")
+    alg.power(np.eye(alg.dim, dtype=np.int64), e)
+    products = e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0
+    assert len(calls) == 2 * products
 
 
 def upper_triangular_2x2(p):
