@@ -41,7 +41,6 @@ from .endo import (
     SymmetricVerdict,
     centralizer_algebra,
     centralizer_oracle,
-    enumerate_regular_subgroup,
     hecke_check,
     is_symmetric,
     natural_form,
@@ -85,7 +84,6 @@ __all__ = [
     "centralizer_oracle",
     "classify_action",
     "configuration",
-    "enumerate_regular_subgroup",
     "group_theoretic_checks",
     "hecke_check",
     "intersection_tensor",

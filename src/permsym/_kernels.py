@@ -114,6 +114,14 @@ def _row_loop(a: np.ndarray, p: int, reduced: bool):
     return a, r
 
 
+def _reduce(vs: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
+    """The rows vs[..., :], entries in [0, p), modulo the span of an rref
+    basis: its rows carry the identity on their pivot columns, so one product
+    clears those columns."""
+    pivots = (basis != 0).argmax(axis=1)
+    return _mod(vs - _contract(vs[..., pivots], basis, p), p)
+
+
 def _eliminate(a: np.ndarray, p: int, reduced: bool):
     """Elimination over F_p on a copy of `a`; returns (matrix, rank).  A tall
     input (rows > 2 * cols >= 2) whose reduction product fits int64 is
@@ -130,10 +138,7 @@ def _eliminate(a: np.ndarray, p: int, reduced: bool):
         basis, rest = basis[:rank], rest[cols:]
         if rank == cols:
             break
-        # the basis rows carry the identity on their pivot columns, so this
-        # clears those columns of every remaining row
-        pivots = (basis != 0).argmax(axis=1)
-        rest = _mod(rest - _contract(rest[:, pivots], basis, p), p)
+        rest = _reduce(rest, basis, p)
         rest = rest[rest.any(axis=1)]
     out = np.zeros_like(a)
     out[:basis.shape[0]] = basis

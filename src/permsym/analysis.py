@@ -19,6 +19,7 @@ from .coherent import (
     two_orbits,
 )
 from .endo import (
+    ALGEBRA_DIM_CAP,
     StructureReport,
     SymmetricVerdict,
     centralizer_algebra,
@@ -175,16 +176,20 @@ def configuration(instance: CatalogInstance, timings: dict | None = None) -> Con
     become ``schur``.  These checks imply the configuration axioms and that
     the constants are associative with the unit over Z, so neither is
     checked again (see below).  The Schur check needs no stabilizer chain
-    for T: it sifts T's generators through G's chain and proves the rest on
-    T's element list (see ``schur_vs_centralizer``).  It is built once per
-    instance and kept on it; a failure raises and is not kept.  Only a build
-    records its stage timings into ``timings``."""
+    for T: it sifts T's generators through G's chain, and one transversal of
+    T proves T regular and lists it (see ``schur_vs_centralizer``).  More
+    than ALGEBRA_DIM_CAP orbitals are refused right after ``two_orbits``.
+    It is built once per instance and kept on it; a failure raises and is
+    not kept.  Only a build records its stage timings into ``timings``."""
     if instance.configuration is not None:
         return instance.configuration
     G = instance.group
     # two_orbits refuses a degree above its cap, and then an intransitive
     # group, before G.order() does work that grows with the degree
     cc = _clock(timings, "two_orbits", lambda: two_orbits(G))
+    # m is the algebra's dimension at every p: refuse it before the m^3 tensor
+    if cc.m > ALGEBRA_DIM_CAP:
+        raise InputError(f"algebra dimension {cc.m} exceeds cap {ALGEBRA_DIM_CAP}")
     order = _clock(timings, "order", G.order)
     # The strong generators stored at chain levels >= 1 generate a subgroup
     # K of the stabilizer G_0 of the first base point, so K has at least as

@@ -15,7 +15,7 @@ from . import _kernels
 from .coherent import TWO_ORBIT_DEGREE_CAP, CoherentConfiguration
 from .errors import InputError, VerificationError
 from .exactlin import PrimeField
-from .perm import Permutation, PermutationGroup, breadth_first, orbits
+from .perm import Permutation, PermutationGroup, orbits
 
 ALGEBRA_DIM_CAP = 60
 HECKE_ORDER_CAP = 5000
@@ -220,14 +220,6 @@ def _regular_trace(alg: SCAlgebra) -> np.ndarray:
     return np.trace(alg.sc, axis1=1, axis2=2) % alg.field.p
 
 
-def _reduce(vs: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
-    """The rows vs[..., :], entries in [0, p), modulo the span of an rref
-    basis: its rows carry the identity on their pivot columns, so one product
-    clears those columns."""
-    pivots = (basis != 0).argmax(axis=1)
-    return _kernels._mod(vs - _kernels._contract(vs[..., pivots], basis, p), p)
-
-
 def _commutators(alg: SCAlgebra) -> np.ndarray:
     """The rows b_i b_j - b_j b_i for i < j, read off the structure
     constants; they span K = [A, A]."""
@@ -270,7 +262,7 @@ def radical_chain(alg: SCAlgebra) -> RadicalSeries:
     radical = _rowspace(_kernels.nullspace_mod_p(_iterated_frobenius(alg, commutators), p), p)
     if not alg.commutative:
         # row (j, t), column i: the coefficient of b_t in b_i b_j mod T
-        system = _reduce(alg.sc, radical, p).transpose(1, 2, 0).reshape(m * m, m)
+        system = _kernels._reduce(alg.sc, radical, p).transpose(1, 2, 0).reshape(m * m, m)
         radical = _rowspace(_kernels.nullspace_mod_p(system, p), p)
     return _proven_series(alg, radical)
 
@@ -317,7 +309,7 @@ def _proven_series(alg: SCAlgebra, radical: np.ndarray) -> RadicalSeries:
     if radical.shape[0]:
         power = _rowspace(alg.products(radical, radical).reshape(-1, m), p)
         # a row of R^2 lies in R iff reducing it modulo R clears it
-        if _reduce(power, radical, p).any():
+        if _kernels._reduce(power, radical, p).any():
             raise VerificationError("radical candidate is not closed under products")
         if power.shape[0] >= radical.shape[0]:
             raise VerificationError("radical candidate is not nilpotent")
@@ -590,13 +582,6 @@ def is_symmetric(alg: SCAlgebra, hint: PairingForm | None = None,
 # Schur rings over a regular (normal) subgroup
 # ---------------------------------------------------------------------------
 
-def enumerate_regular_subgroup(gens, degree: int) -> list[Permutation]:
-    """Element list in breadth-first order from the identity, multiplying on
-    the right by the generators in their given order.  The order of this list
-    fixes element indices (and therefore label strings) everywhere downstream."""
-    return breadth_first(Permutation.identity(degree), gens, Permutation.__mul__)[0]
-
-
 def _set_of(sets, order: int) -> np.ndarray:
     """For a partition of range(order), the index of the set holding each point."""
     set_of = np.empty(order, dtype=np.int64)
@@ -609,42 +594,43 @@ def _set_of(sets, order: int) -> np.ndarray:
 class SchurRing:
     basic_sets: tuple[tuple[int, ...], ...]  # element indices per basic set
     sc: np.ndarray                            # (m, m, m) integer constants
-    labels: tuple[str, ...]                   # rendered basic-set sums
+    elements: np.ndarray                      # (n, n) int32: row i is element i
 
 
-def schur_ring_from_action(T_elements: list[Permutation], H: PermutationGroup,
-                           element_names=None) -> SchurRing:
+def schur_ring_from_action(T: PermutationGroup, H: PermutationGroup) -> SchurRing:
     """Schur ring spanned by the sums over the H-conjugation orbits on a regular
     subgroup T, with its integer structure constants.  Verifies regularity of
     T, that H normalizes T, and the basic-set axioms (identity is a singleton,
     partition, closure under inversion).  Reduction Z -> F_p is a ring map, so
     the ring mod p is that of F_p[T] at every p.
 
-    The constants need no associativity proof.  The Cayley table is checked
-    against the compositions themselves, so the element list is a group and
-    its sums multiply as in Z[T], which is associative with unit e.  The
-    basic-set sums have disjoint non-empty supports, so they are linearly
-    independent, and the bincount check proves that each product of two of
-    them is the combination of basic-set sums given by the constants.  So
-    the constants are those of a subring of Z[T], associative, with the
-    singleton {e} as unit."""
-    n = T_elements[0].degree
-    order = len(T_elements)
-    img = np.array([t.images for t in T_elements], dtype=np.int64)
-    # n rows with n distinct images of 0 are n distinct elements, so this
-    # also refuses a list that repeats an element
-    if order != n or np.bincount(img[:, 0], minlength=n).max() != 1:
-        raise InputError("subgroup is not regular on the domain")
-    # T is regular, so an element of T is determined by its image of 0
-    pos = np.empty(n, dtype=np.int64)
-    pos[img[:, 0]] = np.arange(order)
+    One transversal of T at 0 (``PermutationGroup.transversal``) proves T
+    regular and lists it.  T is regular iff the orbit of 0 is all n points
+    and every Schreier row is the identity: by Schreier's lemma those rows
+    generate T_0, so |T| = n.  The n rows are products of generators sending
+    0 to n distinct points, so they are exactly T; element i is row i.  As
+    0.(x g) = (0.x).g, that is the breadth-first order from the identity by
+    right multiplication with the generators, at any base point.
 
-    # Cayley table: mult[a, b] = index of a * b (apply a, then b); the
-    # candidate found from the image of 0 is confirmed on the full image row
-    mult = pos[img[:, img[:, 0]].T]
-    for a in range(order):
-        if not np.array_equal(img[:, img[a]], img[mult[a]]):
-            raise InputError("element list is not closed under products")
+    The constants need no associativity proof.  An element of the regular T
+    is determined by its image of 0, so the Cayley table read off the images
+    of 0 is T's own, and the sums multiply as in Z[T], which is associative
+    with unit e.  The basic-set sums have disjoint non-empty supports, so
+    they are linearly independent, and the bincount check proves that each
+    product of two of them is the combination of basic-set sums given by the
+    constants.  So the constants are those of a subring of Z[T], associative,
+    with the singleton {e} as unit."""
+    n = T.degree
+    orbit, img, schreier = T.transversal(0)
+    if len(orbit) != n or (schreier != np.arange(n)).any():
+        raise InputError("subgroup is not regular on the domain")
+    # element pos[x] carries 0 to x
+    pos = np.empty(n, dtype=np.int64)
+    pos[orbit] = np.arange(n)
+
+    # Cayley table: mult[a, b] = index of a * b (apply a, then b), found
+    # from 0.(a * b) = (0.a).b
+    mult = pos[img[:, orbit].T]
     # conjugation by each generator of H, as a permutation of the indices
     conj_maps = []
     for h in H.generators:
@@ -654,32 +640,29 @@ def schur_ring_from_action(T_elements: list[Permutation], H: PermutationGroup,
         if not np.array_equal(img[cand], conj):
             raise InputError("H does not normalize the regular subgroup")
         conj_maps.append(Permutation._unchecked(tuple(cand.tolist())))
-    sets = sorted((sorted(o) for o in orbits(conj_maps, order)), key=lambda s: (len(s), s[0]))
+    sets = sorted((sorted(o) for o in orbits(conj_maps, n)), key=lambda s: (len(s), s[0]))
     m = len(sets)
-    set_of = _set_of(sets, order)
+    set_of = _set_of(sets, n)
     first = np.array([s[0] for s in sets], dtype=np.int64)
 
-    # axioms
-    e_idx = int(pos[0])
-    if [e_idx] not in sets:
+    # axioms; row 0 of the transversal is the identity
+    if [0] not in sets:
         raise VerificationError("identity is not a singleton basic set")
     # inversion is an involution of T, so it carries each basic set onto a
     # basic set iff it carries each into one
-    inverse_set = set_of[np.argmax(mult == e_idx, axis=1)]
+    inverse_set = set_of[np.argmax(mult == 0, axis=1)]
     if not np.array_equal(inverse_set, inverse_set[first[set_of]]):
         raise VerificationError("basic sets are not closed under inversion")
 
     # counts[r, s, x] = #{(i, j) in sets[r] x sets[s] : i * j = x}
-    keys = (set_of[:, None] * m + set_of[None, :]) * order + mult
-    counts = np.bincount(keys.ravel(), minlength=m * m * order).reshape(m, m, order)
+    keys = (set_of[:, None] * m + set_of[None, :]) * n + mult
+    counts = np.bincount(keys.ravel(), minlength=m * m * n).reshape(m, m, n)
     if not np.array_equal(counts, counts[:, :, first[set_of]]):
         raise VerificationError("product of basic-set sums is not constant on a basic set")
-    if element_names is None:
-        element_names = [str(t.images[0]) for t in T_elements]
     return SchurRing(
         basic_sets=tuple(tuple(s) for s in sets),
         sc=counts[:, :, first],
-        labels=tuple("+".join(element_names[i] for i in s) for s in sets),
+        elements=img,
     )
 
 
@@ -697,35 +680,27 @@ def schur_vs_centralizer(G: PermutationGroup, T: PermutationGroup,
     subgroup of G normalized by G_alpha raises InputError.  An element t is
     named point_names[alpha.t].
 
-    T is not checked for normality in G on its own.  T <= G is transitive, so
-    G = T G_alpha, and T normalizes itself; schur_ring_from_action checks
-    that G_alpha normalizes T, so G does."""
+    T's generators are sifted through G's chain; the ring's one transversal
+    of T proves T regular, and alpha.t is read off its rows.  T is not
+    checked for normality in G on its own.  T <= G is transitive, so G = T
+    G_alpha, and T normalizes itself; schur_ring_from_action checks that
+    G_alpha normalizes T, so G does."""
     for t in T.generators:
         if not G.contains(t):
             raise InputError("T is not a subgroup of G")
-    # T is regular iff it is transitive and T_alpha is trivial, that is iff
-    # every Schreier generator of T_alpha is the identity, and
-    # point_stabilizer drops those; so T's elements are listed only when
-    # there are n of them
-    if len(T.orbit(alpha)) != G.degree or T.point_stabilizer(alpha).generators:
-        raise InputError("subgroup is not regular on the domain")
-    H = G.point_stabilizer(alpha)
-    T_elements = enumerate_regular_subgroup(T.generators, G.degree)
-    if point_names is None:
-        point_names = [str(x) for x in range(G.degree)]
-    moved = [t.images[alpha] for t in T_elements]
     # No associativity proof on either side: the ring's constants are those
     # of a subring of Z[T] (see schur_ring_from_action), and the orbital
     # constants those of the span of the adjacency matrices, once the
     # configuration stage's adjacency check has passed.  Below they are
     # compared entry by entry over Z.
-    ring = schur_ring_from_action(T_elements, H, [point_names[x] for x in moved])
+    ring = schur_ring_from_action(T, G.point_stabilizer(alpha))
+    moved = ring.elements[:, alpha]
 
     def mismatch(detail):
         return VerificationError(f"Schur ring correspondence failed: {detail}")
 
     sizes = np.array([len(s) for s in ring.basic_sets])
-    set_of = _set_of(ring.basic_sets, len(T_elements))
+    set_of = _set_of(ring.basic_sets, G.degree)
     # orbital of (alpha, alpha.t) for every t; sigma[s] is the basic set of
     # some member of V_s, and V_s is that set iff it meets no other set and
     # has its size (basic sets are not empty, so an empty V_s fails)
@@ -751,7 +726,8 @@ def schur_vs_centralizer(G: PermutationGroup, T: PermutationGroup,
     if len(bad):
         r, s, t = map(int, bad[0])
         raise mismatch(f"structure constants differ at (r={r}, s={s}, t={t})")
-    return ring.labels
+    names = [str(x) if point_names is None else point_names[x] for x in moved.tolist()]
+    return tuple("+".join(names[i] for i in s) for s in ring.basic_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +753,7 @@ def _iterated_frobenius(alg: SCAlgebra, commutators: np.ndarray) -> np.ndarray:
     p = alg.field.p
     m = alg.dim
     # column j is b_j^p mod K
-    frob = _reduce(alg.power(np.eye(m, dtype=np.int64), p), commutators, p).T
+    frob = _kernels._reduce(alg.power(np.eye(m, dtype=np.int64), p), commutators, p).T
     total = np.eye(m, dtype=np.int64)
     for _ in range(_frobenius_exponent(p, m)):
         total = _kernels._contract(frob, total, p)

@@ -187,17 +187,16 @@ def parse_generator_text(text: str):
 def breadth_first(start, gens, step):
     """Everything reachable from ``start`` by moves ``step(x, g)`` with g in
     ``gens``: the list in breadth-first order, trying the generators in their
-    given order, and a dict mapping each item found after ``start`` to the
-    (item, generator) pair it was first reached from."""
+    given order, and the set of the items found."""
     found = [start]
-    parent = {start: None}
+    seen = {start}
     for x in found:  # the list grows while it is walked
         for g in gens:
             y = step(x, g)
-            if y not in parent:
-                parent[y] = (x, g)
+            if y not in seen:
+                seen.add(y)
                 found.append(y)
-    return found, parent
+    return found, seen
 
 
 def _image(point: int, g: Permutation) -> int:
@@ -535,9 +534,11 @@ class PermutationGroup:
     def orbits(self):
         return orbits(self.generators, self.degree)
 
-    def point_stabilizer(self, alpha: int) -> "PermutationGroup":
-        """Stabilizer of a point, generated by the Schreier generators
-        u_b * g * u_{b.g}^-1 of the orbit of alpha, b-major."""
+    def transversal(self, alpha: int):
+        """The orbit of alpha in breadth-first order; the transversal rows,
+        int32, row k a product of generators carrying alpha to orbit[k] (row
+        0 the identity); and the Schreier rows u_b * g * u_{b.g}^-1, b-major,
+        which generate the stabilizer of alpha by Schreier's lemma."""
         self._check_point(alpha)
         images = [g.images for g in self.generators]
         stack = np.array(images, dtype=np.int32).reshape(len(images), self.degree)
@@ -546,7 +547,12 @@ class PermutationGroup:
         # words[b, j] = u_b * g_j, indexed [b, j, x]
         words = stack[np.arange(len(images))[:, None], rows[:, None, :]]
         ends = index[stack[:, orbit].T.ravel()]
-        schreier = inverse_rows[ends[:, None], words.reshape(-1, self.degree)]
+        return orbit, rows, inverse_rows[ends[:, None], words.reshape(-1, self.degree)]
+
+    def point_stabilizer(self, alpha: int) -> "PermutationGroup":
+        """Stabilizer of a point, generated by the Schreier generators
+        u_b * g * u_{b.g}^-1 of the orbit of alpha, b-major."""
+        schreier = self.transversal(alpha)[2]
         # the group constructor drops the identity and repeated generators
         return PermutationGroup(self.degree, [
             Permutation._unchecked(tuple(row)) for row in schreier.tolist()

@@ -292,6 +292,31 @@ def test_configuration_builds_no_stabilizer_chain_for_the_regular_subgroup(monke
     assert T_gens not in built
 
 
+@pytest.mark.parametrize("spec,m", [("frobenius:499,2", 250), ("frobenius:241,4", 61)])
+def test_configuration_refuses_the_algebra_cap_before_the_tensor(monkeypatch, spec, m):
+    # the orbital count is the algebra's dimension at every p, so a group
+    # above the cap is refused right after two_orbits: neither the m^3
+    # tensor nor the Schur check runs
+    called = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            called.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("intersection_tensor", "schur_vs_centralizer"):
+        monkeypatch.setattr(analysis, name, recording(name, getattr(analysis, name)))
+    inst = fresh_instance(spec)
+    message = f"algebra dimension {m} exceeds cap {endo.ALGEBRA_DIM_CAP}"
+    with pytest.raises(InputError, match=message):
+        configuration(inst)
+    with pytest.raises(InputError, match=message):
+        run_analysis(spec, 2, instance=inst)
+    assert called == []
+    assert inst.configuration is None
+
+
 def test_hecke_dimension_is_reported_above_the_scan_cap():
     # |PSL(2,32)| = 32736 is above the scan's cap, and |H| = 992 is prime to 3
     rep = run_analysis("psl2line:32", 3, oracle=True)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import importlib.util
 import itertools
+import random
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,6 @@ from permsym.coherent import (
 from permsym.endo import (
     centralizer_algebra,
     centralizer_oracle,
-    enumerate_regular_subgroup,
     hecke_check,
     is_symmetric,
     make_algebra,
@@ -41,6 +41,7 @@ from permsym.perm import (
     PermutationGroup,
     StabilizerChain,
     breadth_first,
+    orbits,
     parse_permutation,
 )
 from permsym.suite import AXIOM_SUITE_SPECS
@@ -1259,8 +1260,9 @@ def test_quotient_algebra_matches_the_pivot_loop(spec, p):
 # ---------------------------------------------------------------------------
 
 def bfs_closure(gens, degree):
-    """The breadth-first element list that enumerate_regular_subgroup first
-    used, on image tuples: right multiplication by the generators in order."""
+    """The breadth-first element list of the group the generators make, on
+    image tuples: right multiplication by the generators in order, from the
+    identity.  It was the package's element order of a regular subgroup."""
     elems = [tuple(range(degree))]
     seen = set(elems)
     for x in elems:
@@ -1272,42 +1274,161 @@ def bfs_closure(gens, degree):
     return elems
 
 
+def reference_schur_ring(elements, H):
+    """The basic sets and integer constants of the Schur ring over the
+    elements given as image tuples, by the route the package took before one
+    transversal proved T regular: refuse a list that is not n elements with
+    n distinct images of 0, check the Cayley table read off the images of 0
+    row by row against the compositions, check that H normalizes the list,
+    and count products over the H-conjugation orbits."""
+    n = len(elements[0])
+    img = np.array(elements, dtype=np.int64)
+    if len(elements) != n or np.bincount(img[:, 0], minlength=n).max() != 1:
+        raise InputError("subgroup is not regular on the domain")
+    pos = np.empty(n, dtype=np.int64)
+    pos[img[:, 0]] = np.arange(n)
+    mult = pos[img[:, img[:, 0]].T]
+    for a in range(n):
+        if not np.array_equal(img[:, img[a]], img[mult[a]]):
+            raise InputError("element list is not closed under products")
+    conj_maps = []
+    for h in H.generators:
+        himg = np.array(h.images, dtype=np.int64)
+        conj = himg[img[:, np.argsort(himg)]]
+        cand = pos[conj[:, 0]]
+        if not np.array_equal(img[cand], conj):
+            raise InputError("H does not normalize the regular subgroup")
+        conj_maps.append(Permutation(cand.tolist()))
+    sets = sorted((sorted(o) for o in orbits(conj_maps, n)), key=lambda s: (len(s), s[0]))
+    m = len(sets)
+    set_of = np.empty(n, dtype=np.int64)
+    for k, members in enumerate(sets):
+        set_of[members] = k
+    counts = np.zeros((m, m, n), dtype=np.int64)
+    np.add.at(counts, (set_of[:, None], set_of[None, :], mult), 1)
+    assert np.array_equal(counts, counts[:, :, [sets[k][0] for k in set_of]])
+    return tuple(tuple(s) for s in sets), counts[:, :, [s[0] for s in sets]]
+
+
+def basic_sums(basic_sets, names):
+    return tuple("+".join(names[i] for i in s) for s in basic_sets)
+
+
+def assert_schur_routes_agree(G, T, cc, tensor, alpha, point_names=None):
+    """The ring and the basic-set sums of the transversal route equal those
+    of the breadth-first list fed to the reference ring, at the point alpha."""
+    H = G.point_stabilizer(alpha)
+    elements = bfs_closure(T.generators, G.degree)
+    basic_sets, sc = reference_schur_ring(elements, H)
+    ring = schur_ring_from_action(T, H)
+    assert [tuple(row) for row in ring.elements.tolist()] == elements
+    assert ring.basic_sets == basic_sets
+    assert np.array_equal(ring.sc, sc)
+    if point_names is None:
+        point_names = [str(x) for x in range(G.degree)]
+    names = [point_names[t[alpha]] for t in elements]
+    sums = schur_vs_centralizer(G, T, cc, tensor, alpha=alpha, point_names=point_names)
+    assert sums == basic_sums(basic_sets, names)
+
+
+def catalog_regular_specs():
+    """example3_2 and every frobenius:q,d with q <= 113 and m <= 60."""
+    specs = ["example3_2"]
+    for q in range(3, 114):
+        if all(q % k for k in range(2, q)):
+            specs += [f"frobenius:{q},{d}" for d in range(2, q)
+                      if (q - 1) % d == 0 and (q - 1) // d + 1 <= ALGEBRA_DIM_CAP]
+    return specs
+
+
+@pytest.mark.parametrize("spec", catalog_regular_specs())
+def test_catalog_schur_rings_match_the_list_fed_reference(spec):
+    inst = build_instance(spec)
+    G = inst.group
+    T = PermutationGroup(G.degree, inst.regular.gens)
+    cc = two_orbits(G)
+    tensor = intersection_tensor(cc)
+    for alpha in sorted({0, G.degree // 2, G.degree - 1}):
+        assert_schur_routes_agree(G, T, cc, tensor, alpha, inst.regular.point_names)
+
+
+def random_regular_holomorph(rng):
+    """The right-regular action R of the group X made by 1-3 random
+    permutations of degree 2-5, on X's breadth-first element list, and the
+    group G made by R, the left multiplications and, for an abelian X, the
+    inversion.  R is regular and normal in G, and G_e acts on R by the inner
+    automorphisms (and the inversion), so the Schur ring is that of X's
+    conjugacy classes, or of the classes {x, x^-1}."""
+    degree = rng.randint(2, 5)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        images = list(range(degree))
+        rng.shuffle(images)
+        gens.append(Permutation(images))
+    elements = [Permutation(x) for x in bfs_closure(gens, degree)]
+    index = {x: i for i, x in enumerate(elements)}
+    right = [Permutation([index[x * g] for x in elements]) for g in gens]
+    moves = right + [Permutation([index[g * x] for x in elements]) for g in gens]
+    if all(g * h == h * g for g in gens for h in gens):
+        moves.append(Permutation([index[Permutation(np.argsort(x.images))] for x in elements]))
+    n = len(elements)
+    return PermutationGroup(n, moves), PermutationGroup(n, right)
+
+
+def test_random_schur_rings_match_the_list_fed_reference():
+    # 200 regular groups, abelian and not, at the point 0 and a random point;
+    # an order of at most 120 keeps the reference's Cayley-table loop small
+    rng = random.Random(7)
+    orders = set()
+    for _ in range(200):
+        G, T = random_regular_holomorph(rng)
+        orders.add(G.degree)
+        cc = two_orbits(G)
+        tensor = intersection_tensor(cc)
+        for alpha in (0, rng.randrange(G.degree)):
+            assert_schur_routes_agree(G, T, cc, tensor, alpha)
+    assert {6, 8, 24, 120} <= orders
+
+
 @pytest.mark.parametrize("spec", ["frobenius:73,2", "example3_2"])
 def test_regular_enumeration_order_matches_reference(spec):
+    # rows of a transversal of a regular T list T in the breadth-first order,
+    # at every base point
     inst = build_instance(spec)
-    elems = enumerate_regular_subgroup(inst.regular.gens, inst.group.degree)
-    assert [t.images for t in elems] == bfs_closure(inst.regular.gens, inst.group.degree)
+    T = PermutationGroup(inst.group.degree, inst.regular.gens)
+    reference = bfs_closure(inst.regular.gens, inst.group.degree)
+    for alpha in range(T.degree):
+        assert [tuple(row) for row in T.transversal(alpha)[1].tolist()] == reference
 
 
 def test_regular_enumeration_order_for_shear_group():
     inst = build_instance("example3_2")
-    elems = enumerate_regular_subgroup(inst.regular.gens, 9)
-    names = [inst.regular.point_names[t.images[0]] for t in elems]
+    ring = schur_ring_from_action(PermutationGroup(9, inst.regular.gens), PermutationGroup(9, []))
+    names = [inst.regular.point_names[x] for x in ring.elements[:, 0].tolist()]
     assert names == ["1", "a", "b", "a2", "ab", "b2", "a2b", "ab2", "a2b2"]
 
 
 def test_schur_ring_z7_multipliers():
     # T = Z_7, H generated by x -> 2x (order-3 multiplier): orbits {0},{1,2,4},{3,5,6}
-    T_elements = enumerate_regular_subgroup([parse_permutation("(1 2 3 4 5 6 7)", 7)], 7)
+    T = PermutationGroup(7, [parse_permutation("(1 2 3 4 5 6 7)", 7)])
     H = PermutationGroup(7, [parse_permutation("(2 3 5)(4 7 6)", 7)])
-    ring = schur_ring_from_action(T_elements, H)
+    ring = schur_ring_from_action(T, H)
     assert [sorted(s) for s in ring.basic_sets] == [[0], [1, 2, 4], [3, 5, 6]]
 
 
 def test_schur_ring_trivial_h_gives_singletons():
-    T_elements = enumerate_regular_subgroup([parse_permutation("(1 2 3 4 5)", 5)], 5)
-    ring = schur_ring_from_action(T_elements, PermutationGroup(5, []))
+    T = PermutationGroup(5, [parse_permutation("(1 2 3 4 5)", 5)])
+    ring = schur_ring_from_action(T, PermutationGroup(5, []))
     assert all(len(s) == 1 for s in ring.basic_sets)
     assert len(ring.basic_sets) == 5
 
 
 def test_schur_ring_shear_basic_sums():
     inst = build_instance("example3_2")
-    elems = enumerate_regular_subgroup(inst.regular.gens, 9)
-    names = [inst.regular.point_names[t.images[0]] for t in elems]
     H = inst.group.point_stabilizer(0)
-    ring = schur_ring_from_action(elems, H, names)
-    assert list(ring.labels) == ["1", "a", "a2", "b+ab+a2b", "b2+ab2+a2b2"]
+    ring = schur_ring_from_action(PermutationGroup(9, inst.regular.gens), H)
+    names = [inst.regular.point_names[x] for x in ring.elements[:, 0].tolist()]
+    assert basic_sums(ring.basic_sets, names) == ("1", "a", "a2", "b+ab+a2b", "b2+ab2+a2b2")
 
 
 def schur_check(G, T, **kwargs):
@@ -1315,37 +1436,18 @@ def schur_check(G, T, **kwargs):
     return schur_vs_centralizer(G, T, cc, intersection_tensor(cc), **kwargs)
 
 
-def test_schur_ring_rejects_a_list_not_closed_under_products():
-    T_elements = enumerate_regular_subgroup([parse_permutation("(1 2 3 4)", 4)], 4)
-    swapped = [t for t in T_elements if t.images[0] == 2]
-    assert swapped[0].images == (2, 3, 0, 1)
-    # (1 3) also sends 0 to 2, so the list is still regular on the domain
-    fake = [parse_permutation("(1 3)", 4) if t.images[0] == 2 else t for t in T_elements]
-    with pytest.raises(InputError, match="not closed under products"):
-        schur_ring_from_action(fake, PermutationGroup(4, []))
-
-
 def test_schur_ring_rejects_a_subgroup_that_is_not_regular():
     # S_3 on 3 points is transitive but has order 6
     S3 = build_instance("sym:3").group
     with pytest.raises(InputError, match="subgroup is not regular on the domain"):
-        schur_ring_from_action(S3.elements(), PermutationGroup(3, []))
-
-
-def test_schur_ring_refuses_a_list_that_repeats_an_element():
-    # no separate duplicate scan: n rows with n distinct images of 0 are n
-    # distinct elements, so the regularity check refuses a repeated element
-    T_elements = enumerate_regular_subgroup([parse_permutation("(1 2 3 4)", 4)], 4)
-    repeated = [T_elements[0], T_elements[1], T_elements[1], T_elements[3]]
-    with pytest.raises(InputError, match="subgroup is not regular on the domain"):
-        schur_ring_from_action(repeated, PermutationGroup(4, []))
+        schur_ring_from_action(S3, PermutationGroup(3, []))
 
 
 def test_schur_ring_rejects_h_that_does_not_normalize():
-    T_elements = enumerate_regular_subgroup([parse_permutation("(1 2 3 4)", 4)], 4)
+    T = PermutationGroup(4, [parse_permutation("(1 2 3 4)", 4)])
     H = PermutationGroup(4, [parse_permutation("(1 2)", 4)])
     with pytest.raises(InputError, match="does not normalize"):
-        schur_ring_from_action(T_elements, H)
+        schur_ring_from_action(T, H)
 
 
 @pytest.mark.parametrize("partition,message", [
@@ -1355,10 +1457,10 @@ def test_schur_ring_rejects_h_that_does_not_normalize():
 def test_schur_ring_checks_the_basic_set_axioms(monkeypatch, partition, message):
     # conjugation orbits always pass both axioms, so a partition is injected;
     # element i of the list is the translation by i, with inverse 7 - i
-    T_elements = enumerate_regular_subgroup([parse_permutation("(1 2 3 4 5 6 7)", 7)], 7)
+    T = PermutationGroup(7, [parse_permutation("(1 2 3 4 5 6 7)", 7)])
     monkeypatch.setattr(endo, "orbits", lambda gens, n: partition)
     with pytest.raises(VerificationError, match=message):
-        schur_ring_from_action(T_elements, PermutationGroup(7, []))
+        schur_ring_from_action(T, PermutationGroup(7, []))
 
 
 def test_schur_vs_centralizer_cases():
@@ -1395,18 +1497,19 @@ def test_schur_vs_centralizer_refuses_a_t_that_is_not_regular_before_listing_it(
     def recording(fn):
         def wrapped(*args, **kwargs):
             out = fn(*args, **kwargs)
-            sizes.append(len(out[0] if isinstance(out, tuple) else out))
+            sizes.append(len(out[1] if isinstance(out, tuple) else out))
             return out
         return wrapped
 
-    monkeypatch.setattr(endo, "breadth_first", recording(endo.breadth_first))
+    monkeypatch.setattr(PermutationGroup, "transversal", recording(PermutationGroup.transversal))
     monkeypatch.setattr(PermutationGroup, "elements", recording(PermutationGroup.elements))
     monkeypatch.setattr(StabilizerChain, "elements", recording(StabilizerChain.elements))
-    # the recorder sees the n elements of a regular T
+    # the recorder sees the transversal of G_0 and then T's n rows, which
+    # are the elements of a regular T
     inst = build_instance("frobenius:7,3")
     schur_vs_centralizer(inst.group, PermutationGroup(7, inst.regular.gens),
                          *configuration_of("frobenius:7,3"))
-    assert sizes == [7]
+    assert sizes == [7, 7]
     sizes.clear()
     G = build_instance("psl2cosets:32").group
     cc, tensor = configuration_of("psl2cosets:32")
@@ -1490,17 +1593,18 @@ def schur_ring_of(spec):
     """The Schur ring of a catalog instance's regular normal subgroup, and the
     coordinates of its unit, the singleton {e}."""
     inst = build_instance(spec)
-    T_elements = enumerate_regular_subgroup(inst.regular.gens, inst.group.degree)
-    ring = schur_ring_from_action(T_elements, inst.group.point_stabilizer(0))
-    e = next(i for i, t in enumerate(T_elements) if t.is_identity())
+    T = PermutationGroup(inst.group.degree, inst.regular.gens)
+    ring = schur_ring_from_action(T, inst.group.point_stabilizer(0))
+    e = next(i for i, t in enumerate(ring.elements.tolist()) if t == sorted(t))
     unit = np.array([s == (e,) for s in ring.basic_sets], dtype=np.int64)
     return ring, unit
 
 
 @pytest.mark.parametrize("spec", ["example3_2", "frobenius:7,3", "frobenius:5,2", "frobenius:73,2"])
 def test_schur_ring_constants_pass_the_reference_proof(spec):
-    # schur_ring_from_action runs no proof: its checked Cayley table makes
-    # the constants those of a subring of Z[T].  The m^4 proof over Z agrees.
+    # schur_ring_from_action runs no proof: T's Cayley table, read off a
+    # transversal that proves T regular, makes the constants those of a
+    # subring of Z[T].  The m^4 proof over Z agrees.
     ring, unit = schur_ring_of(spec)
     assert unit.sum() == 1
     verify_algebra(ring.sc, unit)
@@ -1508,7 +1612,7 @@ def test_schur_ring_constants_pass_the_reference_proof(spec):
 
 def test_no_schur_path_runs_an_associativity_proof():
     # the package holds no associativity proof to call: the Schur check
-    # compares constants and the ring reads its own off a checked Cayley table
+    # compares constants and the ring reads its own off T's Cayley table
     assert not [name for name in vars(endo) if "verify_algebra" in name]
     inst = build_instance("frobenius:7,3")
     cc, tensor = configuration_of("frobenius:7,3")
