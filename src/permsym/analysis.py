@@ -184,8 +184,7 @@ def configuration(instance: CatalogInstance, timings: dict | None = None) -> Con
     if instance.configuration is not None:
         return instance.configuration
     G = instance.group
-    # two_orbits refuses a degree above its cap, and then an intransitive
-    # group, before G.order() does work that grows with the degree
+    # two_orbits refuses an intransitive group
     cc = _clock(timings, "two_orbits", lambda: two_orbits(G))
     # m is the algebra's dimension at every p: refuse it before the m^3 tensor
     if cc.m > ALGEBRA_DIM_CAP:
@@ -229,8 +228,7 @@ def configuration(instance: CatalogInstance, timings: dict | None = None) -> Con
     #   A_r (A_s A_u) through the proven identity A_r A_s = sum_t C[t,r,s] A_t
     #   and comparing coefficients gives the associativity of C;
     # - A_0 = I, and I A_s = A_s = A_s I gives the unit on both sides.
-    classification = _clock(timings, "classify",
-                            lambda: classify_action(cc, tensor, instance.faithful))
+    classification = _clock(timings, "classify", lambda: classify_action(cc, tensor))
 
     schur = None
     if instance.regular is not None:

@@ -39,7 +39,6 @@ class RegularSubgroup:
 class CatalogInstance:
     spec: str
     group: PermutationGroup
-    faithful: bool = True
     regular: RegularSubgroup | None = None
     # the p-independent stage of the analysis (analysis.configuration), None
     # until built; dataclasses.replace gives the copy None
@@ -95,8 +94,7 @@ def _alt(spec, n):
 
 
 def _on_pairs(spec, base):
-    group = action_on_ksubsets(base, 2)
-    return CatalogInstance(spec, group, faithful=group.order() == base.order())
+    return CatalogInstance(spec, action_on_ksubsets(base, 2))
 
 
 def _altpairs(spec, n):
@@ -127,8 +125,7 @@ def _signtwist(spec, n):
     sub = PermutationGroup(m, [h1, h2])
     if sub.order() != math.factorial(n):
         raise VerificationError("twisted subgroup has unexpected order")
-    group = action_on_cosets(big, sub)
-    return CatalogInstance(spec, group, faithful=group.order() == big.order())
+    return CatalogInstance(spec, action_on_cosets(big, sub))
 
 
 def _primitive_root(q: int) -> int:
@@ -297,8 +294,7 @@ def _psl2_cosets(spec, q):
     if q not in (8, 32):
         raise InputError(f"psl2cosets supports q in (8, 32), got {q}")
     G = _build("psl2line", (q,)).group
-    group = action_on_cosets(G, _dihedral_subgroup(q))
-    return CatalogInstance(spec, group, faithful=group.order() == G.order())
+    return CatalogInstance(spec, action_on_cosets(G, _dihedral_subgroup(q)))
 
 
 def build_from_file(path: str) -> CatalogInstance:
@@ -366,9 +362,9 @@ def _spec(head, params):
 @lru_cache(maxsize=None)
 def _build(head: str, params: tuple[int, ...]) -> CatalogInstance:
     """The instance of a family for parsed parameters, built once per process.
-    The degree cap is checked before any generator is built: the n - 2
-    generators that altpairs:n and signtwist:n induce take memory that grows
-    as n times the degree."""
+    The degree cap is checked on ``points(*params)`` before the builder runs,
+    so an oversized spec builds no generator and no stabilizer chain: a
+    derived family would build the chain of the group it is induced from."""
     family = FAMILIES[head]
     spec = _spec(head, params)
     points = family.points(*params)

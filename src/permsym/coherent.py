@@ -12,7 +12,6 @@ import numpy as np
 from .errors import InputError
 from .perm import PermutationGroup, orbits
 
-TWO_ORBIT_DEGREE_CAP = 1000
 # cells (b, r, s) counted by one bincount of adjacency_product_check
 PRODUCT_BLOCK_CELLS = 1 << 22
 
@@ -48,9 +47,8 @@ def two_orbits(G: PermutationGroup) -> CoherentConfiguration:
     it is given, without trusting the chain: it checks the row-0 facts above,
     counts the K-orbits against the m labels, and runs
     ``adjacency_product_check``; see there for the argument."""
+    # no cap on n here: PermutationGroup refuses a degree above perm.DEGREE_CAP
     n = G.degree
-    if n > TWO_ORBIT_DEGREE_CAP:
-        raise InputError(f"degree {n} exceeds the pair-table cap {TWO_ORBIT_DEGREE_CAP}")
     levels = G.chain.levels
     if n == 1:  # the trivial group, with no chain levels
         inverse_rows = np.zeros((1, 1), dtype=np.int32)

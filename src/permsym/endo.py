@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .coherent import TWO_ORBIT_DEGREE_CAP, CoherentConfiguration
+from .coherent import CoherentConfiguration
 from .errors import InputError, VerificationError
 from .exactlin import PrimeField
 from .perm import Permutation, PermutationGroup, orbits
@@ -131,9 +131,8 @@ def centralizer_oracle(G: PermutationGroup) -> np.ndarray:
     every other edge's row, so over every F_p the rank is n^2 minus the
     number of connected components (Biggs, Algebraic Graph Theory, ch. 4),
     and the nullity is that number."""
+    # no cap on n here: PermutationGroup refuses a degree above perm.DEGREE_CAP
     n = G.degree
-    if n > TWO_ORBIT_DEGREE_CAP:
-        raise InputError(f"degree {n} exceeds the pair-table cap {TWO_ORBIT_DEGREE_CAP}")
     # a union links the larger root below the smaller one, so every root is
     # the least pair of its component and parent[x] <= x throughout
     parent = list(range(n * n))

@@ -33,8 +33,9 @@ import numpy as np
 from .errors import InputError, VerificationError
 from .exactlin import PrimeField
 
-DEGREE_CAP = 10_000  # largest degree read from a file or induced on subsets or cosets
-KSUBSET_DEGREE_CAP = COSET_INDEX_CAP = DEGREE_CAP
+# the pair-table cap on every degree, checked where each degree is first known
+# and in PermutationGroup, so that no larger group exists
+DEGREE_CAP = 1000
 ENUMERATION_ORDER_CAP = 100_000
 
 
@@ -136,7 +137,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
         body = text[pos + 1 : end].replace(",", " ").split()
         cycle = []
         for tok in body:
-            if not tok.isdigit():
+            if not tok.isdecimal():
                 raise InputError(f"bad token {tok!r} at position {pos} in {text!r}")
             v = int(tok)
             if not 1 <= v <= degree:
@@ -169,7 +170,7 @@ def parse_generator_text(text: str):
             continue
         if degree is None:
             parts = line.split()
-            if len(parts) != 2 or parts[0] != "degree" or not parts[1].isdigit():
+            if len(parts) != 2 or parts[0] != "degree" or not parts[1].isdecimal():
                 raise InputError(f"line {lineno}: expected 'degree n', got {raw!r}")
             degree = int(parts[1])
             if not 1 <= degree <= DEGREE_CAP:
@@ -491,6 +492,8 @@ class PermutationGroup:
     that order (see ``StabilizerChain``).  Only the derived actions set it."""
 
     def __init__(self, degree: int, generators=(), order_bound: int | None = None):
+        if degree > DEGREE_CAP:
+            raise InputError(f"degree {degree} exceeds the pair-table cap {DEGREE_CAP}")
         gens = []
         seen = set()
         for g in generators:
@@ -612,7 +615,7 @@ def minimal_block(G: PermutationGroup, alpha: int, beta: int):
     return sorted(x for x in range(n) if find(x) == root)
 
 
-def classify_action(cc, tensor: np.ndarray, faithful: bool = True) -> ActionClassification:
+def classify_action(cc, tensor: np.ndarray) -> ActionClassification:
     """Read the classification off the orbital configuration ``cc`` of a
     transitive group (``coherent.two_orbits`` refuses any other) and its
     proven intersection tensor C: the rank is the orbital count and the
@@ -624,7 +627,13 @@ def classify_action(cc, tensor: np.ndarray, faithful: bool = True) -> ActionClas
     closure decides every s: reached[s, t] grows from the suborbit {0}, of
     the diagonal orbital 0, until it is stable.  Each step is one batched
     float64 matmul over s, exact because its entries are 0 or 1 and every sum
-    is at most m."""
+    is at most m.
+
+    Faithfulness is a theorem (Dixon and Mortimer, *Permutation Groups*,
+    1996): a group given on its own domain acts faithfully there, A_n and
+    S_n act faithfully on pairs for n >= 3, and the coset actions are of
+    simple groups, A_(n+2) for n >= 3 and PSL(2, q) for q >= 4, which act
+    non-trivially and so have a trivial kernel."""
     subdegrees = tuple(sorted(int(v) for v in cc.valency))
     rest = list(subdegrees)
     rest.remove(1)  # the fixed point {alpha}
@@ -637,13 +646,13 @@ def classify_action(cc, tensor: np.ndarray, faithful: bool = True) -> ActionClas
         last, reached = reached, reached | (reached[:, None, :] @ steps > 0)[:, 0, :]
     return ActionClassification(
         transitive=True,
+        faithful=True,
         orbit_sizes=(cc.n,),
         subdegrees=subdegrees,
         rank=cc.m,
         half_transitive=True,
         three_halves_transitive=three_halves,
         primitive=bool(reached[1:].all()),
-        faithful=faithful,
     )
 
 
@@ -657,8 +666,8 @@ def action_on_ksubsets(G: PermutationGroup, k: int) -> PermutationGroup:
     n = G.degree
     if not 0 <= k <= n:
         raise InputError(f"k must be in 0..{n}, got {k}")
-    if math.comb(n, k) > KSUBSET_DEGREE_CAP:
-        raise InputError(f"induced degree {math.comb(n, k)} exceeds cap {KSUBSET_DEGREE_CAP}")
+    if math.comb(n, k) > DEGREE_CAP:
+        raise InputError(f"induced degree {math.comb(n, k)} exceeds cap {DEGREE_CAP}")
     subsets = list(combinations(range(n), k))
     index = {s: i for i, s in enumerate(subsets)}
     gens = []
@@ -696,8 +705,8 @@ def action_on_cosets(G: PermutationGroup, H: PermutationGroup) -> PermutationGro
             j = index.get(key)
             if j is None:
                 j = len(index)
-                if j >= COSET_INDEX_CAP:
-                    raise InputError(f"coset index exceeds cap {COSET_INDEX_CAP}")
+                if j >= DEGREE_CAP:
+                    raise InputError(f"coset index exceeds cap {DEGREE_CAP}")
                 index[key] = j
                 new.append(k)
             targets.append(j)

@@ -8,6 +8,7 @@ enforced as sub-checks, labelled with the bound only (a failing one also
 gives the measured time).
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -15,12 +16,7 @@ import numpy as np
 
 from .analysis import configuration, run_analysis
 from .catalog import build_instance
-from .coherent import (
-    adjacency_product_check,
-    intersection_tensor,
-    two_orbits,
-    verify_cc_axioms,
-)
+from .coherent import adjacency_product_check, verify_cc_axioms
 from .endo import (
     centralizer_algebra,
     hecke_check,
@@ -175,7 +171,8 @@ def crit_sign_twist_family(ctx: SuiteContext) -> CriterionResult:
             sorted(cls.subdegrees), sorted([1, 2 * n, n * (n - 1) // 2]),
             f"subdegrees at n={n}",
         )
-        c.expect(inst.faithful, f"faithful at n={n}")
+        # |A_(n+2)| = (n+2)!/2: the coset action is faithful on A_(n+2)
+        c.expect(inst.group.order() == math.factorial(n + 2) // 2, f"faithful at n={n}")
         c.expect_within(dt, 2.0, f"runtime at n={n}")
     rep, dt = _timed(lambda: ctx.analyze("signtwist:5", 5))
     c.expect(rep.verdict.is_positive(), f"symmetric verdict at (n,p)=(5,5) ({rep.verdict.status})")
@@ -234,12 +231,11 @@ def crit_frobenius(ctx: SuiteContext) -> CriterionResult:
 def crit_config_axioms(ctx: SuiteContext) -> CriterionResult:
     c = _Checker("config-axioms")
     for spec in AXIOM_SUITE_SPECS:
-        G = ctx.instance(spec).group
-        cc = two_orbits(G)
-        tensor = intersection_tensor(cc)
-        rep = verify_cc_axioms(cc, tensor)
+        config = ctx.configuration(spec)
+        rep = verify_cc_axioms(config.cc, config.tensor)
         c.expect(rep.passed, f"axioms and triangle identity for {spec}")
-        passed, detail = adjacency_product_check(cc, tensor, G.generators)
+        passed, detail = adjacency_product_check(config.cc, config.tensor,
+                                                 ctx.instance(spec).group.generators)
         c.expect(passed, f"integer adjacency product identity for {spec} ({detail})")
     return c.result()
 

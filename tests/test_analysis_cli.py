@@ -65,8 +65,26 @@ def test_degree_above_pair_table_cap_rejected_before_order(tmp_path, monkeypatch
         raise AssertionError("order computed before the degree cap was checked")
 
     monkeypatch.setattr(PermutationGroup, "order", no_order)
-    with pytest.raises(InputError, match="degree 1001 exceeds the pair-table cap 1000"):
+    with pytest.raises(InputError, match=r"line 1: degree must be in 1\.\.1000, got 1001"):
         run_analysis(f"file:{path}", 2)
+
+
+@pytest.mark.parametrize("spec,degree", [
+    ("sym:1001", 1001), ("alt:1001", 1001), ("altpairs:46", 1035),
+    ("sympairs:46", 1035), ("signtwist:44", 1035), ("frobenius:1009,2", 1009),
+])
+def test_smallest_oversized_parameter_builds_no_chain(monkeypatch, capsys, spec, degree):
+    # the cap is checked on the family's point count, before its builder
+    # runs: no stabilizer chain (of the group or of the one it is induced
+    # from) and no intersection tensor
+    def refuse(*args, **kwargs):
+        raise AssertionError("refused too late")
+
+    monkeypatch.setattr(perm.StabilizerChain, "build", refuse)
+    monkeypatch.setattr(coherent, "intersection_tensor", refuse)
+    monkeypatch.setattr(analysis, "intersection_tensor", refuse)
+    assert cli.main(["analyze", "--group", spec, "--char", "2"]) == 2
+    assert f"{spec} acts on {degree} points, above the cap 1000" in capsys.readouterr().err
 
 
 def test_composite_characteristic_rejected():
@@ -511,7 +529,20 @@ def test_cli_refuses_an_oversized_catalog_parameter(capsys):
     # sym:n builds two generators, so this stays small even if the catalog's
     # own cap were missing; the message tells which check refused it
     assert cli.main(["analyze", "--group", "sym:20000", "--char", "2"]) == 2
-    assert "sym:20000 acts on 20000 points, above the cap 10000" in capsys.readouterr().err
+    assert "sym:20000 acts on 20000 points, above the cap 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("degree \u00b2\n", "line 1: expected 'degree n'"),
+    ("degree 3\n(1 \u00b2)\n", "line 2: bad token"),
+], ids=["header", "cycle"])
+def test_cli_refuses_a_non_ascii_digit_in_a_file(text, message, tmp_path, capsys):
+    # "\u00b2" is a superscript two: str.isdigit accepts it and int refuses it
+    path = tmp_path / "gens.txt"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["analyze", "--file", str(path), "--char", "2"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])

@@ -52,7 +52,7 @@ def test_sign_twist_family_subdegrees():
         assert inst.group.degree == (n + 1) * (n + 2) // 2
         cls = classify(inst.group)
         assert sorted(cls.subdegrees) == sorted([1, 2 * n, n * (n - 1) // 2])
-        assert inst.faithful
+        assert cls.faithful
 
 
 def test_sign_twist_5_matches_alt7_pairs_numbers():
@@ -97,7 +97,7 @@ def test_psl2_line():
         inst = build_instance(f"psl2line:{q}")
         assert inst.group.degree == q + 1
         assert inst.group.order() == q * (q * q - 1)
-        assert inst.faithful
+        assert classify(inst.group).faithful
     cls = classify(build_instance("psl2line:8").group)
     assert cls.rank == 2  # two-transitive
 
@@ -110,15 +110,15 @@ def test_psl2_dihedral_cosets_q8():
     nontrivial = [d for d in cls.subdegrees if d != 1]
     assert nontrivial == [9, 9, 9]  # all equal q+1; count (28-1)/9 = 3
     assert cls.three_halves_transitive
-    assert inst.faithful
+    assert cls.faithful
 
 
 def test_psl2_dihedral_cosets_q32():
     inst = build_instance("psl2cosets:32")
     assert inst.group.degree == 496
     assert inst.group.order() == 32736
-    assert inst.faithful
     cls = classify(inst.group)
+    assert cls.faithful
     nontrivial = [d for d in cls.subdegrees if d != 1]
     assert nontrivial == [33] * 15  # all equal q+1
     assert cls.three_halves_transitive
@@ -255,7 +255,35 @@ def test_sym_on_pairs_overgroup():
 def test_catalog_faithfulness_flags():
     for spec in ("sym:5", "alt:5", "altpairs:7", "signtwist:4", "frobenius:5,2",
                  "example3_2", "psl2line:4", "psl2cosets:8"):
-        assert build_instance(spec).faithful, spec
+        assert classify(build_instance(spec).group).faithful, spec
+
+
+def _source_group(head, n):
+    """The group that a derived family's action is induced from, built from
+    its own generators on its own domain."""
+    if head == "altpairs":
+        return PermutationGroup(n, catalog._alt_gens(n))
+    if head == "sympairs":
+        return PermutationGroup(n, catalog._alt_gens(n) + [catalog._cycle(n, [0, 1])])
+    if head == "signtwist":
+        return PermutationGroup(n + 2, catalog._alt_gens(n + 2))
+    return build_instance(f"psl2line:{n}").group
+
+
+@pytest.mark.parametrize("spec", [
+    *(f"altpairs:{n}" for n in range(4, 13)),
+    *(f"sympairs:{n}" for n in range(4, 13)),
+    *(f"signtwist:{n}" for n in range(3, 9)),
+    "psl2cosets:8", "psl2cosets:32",
+])
+def test_derived_actions_are_faithful_by_the_order_reference(spec):
+    # classify_action reports faithful by theorem; the reference is the
+    # order comparison the catalog once made at build time: the induced
+    # action is faithful iff its image has the source group's order
+    head, _, n = spec.partition(":")
+    G = build_instance(spec).group
+    assert G.order() == _source_group(head, int(n)).order()
+    assert classify(G).faithful
 
 
 @pytest.mark.parametrize("spec,degree", [
@@ -268,19 +296,24 @@ def test_oversized_parameters_are_refused_before_any_generator(monkeypatch, spec
         raise AssertionError("a generator was built")
 
     monkeypatch.setattr(catalog, "Permutation", refuse)
-    with pytest.raises(InputError, match=f"acts on {degree} points, above the cap 10000"):
+    with pytest.raises(InputError, match=f"acts on {degree} points, above the cap 1000"):
         build_instance(spec)
 
 
 def test_largest_degree_under_the_cap_is_accepted(monkeypatch):
-    # altpairs:141 acts on 9870 points; the refusal comes from the stub, so
-    # the cap check passed and nothing of degree 9870 is built
+    # the largest parameter of each family that the cap bounds; the refusal
+    # comes from the stub, so the cap check passed and nothing is built
     def refuse(*args):
         raise AssertionError("a generator was built")
 
     monkeypatch.setattr(catalog, "Permutation", refuse)
-    with pytest.raises(AssertionError, match="a generator was built"):
-        build_instance("altpairs:141")
+    for spec, degree in [("sym:1000", 1000), ("alt:1000", 1000), ("altpairs:45", 990),
+                         ("sympairs:45", 990), ("signtwist:43", 990),
+                         ("frobenius:997,2", 997)]:
+        head, _, body = spec.partition(":")
+        assert catalog.FAMILIES[head].points(*map(int, body.split(","))) == degree
+        with pytest.raises(AssertionError, match="a generator was built"):
+            build_instance(spec)
 
 
 def test_unknown_specs_rejected():

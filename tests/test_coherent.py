@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from permsym import coherent
+from permsym import coherent, perm
 from permsym.catalog import build_instance
 from permsym.coherent import (
     adjacency_product_check,
@@ -74,9 +74,11 @@ def test_reflexive_structure_transitive():
 
 
 def test_degree_cap(monkeypatch):
-    monkeypatch.setattr(coherent, "TWO_ORBIT_DEGREE_CAP", 3)
+    # two_orbits checks no cap of its own: PermutationGroup refuses a degree
+    # above perm.DEGREE_CAP, so no such group reaches it
+    monkeypatch.setattr(perm, "DEGREE_CAP", 3)
     with pytest.raises(InputError, match="degree 5 exceeds the pair-table cap 3"):
-        two_orbits(build_instance("sym:5").group)
+        two_orbits(PermutationGroup(5, build_instance("sym:5").group.generators))
 
 
 def test_valencies_match_subdegrees():

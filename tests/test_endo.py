@@ -299,9 +299,10 @@ def test_oracle_matches_orbital_count():
 
 
 def test_oracle_degree_cap():
-    G = PermutationGroup(1001, [])
+    # centralizer_oracle checks no cap of its own: PermutationGroup refuses
+    # a degree above perm.DEGREE_CAP, so no such group reaches it
     with pytest.raises(InputError, match="degree 1001 exceeds the pair-table cap 1000"):
-        centralizer_oracle(G)
+        centralizer_oracle(PermutationGroup(1001, []))
 
 
 # ---------------------------------------------------------------------------

@@ -202,11 +202,18 @@ def test_generator_file_errors():
 
 
 def test_generator_file_degree_cap():
-    with pytest.raises(InputError, match=r"line 2: degree must be in 1\.\.10000, got 10001"):
-        parse_generator_text("# header\ndegree 10001\n(1 2)\n")
+    with pytest.raises(InputError, match=r"line 2: degree must be in 1\.\.1000, got 1001"):
+        parse_generator_text("# header\ndegree 1001\n(1 2)\n")
     with pytest.raises(InputError, match="line 1: degree must be in"):
         parse_generator_text("degree 0\n")
-    assert parse_generator_text("degree 10000\n(1 2)\n")[0] == 10000
+    assert parse_generator_text("degree 1000\n(1 2)\n")[0] == 1000
+
+
+def test_permutation_group_refuses_a_degree_above_the_cap():
+    # no group above the cap exists, so two_orbits and the oracle check none
+    assert PermutationGroup(1000, []).degree == 1000
+    with pytest.raises(InputError, match="degree 1001 exceeds the pair-table cap 1000"):
+        PermutationGroup(1001, [])
 
 
 @pytest.mark.parametrize("build", [
@@ -520,7 +527,7 @@ def test_classify_sign_twist_3():
     cls = classify(inst.group)
     assert sorted(cls.subdegrees) == [1, 3, 6]
     assert not cls.three_halves_transitive
-    assert cls.primitive and inst.faithful
+    assert cls.primitive and cls.faithful
 
 
 def test_classify_shear_group():
@@ -626,7 +633,7 @@ def test_ksubsets_degrees(monkeypatch):
     assert action_on_ksubsets(S4, 2).degree == 6
     S3 = build_instance("sym:3").group
     assert action_on_ksubsets(S3, 3).degree == 1
-    monkeypatch.setattr(perm, "KSUBSET_DEGREE_CAP", 3)
+    monkeypatch.setattr(perm, "DEGREE_CAP", 3)
     with pytest.raises(InputError, match="induced degree 6 exceeds cap 3"):
         action_on_ksubsets(S4, 2)
 
@@ -644,7 +651,7 @@ def test_ksubsets_cap_is_checked_before_the_subsets_are_listed(monkeypatch):
 
     monkeypatch.setattr(perm, "combinations", refuse)
     # C(200, 3) = 1,313,400 subsets
-    with pytest.raises(InputError, match="induced degree 1313400 exceeds cap 10000"):
+    with pytest.raises(InputError, match="induced degree 1313400 exceeds cap 1000"):
         action_on_ksubsets(build_instance("sym:200").group, 3)
 
 
@@ -660,6 +667,19 @@ def test_coset_action_on_the_trivial_subgroup_is_regular():
     Q = action_on_cosets(G, PermutationGroup(3, []))
     assert Q.degree == 6 and Q.order() == 6
     assert classify(Q).subdegrees == (1,) * 6
+
+
+def test_coset_count_above_the_cap_is_refused_while_enumerating(monkeypatch):
+    # A_7 on the 2520 cosets of the trivial subgroup: refused at coset 1001
+    with pytest.raises(InputError, match="coset index exceeds cap 1000"):
+        action_on_cosets(build_instance("alt:7").group, PermutationGroup(7, []))
+    # S_3 has 6 cosets of the trivial subgroup: a cap of 6 holds them, 5 not
+    G = build_instance("sym:3").group
+    monkeypatch.setattr(perm, "DEGREE_CAP", 6)
+    assert action_on_cosets(G, PermutationGroup(3, [])).degree == 6
+    monkeypatch.setattr(perm, "DEGREE_CAP", 5)
+    with pytest.raises(InputError, match="coset index exceeds cap 5"):
+        action_on_cosets(G, PermutationGroup(3, []))
 
 
 def test_coset_action_not_subgroup():
