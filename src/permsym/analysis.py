@@ -301,7 +301,8 @@ def run_analysis(spec: str, p: int, seed: int = 0, oracle: bool = False,
     form = clock("natural_form", lambda: natural_form(alg))
     series = clock("radical", lambda: radical_chain(alg))
     structure = clock("structure", lambda: structure_report(alg, series))
-    verdict = clock("verdict", lambda: is_symmetric(alg, hint=form, series=series, seed=seed))
+    verdict = clock("verdict", lambda: is_symmetric(alg, hint=form, structure=structure,
+                                                    seed=seed))
 
     # the configuration stage raises unless its checks hold, and those imply
     # the axioms, associativity and the unit

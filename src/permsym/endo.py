@@ -413,14 +413,18 @@ def structure_report(alg: SCAlgebra, series: RadicalSeries | None = None) -> Str
 
 @dataclass(frozen=True)
 class SymmetricVerdict:
-    status: str       # symmetric_with_witness | symmetric_semisimple | not_symmetric | inconclusive
+    # symmetric_with_witness | symmetric_semisimple | symmetric_by_socle (a
+    # commutative algebra meeting the socle criterion, no witness sampled) |
+    # not_symmetric | inconclusive (a non-commutative algebra's sampled miss)
+    status: str
     method: str
     witness: np.ndarray | None
     certificate: dict | None
     notes: str
 
     def is_positive(self) -> bool:
-        return self.status in ("symmetric_with_witness", "symmetric_semisimple")
+        return self.status in ("symmetric_with_witness", "symmetric_semisimple",
+                               "symmetric_by_socle")
 
 
 def _first_witness(alg: SCAlgebra, W: np.ndarray, candidates) -> np.ndarray | None:
@@ -463,62 +467,67 @@ def _trace_witness(alg: SCAlgebra) -> np.ndarray:
 
 def _semisimple_verdict(witness: np.ndarray | None) -> SymmetricVerdict:
     return SymmetricVerdict(
-        status="symmetric_semisimple",
-        method="semisimple",
-        witness=witness,
-        certificate=None,
-        notes="zero radical; semisimple algebras over a finite field are symmetric",
-    )
-
-
-def _socle_obstruction(structure: StructureReport) -> dict | None:
-    if structure.is_local and structure.right_socle_dim != 1:
-        return {"top_dim": structure.top_dim, "right_socle_dim": structure.right_socle_dim}
-    return None
+        status="symmetric_semisimple", method="semisimple", witness=witness, certificate=None,
+        notes="zero radical; semisimple algebras over a finite field are symmetric")
 
 
 def is_symmetric(alg: SCAlgebra, hint: PairingForm | None = None,
-                 series: RadicalSeries | None = None, seed: int = 0) -> SymmetricVerdict:
+                 structure: StructureReport | None = None, seed: int = 0) -> SymmetricVerdict:
     """Layered decision:
 
     1. a symmetric nondegenerate hint form is already a witness;
-    2. zero radical certifies the positive outcome (semisimple algebras over a
-       finite field are symmetric).  On a commutative algebra the witness is
-       the regular trace tau(x) = tr L(x), and one rank of its Gram matrix
-       proves it: the trace form (x, y) -> tau(x y) of a commutative algebra
-       is nondegenerate iff J = 0.  An x in J makes every x y nilpotent, of
-       trace 0, so J lies in the form's kernel; and a product of finite
-       fields, each separable over F_p, has a nondegenerate trace form
-       (Curtis and Reiner, Methods of Representation Theory I, 1981).  A
-       rank below dim refutes the zero radical found upstream and raises
-       VerificationError.  On any other semisimple algebra a witness is
-       still searched for, as below: the regular trace of M_n(F_q) is n tr,
-       degenerate when p divides n.  A search of the whole witness space
-       that finds nothing refutes the zero radical and raises
-       VerificationError, as a semisimple algebra has a witness there; a
-       sampled search that misses still reports the zero radical, with no
-       witness;
-    3. enumerate the whole witness space when |F|^dim fits the budget; finding
-       nothing there is an exact negative certificate;
-    4. otherwise sample; with no hit, a local algebra whose socle is not
-       one-dimensional is certified negative, anything else is inconclusive.
+    2. a commutative algebra with zero radical (top_dim == dim) has the
+       regular trace tau(x) = tr L(x) as witness, proven by one rank of its
+       Gram matrix: the trace form (x, y) -> tau(x y) of a commutative
+       algebra is nondegenerate iff J = 0.  An x in J makes every x y
+       nilpotent, of trace 0, so J lies in the form's kernel; and a product
+       of finite fields, each separable over F_p, has a nondegenerate trace
+       form.  A lower rank refutes the zero radical and raises
+       VerificationError;
+    3. the socle criterion, on every algebra: a socle whose dimension is not
+       top_dim = dim A - dim J is an exact negative, as a symmetric algebra
+       is Frobenius and a Frobenius algebra has soc(A_A) = (A/J)_A and
+       soc(_A A) = _A(A/J) (Nakayama), so a local algebra, of top_dim 1,
+       needs a one-dimensional socle.  On a commutative algebra the
+       equality is also sufficient.  Such an algebra is symmetric iff it is
+       Frobenius, as lam(x y) = lam(y x) for every lam, and Frobenius iff
+       each local block A e_i has a simple socle.  Each soc(A e_i) is a
+       non-zero vector space over the residue field k_i, so dim soc(A) >=
+       sum dim k_i = dim A - dim J, with equality iff every block's socle is
+       simple (T. Y. Lam, Lectures on Modules and Rings, 1999, sections
+       15-16; Curtis and Reiner, Methods of Representation Theory I, 1981);
+    4. a witness is searched for among the functionals vanishing on
+       commutators: all of them when |F|^dim fits WITNESS_ENUM_CAP, else
+       seeded samples.  A commutative algebra here, and a non-commutative
+       one with zero radical, is symmetric (the regular trace of M_n(F_q),
+       n tr, is degenerate when p divides n, so the latter is searched).  On
+       these a whole-space miss raises VerificationError, and a sampled
+       miss reports the positive verdict with no witness.  On any other
+       algebra a whole-space miss is an exact negative and a sampled miss
+       is inconclusive.
     """
     if alg.dim > ALGEBRA_DIM_CAP:
         raise InputError(f"algebra dimension {alg.dim} exceeds cap {ALGEBRA_DIM_CAP}")
     p = alg.field.p
     if hint is not None and hint.symmetric and hint.nondegenerate:
         return SymmetricVerdict(
-            status="symmetric_with_witness",
-            method="natural_form",
-            witness=hint.functional.copy(),
-            certificate=None,
-            notes="reflexive-coefficient form is symmetric and nondegenerate",
-        )
-    if series is None:
-        series = radical_chain(alg)
-    semisimple = series.dims[1] == 0
+            status="symmetric_with_witness", method="natural_form",
+            witness=hint.functional.copy(), certificate=None,
+            notes="reflexive-coefficient form is symmetric and nondegenerate")
+    if structure is None:
+        structure = structure_report(alg)
+    top, left, right = structure.top_dim, structure.left_socle_dim, structure.right_socle_dim
+    semisimple = top == alg.dim
     if semisimple and alg.commutative:
         return _semisimple_verdict(_trace_witness(alg))
+    certificate = {"socle_criterion": {"top_dim": top, "left_socle_dim": left,
+                                       "right_socle_dim": right}}
+    if left != top or right != top:
+        return SymmetricVerdict(
+            status="not_symmetric", method="socle_criterion", witness=None,
+            certificate=certificate,
+            notes=f"socle dimension {left}/{right} differs from the top dimension {top}; "
+                  "a Frobenius algebra's socles are isomorphic to its top")
 
     W = _witness_space(alg)
     w = W.shape[0]
@@ -533,48 +542,33 @@ def is_symmetric(alg: SCAlgebra, hint: PairingForm | None = None,
         candidates = (rng.integers(0, p, size=w) for _ in range(WITNESS_SAMPLES))
     witness = _first_witness(alg, W, candidates)
 
+    if witness is None and searched_all and (semisimple or alg.commutative):
+        claim = ("every semisimple algebra over F_p is symmetric: the radical series is not J's"
+                 if semisimple else
+                 "a commutative algebra that meets the socle criterion is symmetric: the "
+                 "structure report is not the algebra's")
+        raise VerificationError("no witness among all the functionals vanishing on "
+                                f"commutators, but {claim}")
     if semisimple:
-        if witness is None and searched_all:
-            raise VerificationError("no witness among all the functionals vanishing on "
-                                    "commutators, but every semisimple algebra over F_p "
-                                    "is symmetric: the radical series is not J's")
         return _semisimple_verdict(witness)
     if witness is not None:
         return SymmetricVerdict(
-            status="symmetric_with_witness",
-            method="search" if searched_all else "sampling",
-            witness=witness,
-            certificate=None,
-            notes=f"witness found among functionals vanishing on commutators (dim {w})",
-        )
-    structure = structure_report(alg, series)
-    obstruction = _socle_obstruction(structure)
-    if searched_all:
-        certificate = {"exhausted_search": {"search_space": space}}
-        if obstruction is not None:
-            certificate["local_socle_obstruction"] = obstruction
+            status="symmetric_with_witness", method="search" if searched_all else "sampling",
+            witness=witness, certificate=None,
+            notes=f"witness found among functionals vanishing on commutators (dim {w})")
+    sampled = f"{WITNESS_SAMPLES} samples from a space of {space} found no witness"
+    if alg.commutative:
         return SymmetricVerdict(
-            status="not_symmetric",
-            method="exhausted_search",
-            witness=None,
+            status="symmetric_by_socle", method="socle_criterion", witness=None,
             certificate=certificate,
-            notes=f"no nondegenerate form among all {space} candidate functionals",
-        )
-    if obstruction is not None:
+            notes=f"commutative, with socle dimension = top dimension {top}; {sampled}")
+    if searched_all:
         return SymmetricVerdict(
-            status="not_symmetric",
-            method="socle_obstruction",
-            witness=None,
-            certificate={"local_socle_obstruction": obstruction},
-            notes="local algebra with socle dimension != 1 cannot be symmetric",
-        )
-    return SymmetricVerdict(
-        status="inconclusive",
-        method="sampling_no_hit",
-        witness=None,
-        certificate=None,
-        notes=f"{WITNESS_SAMPLES} samples from a space of {space} found no witness",
-    )
+            status="not_symmetric", method="exhausted_search", witness=None,
+            certificate={"exhausted_search": {"search_space": space}},
+            notes=f"no nondegenerate form among all {space} candidate functionals")
+    return SymmetricVerdict(status="inconclusive", method="sampling_no_hit", witness=None,
+                            certificate=None, notes=sampled)
 
 
 # ---------------------------------------------------------------------------

@@ -139,18 +139,21 @@ def crit_affine_shear(ctx: SuiteContext) -> CriterionResult:
         "basic-set sums",
     )
     c.expect_eq(rep.verdict.status, "not_symmetric", "verdict")
-    cert = rep.verdict.certificate or {}
-    c.expect_eq(
-        cert.get("exhausted_search", {}).get("search_space"), 243,
-        "exhausted search over all functionals",
+    c.expect(
+        (rep.verdict.certificate or {}).get("socle_criterion")
+        == {"top_dim": 1, "left_socle_dim": 3, "right_socle_dim": 3},
+        "socle criterion: top 1, socle 3",
     )
-    c.expect("local_socle_obstruction" in cert, "local socle obstruction recorded")
     c.expect_within(dt, 1.0, "runtime")
-    # The basic-set sums above fix the radical series.  Over F_3,
-    # 1 + a + a2 = (a - 1)^2 =: N; the local algebra is span{1, a, a2, bN, b2N}
-    # with radical J = span{a - 1, N, bN, b2N}, so dim J = 4.
+    # The basic-set sums above fix the radical series and the socle.  Over
+    # F_3, 1 + a + a2 = (a - 1)^2 =: N; the local algebra is span{1, a, a2,
+    # bN, b2N} with radical J = span{a - 1, N, bN, b2N}, so dim J = 4 and the
+    # top A/J has dimension 1.
     # In J, (a - 1)^2 = N, while (a - 1)N = a^3 - 1 = 0 and N^2 = 3N = 0, so
     # every other product vanishes: J^2 = span{N} and J^3 = 0.
+    # The socle {x : Jx = 0} is span{N, bN, b2N}, since (a - 1)bN = b(a - 1)N
+    # = 0 and N^2 = 0, while a - 1 is not in it, as (a - 1)^2 = N.  A
+    # Frobenius algebra's socle has its top's dimension, and 3 != 1.
     # The value [5, 4, 2, 0] stated earlier for this series is wrong.
     c.expect_eq(
         list(rep.radical_dims), [5, 4, 1, 0], "derived radical power dimensions dim J^k"

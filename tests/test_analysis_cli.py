@@ -203,6 +203,15 @@ def counting(monkeypatch, module, name):
     return calls
 
 
+def test_the_verdict_reads_the_structure_the_analysis_computed(monkeypatch):
+    # is_symmetric is given the structure report, so none is computed twice
+    stages = counting(monkeypatch, analysis, "structure_report")
+    inner = counting(monkeypatch, endo, "structure_report")
+    rep = run_analysis("example3_2", 3)
+    assert rep.verdict.method == "socle_criterion"
+    assert (len(stages), len(inner)) == (1, 0)
+
+
 F21_GENERATORS = "degree 7\n(1 2 3 4 5 6 7)\n(2 3 5)(4 7 6)\n"  # frobenius:7,3
 
 
@@ -511,6 +520,36 @@ def test_cli_text_format():
     assert proc.returncode == 0
     assert "not_symmetric" in proc.stdout
     assert "b+ab+a2b" in proc.stdout
+
+
+# example3_2 at p = 3: its negative verdict is read off the socle criterion
+EXAMPLE3_2_REPORT = """\
+group      : example3_2 (degree 9, order 27)
+action     : transitive=True rank=5 subdegrees=[1, 1, 1, 3, 3] primitive=False \
+3/2-transitive=False faithful=True
+orbitals   : 5 with valencies [1, 1, 1, 3, 3]
+algebra    : dim 5 over F_3; radical dims [5, 4, 1, 0]
+structure  : top 1, socle (l/r) 3/3, local=True, commutative=True
+pairing    : gram symmetric=True nondegenerate=False
+verdict    : not_symmetric (method socle_criterion)
+             socle dimension 3/3 differs from the top dimension 1; a Frobenius algebra's \
+socles are isomorphic to its top
+schur ring : match=True basic sums ['1', 'a', 'a2', 'b+ab+a2b', 'b2+ab2+a2b2']
+"""
+
+
+def test_example3_2_report_at_3_is_decided_by_the_socle_criterion():
+    rep = run_analysis("example3_2", 3)
+    assert rep.to_text() == EXAMPLE3_2_REPORT
+    assert rep.to_dict()["symmetric_verdict"] == {
+        "status": "not_symmetric",
+        "method": "socle_criterion",
+        "witness": None,
+        "certificate": {
+            "socle_criterion": {"top_dim": 1, "left_socle_dim": 3, "right_socle_dim": 3}},
+        "notes": "socle dimension 3/3 differs from the top dimension 1; "
+                 "a Frobenius algebra's socles are isomorphic to its top",
+    }
 
 
 def test_cli_exit_code_user_error():

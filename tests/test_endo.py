@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from permsym import _kernels, analysis, endo
+from permsym import _kernels, analysis, cli, endo
 from permsym._kernels import rank_mod_p, rref_mod_p
 from permsym.analysis import configuration, run_analysis
 from permsym.catalog import CatalogInstance, build_instance
@@ -1047,13 +1047,125 @@ def assert_valid_witness(alg, verdict):
     assert rank_mod_p(gram, p) == alg.dim
 
 
+def reference_verdict(alg, structure, seed=0):
+    """The decision that the socle criterion replaced, kept as its
+    reference: search the functionals vanishing on commutators for a
+    witness, all of them when the space fits WITNESS_ENUM_CAP, else the
+    seeded samples.  With no witness, an exhausted search is a negative,
+    and so is a sampled miss on a local algebra whose socle is not
+    one-dimensional (the local-socle obstruction); anything else is
+    inconclusive.  Returns the status and whether the search was
+    exhaustive."""
+    p = alg.field.p
+    W = endo._witness_space(alg)
+    w = W.shape[0]
+    searched_all = p ** w <= WITNESS_ENUM_CAP
+    if searched_all:
+        candidates = itertools.product(range(p), repeat=w)
+    else:
+        rng = np.random.default_rng(seed)
+        candidates = (rng.integers(0, p, size=w) for _ in range(endo.WITNESS_SAMPLES))
+    if endo._first_witness(alg, W, candidates) is not None:
+        return "symmetric", searched_all
+    if searched_all or (structure.is_local and structure.right_socle_dim != 1):
+        return "not_symmetric", searched_all
+    return "inconclusive", searched_all
+
+
+def meets_socle_criterion(structure):
+    return structure.left_socle_dim == structure.right_socle_dim == structure.top_dim
+
+
+def assert_the_criterion_matches_the_reference(alg, structure, seed):
+    """On a commutative algebra the socle criterion decides, and the
+    reference agrees wherever it decides: a search of the whole space, a
+    sampled witness, which proves the algebra symmetric, and the local-socle
+    obstruction.  Returns (criterion, the reference's status)."""
+    assert alg.commutative
+    criterion = meets_socle_criterion(structure)
+    verdict = is_symmetric(alg, structure=structure, seed=seed)
+    assert verdict.is_positive() == criterion
+    assert verdict.method not in ("exhausted_search", "sampling_no_hit")
+    status, _ = reference_verdict(alg, structure, seed)
+    if status != "inconclusive":
+        assert (status == "symmetric") == criterion
+    return criterion, status
+
+
 def test_shear_group_not_symmetric():
     alg, _ = algebra_of("example3_2", 3)
-    verdict = is_symmetric(alg, hint=natural_form(alg))
-    assert verdict.status == "not_symmetric"
-    cert = verdict.certificate
-    assert cert["exhausted_search"]["search_space"] == 243
-    assert cert["local_socle_obstruction"]["right_socle_dim"] >= 2
+    structure = structure_report(alg)
+    verdict = is_symmetric(alg, hint=natural_form(alg), structure=structure)
+    assert (verdict.status, verdict.method, verdict.witness) == (
+        "not_symmetric", "socle_criterion", None)
+    assert verdict.certificate == {
+        "socle_criterion": {"top_dim": 1, "left_socle_dim": 3, "right_socle_dim": 3}}
+    # the search the criterion replaced finds no witness among the 3^5
+    # functionals either
+    assert 3 ** endo._witness_space(alg).shape[0] == 243
+    assert reference_verdict(alg, structure) == ("not_symmetric", True)
+
+
+def example3_2_times_cyclic(k):
+    """The generator file of example3_2 x C_k: example3_2's generators act
+    on each of k copies of its 9 points, and the k-cycle moves the copies."""
+    G = build_instance("example3_2").group
+    n = G.degree
+    gens = [Permutation(tuple(c * n + g.images[x] for c in range(k) for x in range(n)))
+            for g in G.generators]
+    gens.append(Permutation(tuple((c + 1) % k * n + x for c in range(k) for x in range(n))))
+    return "\n".join([f"degree {n * k}"] + [g.cycle_string() for g in gens]) + "\n"
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_example3_2_times_a_cyclic_group_fails_the_socle_criterion(k, tmp_path, capsys):
+    # the algebra is A(example3_2) (x) F_3[C_k], and F_3[C_k] is semisimple
+    # with top k, as 3 does not divide k; so J is J(A) (x) F_3[C_k], and the
+    # radical dims, top and socle are k times [5, 4, 1, 0], 1 and 3
+    path = tmp_path / "gens.txt"
+    path.write_text(example3_2_times_cyclic(k))
+    assert cli.main(["analyze", "--file", str(path), "--char", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].endswith(f"radical dims {[k * d for d in (5, 4, 1, 0)]}")
+    assert lines[4] == (f"structure  : top {k}, socle (l/r) {3 * k}/{3 * k}, "
+                        "local=False, commutative=True")
+    assert lines[6] == "verdict    : not_symmetric (method socle_criterion)"
+    if k == 2:
+        # the reference search covers all 3^10 functionals and finds no
+        # witness (at k = 4 it could only sample 3^20)
+        config = configuration(build_instance(f"file:{path}"))
+        alg = centralizer_algebra(config.cc, config.tensor, PrimeField(3))
+        assert 3 ** endo._witness_space(alg).shape[0] == 59049
+        assert reference_verdict(alg, structure_report(alg)) == ("not_symmetric", True)
+
+
+@pytest.mark.parametrize("spec,p", analysis_jobs())
+def test_the_socle_criterion_matches_the_reference_search(spec, p):
+    alg, _ = algebra_of(spec, p)
+    structure = structure_report(alg)
+    for seed in (0, 1):
+        assert_the_criterion_matches_the_reference(alg, structure, seed)
+
+
+def test_random_schur_rings_meet_the_socle_criterion_as_the_reference_search_decides():
+    # the Schur rings of random_regular_holomorph are those of X's classes,
+    # or of the classes {x, x^-1}, so they are commutative; each is taken at
+    # every prime dividing |X|, where its radical may be non-zero.  A ring
+    # met again (S_5 comes up often) is checked once
+    rng = random.Random(11)
+    outcomes, seen = set(), set()
+    for _ in range(60):
+        G, _ = random_regular_holomorph(rng)
+        cc = two_orbits(G)
+        tensor = intersection_tensor(cc)
+        for p in (q for q in (2, 3, 5) if G.degree % q == 0):
+            alg = centralizer_algebra(cc, tensor, PrimeField(p))
+            if (p, alg.sc.tobytes()) not in seen:
+                seen.add((p, alg.sc.tobytes()))
+                outcomes.add(assert_the_criterion_matches_the_reference(
+                    alg, structure_report(alg), seed=0))
+    # both outcomes are met, each confirmed by the reference
+    assert {(True, "symmetric"), (False, "not_symmetric")} <= outcomes
 
 
 def test_alt7_pairs_symmetric_all_small_primes():
@@ -1141,15 +1253,15 @@ def test_witness_search_matches_the_one_candidate_loop(spec, p, sampled, monkeyp
     search, so on those jobs both sides report the regular trace; the search
     is checked on them by the tests below."""
     alg, _ = algebra_of(spec, p)
-    series = radical_chain(alg)
+    structure = structure_report(alg)
     if sampled:
         # every space with a non-zero functional is then sampled
         monkeypatch.setattr(endo, "WITNESS_ENUM_CAP", 1)
     for seed in (0, 1):
-        verdict = is_symmetric(alg, series=series, seed=seed)
+        verdict = is_symmetric(alg, structure=structure, seed=seed)
         with monkeypatch.context() as patch:
             patch.setattr(endo, "_first_witness", reference_witness_search)
-            reference = is_symmetric(alg, series=series, seed=seed)
+            reference = is_symmetric(alg, structure=structure, seed=seed)
         assert verdict_fields(verdict) == verdict_fields(reference)
         assert not sampled or "search" not in verdict.method
 
@@ -1180,7 +1292,7 @@ def test_the_trace_form_and_the_search_both_witness_a_semisimple_algebra(spec, p
     tau = np.trace(alg.sc, axis1=1, axis2=2) % p
     assert rank_mod_p(alg.sc @ tau % p, p) == alg.dim
     searches = spy(monkeypatch, endo, "_witness_space")
-    verdict = is_symmetric(alg, series=radical_chain(alg))
+    verdict = is_symmetric(alg, structure=structure_report(alg))
     assert verdict.status == "symmetric_semisimple" and searches == []
     assert verdict.witness.tolist() == tau.tolist()
     W = endo._witness_space(alg)
@@ -1194,13 +1306,13 @@ def test_the_trace_form_and_the_search_both_witness_a_semisimple_algebra(spec, p
 @pytest.mark.parametrize("seed", [0, 1])
 def test_a_false_zero_radical_is_refused_by_the_trace_form(seed):
     # example3_2 over F_3 is commutative with a radical of dimension 4; a
-    # series claiming J = 0 must not earn it a semisimple verdict
+    # structure report claiming J = 0 must not earn it a semisimple verdict
     alg, _ = algebra_of("example3_2", 3)
     assert alg.commutative and radical_chain(alg).dims[1] == 4
-    zero = np.zeros((0, 5), dtype=np.int64)
-    false_series = endo.RadicalSeries((5, 0), zero, zero)
+    false_structure = endo.StructureReport(
+        top_dim=5, left_socle_dim=5, right_socle_dim=5, is_local=False, commutative=True)
     with pytest.raises(VerificationError, match="trace form .* is degenerate"):
-        is_symmetric(alg, series=false_series, seed=seed)
+        is_symmetric(alg, structure=false_structure, seed=seed)
 
 
 def test_a_false_zero_radical_is_refused_by_the_exhausted_search():
@@ -1211,10 +1323,44 @@ def test_a_false_zero_radical_is_refused_by_the_exhausted_search():
     alg = upper_triangular_2x2(3)
     assert not alg.commutative and radical_chain(alg).dims == (3, 1, 0)
     assert 3 ** endo._witness_space(alg).shape[0] <= WITNESS_ENUM_CAP
-    zero = np.zeros((0, 3), dtype=np.int64)
-    false_series = endo.RadicalSeries((3, 0), zero, zero)
+    # a zero radical makes every socle the whole algebra, so the false
+    # report passes the socle criterion and reaches the search
+    false_structure = endo.StructureReport(
+        top_dim=3, left_socle_dim=3, right_socle_dim=3, is_local=False, commutative=False)
     with pytest.raises(VerificationError, match="every semisimple algebra .* is symmetric"):
-        is_symmetric(alg, series=false_series)
+        is_symmetric(alg, structure=false_structure)
+
+
+# altpairs:7 at p = 5 is commutative, with J != 0 and a degenerate natural
+# form, so its verdict is reached by the witness search
+def altpairs7_at_5():
+    alg, _ = algebra_of("altpairs:7", 5)
+    structure = structure_report(alg)
+    assert alg.commutative and structure.top_dim < alg.dim
+    assert not natural_form(alg).nondegenerate and meets_socle_criterion(structure)
+    return alg, structure
+
+
+def test_a_sampled_miss_on_a_commutative_algebra_is_symmetric_by_socle(monkeypatch):
+    alg, structure = altpairs7_at_5()
+    monkeypatch.setattr(endo, "WITNESS_ENUM_CAP", 1)
+    monkeypatch.setattr(endo, "WITNESS_SAMPLES", 0)
+    verdict = is_symmetric(alg, hint=natural_form(alg), structure=structure)
+    assert (verdict.status, verdict.method, verdict.witness) == (
+        "symmetric_by_socle", "socle_criterion", None)
+    assert verdict.is_positive()
+    top = structure.top_dim
+    assert verdict.certificate == {
+        "socle_criterion": {"top_dim": top, "left_socle_dim": top, "right_socle_dim": top}}
+
+
+def test_an_exhausted_miss_on_a_commutative_algebra_refutes_the_criterion(monkeypatch):
+    alg, structure = altpairs7_at_5()
+    assert 5 ** endo._witness_space(alg).shape[0] <= WITNESS_ENUM_CAP
+    monkeypatch.setattr(endo, "_first_witness", lambda *args: None)
+    with pytest.raises(VerificationError,
+                       match="commutative algebra that meets the socle criterion"):
+        is_symmetric(alg, structure=structure)
 
 
 def test_verdict_deterministic():
@@ -1849,6 +1995,58 @@ def test_noncommutative_not_symmetric_by_exhausted_search():
     verdict = is_symmetric(alg)
     assert verdict.status == "not_symmetric"
     assert verdict.certificate["exhausted_search"]["search_space"] == 4
+
+
+def triangular_times_local(p):
+    """T_2 x F_p[x, y]/(x, y)^2: the upper-triangular 2x2 matrices (basis
+    e11, e22, e12) times a local algebra (basis 1', x, y) whose radical
+    span{x, y} squares to 0."""
+    sc = np.zeros((6, 6, 6), dtype=np.int64)
+    sc[:3, :3, :3] = upper_triangular_2x2(p).sc
+    sc[3, 3, 3] = sc[3, 4, 4] = sc[4, 3, 4] = sc[3, 5, 5] = sc[5, 3, 5] = 1
+    return proven_algebra(p, sc, np.array([1, 1, 0, 1, 0, 0]))
+
+
+def test_noncommutative_not_symmetric_by_the_socle_criterion():
+    # top 2 + 1 = 3; socles 2 + 2 = 4 on each side: T_2's socles have
+    # dimension 2, and the local factor's socle is its radical span{x, y}
+    alg = triangular_times_local(2)
+    structure = structure_report(alg)
+    assert not alg.commutative
+    assert (structure.top_dim, structure.left_socle_dim, structure.right_socle_dim) == (3, 4, 4)
+    verdict = is_symmetric(alg)
+    assert (verdict.status, verdict.method) == ("not_symmetric", "socle_criterion")
+    # the functionals vanishing on the commutator e12: 2^5 candidates, and
+    # the reference search finds no witness among them
+    assert 2 ** endo._witness_space(alg).shape[0] == 32
+    assert reference_verdict(alg, structure) == ("not_symmetric", True)
+
+
+def one_sided_socle_algebra(p, opposite):
+    """[[k, k], [0, k[y]/(y^2)]] (basis e1, m, e2, y: e1 m = m = m e2, m y =
+    0, e2 y = y e2 = y, y^2 = 0), or its opposite.  J = span{m, y} and the
+    top has dimension 2.  Jx = 0 asks only that x has no e2 term, so the left
+    socle is span{e1, m, y}, of dimension 3; xJ = 0 asks for no e1 and no e2
+    term, so the right socle is span{m, y}, of dimension 2.  The opposite
+    algebra swaps the two."""
+    sc = np.zeros((4, 4, 4), dtype=np.int64)
+    sc[0, 0, 0] = sc[0, 1, 1] = sc[1, 2, 1] = 1
+    sc[2, 2, 2] = sc[2, 3, 3] = sc[3, 2, 3] = 1
+    if opposite:
+        sc = sc.transpose(1, 0, 2)
+    return proven_algebra(p, sc, np.array([1, 0, 1, 0]))
+
+
+@pytest.mark.parametrize("opposite", [False, True], ids=["left", "right"])
+def test_a_socle_of_the_wrong_dimension_on_one_side_is_a_negative(opposite):
+    alg = one_sided_socle_algebra(3, opposite)
+    structure = structure_report(alg)
+    socles = (2, 3) if opposite else (3, 2)
+    assert (structure.top_dim, structure.left_socle_dim, structure.right_socle_dim) == (
+        2, *socles)
+    verdict = is_symmetric(alg)
+    assert (verdict.status, verdict.method) == ("not_symmetric", "socle_criterion")
+    assert reference_verdict(alg, structure) == ("not_symmetric", True)
 
 
 def test_hecke_examples():
